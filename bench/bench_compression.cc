@@ -1,5 +1,5 @@
 // Compressed-inference benchmark (DESIGN.md §12): sweeps whitening rank
-// (d, d/2, d/4 via WHITENREC_WHITEN_K-style truncation) against item-table
+// (d, d/2, d/4 via WhiteningOptions::rank truncation) against item-table
 // representation (fp32, int8, bf16 via the linalg::QuantizedItemTable used
 // behind the Scorer seam) and measures, per cell, the packed table bytes,
 // fused-scoring throughput, NDCG@K against the known per-query target, and

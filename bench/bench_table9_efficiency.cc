@@ -4,20 +4,10 @@
 // twice: once single-threaded and once at the configured worker count
 // (`--threads N`, default WHITENREC_THREADS), so the table doubles as a
 // thread-scaling report for the training hot path.
-//
-// A second phase contrasts the materialized and fused (streaming) scoring
-// modes on one representative model: same train + full-ranking eval pass,
-// reporting the workspace high-water mark of each. The fused path never
-// holds a (batch*L, num_items) logits matrix, so its peak must come in at a
-// fraction of the materialized one (peak_ws_ratio in the JSON).
-
-#include <chrono>
 
 #include "bench_common.h"
 #include "bench_json.h"
 #include "core/parallel.h"
-#include "linalg/gemm.h"
-#include "linalg/workspace.h"
 #include "seqrec/baselines.h"
 #include "seqrec/trainer.h"
 
@@ -66,64 +56,12 @@ int main(int argc, char** argv) {
   run([&] { return seqrec::MakeWhitenRecPlus(ds, mc, wc, /*with_id=*/false); });
   run([&] { return seqrec::MakeWhitenRecPlus(ds, mc, wc, /*with_id=*/true); });
 
-  // --- Scoring-mode phase: workspace peak, materialized vs fused ----------
-  // One representative model (WhitenRec, text-only) through a short fit plus
-  // a full-ranking eval in each scoring mode. GlobalPeakBytes() covers every
-  // workspace arena (model-owned and per-thread), so the materialized number
-  // includes the (batch*L, num_items) training logits that the fused mode is
-  // designed to never allocate.
-  const linalg::ScoringMode saved_mode = linalg::CurrentScoringMode();
-  const auto measure_peak = [&](linalg::ScoringMode mode, double* seconds) {
-    linalg::SetScoringMode(mode);
-    seqrec::TrainConfig mem_tc = tc;
-    mem_tc.epochs = 1;
-    mem_tc.num_threads = threads;
-    linalg::Workspace::ResetAllWorkspaces();
-    auto rec = seqrec::MakeWhitenRec(ds, mc, wc, /*with_id=*/false);
-    const double fit_s = rec->Fit(split, mem_tc).avg_epoch_seconds;
-    const auto t0 = std::chrono::steady_clock::now();
-    seqrec::EvaluateRanking(rec.get(), split.test, split.train, mc.max_len);
-    *seconds =
-        fit_s +
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    rec.reset();  // folds the model workspace into the retired peak
-    return linalg::Workspace::GlobalPeakBytes();
-  };
-  double mat_seconds = 0.0;
-  double fused_seconds = 0.0;
-  const std::size_t peak_mat =
-      measure_peak(linalg::ScoringMode::kMaterialized, &mat_seconds);
-  const std::size_t peak_fused =
-      measure_peak(linalg::ScoringMode::kFused, &fused_seconds);
-  linalg::SetScoringMode(saved_mode);
-  const double peak_ratio =
-      peak_fused > 0 ? static_cast<double>(peak_mat) /
-                           static_cast<double>(peak_fused)
-                     : 0.0;
-  std::printf("\nscoring-mode peak workspace (WhitenRec T, train + eval):\n");
-  std::printf("  materialized %12zu bytes  (%.3f s)\n", peak_mat, mat_seconds);
-  std::printf("  fused        %12zu bytes  (%.3f s)\n", peak_fused,
-              fused_seconds);
-  std::printf("  ratio        %11.2fx lower peak under fused\n", peak_ratio);
-
   bench::Json doc = bench::Json::Obj();
   doc.Set("bench", bench::Json::Str("table9_efficiency"));
-  doc.Set("score_tile_cols",
-          bench::Json::Int(static_cast<long long>(linalg::ScoreTileCols())));
-  doc.Set("peak_ws_bytes_materialized",
-          bench::Json::Int(static_cast<long long>(peak_mat)));
-  doc.Set("peak_ws_bytes_fused",
-          bench::Json::Int(static_cast<long long>(peak_fused)));
-  doc.Set("peak_ws_ratio", bench::Json::Num(peak_ratio));
-  doc.Set("scoring_seconds_materialized", bench::Json::Num(mat_seconds));
-  doc.Set("scoring_seconds_fused", bench::Json::Num(fused_seconds));
   doc.Set("dataset", bench::Json::Str("Tools"));
   doc.Set("scale", bench::Json::Num(bench::EnvScale()));
   doc.Set("epochs", bench::Json::Int(static_cast<long long>(tc.epochs)));
   doc.Set("threads", bench::Json::Int(static_cast<long long>(threads)));
-  doc.Set("kernel",
-          bench::Json::Str(linalg::GemmKindName(linalg::CurrentGemmKind())));
   doc.Set("rows", std::move(rows));
   bench::WriteJsonFile("BENCH_efficiency.json", doc);
   return 0;

@@ -3,8 +3,10 @@
 #
 #   1. configure + build with the hardened warning set promoted to errors
 #   2. tier-1 test suite (fast, deterministic; see ROADMAP.md)
-#   3. tier-1 again under WHITENREC_SCORING=fused — every suite must hold
-#      with the streaming scorer swapped in for the materialized default
+#   3. perfbench build + self-test — configures perfbench/CMakeLists.txt
+#      (the end-to-end benchmark, which compiles the library from src/) and
+#      runs perfbench_test, so a library API change cannot silently break
+#      the benchmark build
 #   4. check-lint   — determinism linter over src/ tests/ bench/ examples/
 #   5. check-tidy   — curated clang-tidy profile (loud no-op if not installed)
 #   6. check-faults — crash-safety suite under a WHITENREC_FAULT_RATE sweep
@@ -28,7 +30,7 @@
 #
 # Usage: scripts/ci.sh [build-dir]   (default: build-ci)
 #
-# Stages 7-10 configure sibling build trees inside the build dir, so a
+# Stages 3 and 7-10 configure sibling build trees inside the build dir, so a
 # single invocation leaves everything needed to re-run any stage by hand.
 
 set -euo pipefail
@@ -45,9 +47,11 @@ cmake --build "${BUILD_DIR}" --parallel "${JOBS}"
 echo "==> [2/13] tier-1 tests"
 ctest --test-dir "${BUILD_DIR}" -L tier1 --output-on-failure -j "${JOBS}"
 
-echo "==> [3/13] tier-1 tests (WHITENREC_SCORING=fused)"
-WHITENREC_SCORING=fused \
-  ctest --test-dir "${BUILD_DIR}" -L tier1 --output-on-failure -j "${JOBS}"
+echo "==> [3/13] perfbench build + self-test"
+cmake -S perfbench -B "${BUILD_DIR}/perfbench"
+cmake --build "${BUILD_DIR}/perfbench" --parallel "${JOBS}" \
+  --target perfbench perfbench_test
+"${BUILD_DIR}/perfbench/perfbench_test"
 
 echo "==> [4/13] check-lint"
 cmake --build "${BUILD_DIR}" --target check-lint

@@ -9,6 +9,12 @@ namespace whitenrec {
 namespace core {
 namespace {
 
+// Arrays and objects parse recursively, so nesting depth is stack depth:
+// without a cap, a few hundred KB of '[' overflow the stack. Every document
+// this tree writes nests a handful of levels; anything past the cap is
+// rejected as InvalidArgument.
+constexpr std::size_t kMaxJsonDepth = 256;
+
 class JsonReader {
  public:
   explicit JsonReader(const std::string& text) : text_(text) {}
@@ -42,8 +48,13 @@ class JsonReader {
     SkipSpace();
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) return Fail("nesting too deep");
+      ++depth_;
+      Status s = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth_;
+      return s;
+    }
     if (c == '"') {
       out->kind = JsonValue::Kind::kString;
       return ParseString(&out->str);
@@ -179,6 +190,7 @@ class JsonReader {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects around pos_
 };
 
 }  // namespace

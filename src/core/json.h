@@ -26,7 +26,9 @@ struct JsonValue {
 };
 
 // Parses `text` into *out. Rejects trailing bytes after the document so a
-// truncated or concatenated artifact fails loudly.
+// truncated or concatenated artifact fails loudly, and rejects arrays/objects
+// nested more than 256 deep (InvalidArgument) so hostile input cannot
+// exhaust the stack.
 Status ParseJson(const std::string& text, JsonValue* out);
 
 // Schema helper: requires obj[key] to exist and be a number; writes it to

@@ -1,9 +1,6 @@
 #include "linalg/gemm.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
 
 #include "core/check.h"
 #include "core/parallel.h"
@@ -25,13 +22,13 @@
 // ONE running accumulator, and sums its terms in ascending k — k-panels are
 // visited sequentially and the register tile is stored/reloaded between
 // panels, so splitting K changes nothing. That order is also exactly the
-// naive kernels' order, which is why the two variants are bitwise identical
-// (gemm_test asserts it) and why WHITENREC_GEMM is unobservable in results.
+// naive kernels' order, which is why the two kernels are bitwise identical
+// (gemm_test asserts it) and why the size dispatch is unobservable in results.
 //
 // The micro-kernel is written for auto-vectorization, not intrinsics: fixed
 // trip counts, restrict-qualified unit-stride pointers, and a kMr x kNr
 // accumulator array that lives in registers at -O3. whitenrec_linalg builds
-// with -ffp-contract=off so both variants lower a*b+acc identically even on
+// with -ffp-contract=off so both kernels lower a*b+acc identically even on
 // FMA-capable -march builds.
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -59,62 +56,33 @@ constexpr std::size_t kKc = 256;
 static_assert(kMc % kMr == 0, "row block must be a whole number of strips");
 
 // Below this many multiply-adds the packing set-up costs more than it saves;
-// the variants are bitwise identical, so the dispatch is unobservable.
+// the kernels are bitwise identical, so the dispatch is unobservable.
 constexpr std::size_t kBlockedMinWork = 8192;
 
-GemmKind KindFromEnv() {
-  const char* s = std::getenv("WHITENREC_GEMM");
-  if (s == nullptr || *s == '\0') return GemmKind::kBlocked;
-  const std::string v(s);
-  if (v == "naive") return GemmKind::kNaive;
-  if (v == "blocked") return GemmKind::kBlocked;
-  std::fprintf(stderr,
-               "invalid WHITENREC_GEMM value '%s' (expected naive|blocked)\n",
-               s);
-  std::abort();
-}
-
-GemmKind& ActiveKind() {
-  static GemmKind kind = KindFromEnv();
-  return kind;
-}
-
-ScoringMode ModeFromEnv() {
-  const char* s = std::getenv("WHITENREC_SCORING");
-  if (s == nullptr || *s == '\0') return ScoringMode::kMaterialized;
-  const std::string v(s);
-  if (v == "materialized") return ScoringMode::kMaterialized;
-  if (v == "fused") return ScoringMode::kFused;
-  std::fprintf(
-      stderr,
-      "invalid WHITENREC_SCORING value '%s' (expected materialized|fused)\n",
-      s);
-  std::abort();
-}
-
-ScoringMode& ActiveScoringMode() {
-  static ScoringMode mode = ModeFromEnv();
-  return mode;
-}
-
-std::size_t TileFromEnv() {
-  const char* s = std::getenv("WHITENREC_SCORE_TILE");
-  if (s == nullptr || *s == '\0') return 256;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || v == 0) {
-    std::fprintf(stderr,
-                 "invalid WHITENREC_SCORE_TILE value '%s' (expected a "
-                 "positive integer)\n",
-                 s);
-    std::abort();
-  }
-  return static_cast<std::size_t>(v);
-}
-
 std::size_t& ActiveScoreTile() {
-  static std::size_t tile = TileFromEnv();
+  static std::size_t tile = 256;
   return tile;
+}
+
+void CheckMatMulShapes(const Matrix& a, const Matrix& b, const Matrix* c) {
+  WR_CHECK(c != &a && c != &b);
+  WR_CHECK_EQ(a.cols(), b.rows());
+  WR_CHECK_EQ(c->rows(), a.rows());
+  WR_CHECK_EQ(c->cols(), b.cols());
+}
+
+void CheckTransAShapes(const Matrix& a, const Matrix& b, const Matrix* c) {
+  WR_CHECK(c != &a && c != &b);
+  WR_CHECK_EQ(a.rows(), b.rows());
+  WR_CHECK_EQ(c->rows(), a.cols());
+  WR_CHECK_EQ(c->cols(), b.cols());
+}
+
+void CheckTransBShapes(const Matrix& a, const Matrix& b, const Matrix* c) {
+  WR_CHECK(c != &a && c != &b);
+  WR_CHECK_EQ(a.cols(), b.cols());
+  WR_CHECK_EQ(c->rows(), a.rows());
+  WR_CHECK_EQ(c->cols(), b.rows());
 }
 
 // ---------------------------------------------------------------------------
@@ -372,11 +340,11 @@ void BlockedGemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
 }
 
 bool UseBlocked(std::size_t m, std::size_t n, std::size_t k) {
-  return ActiveKind() == GemmKind::kBlocked && m * n * k >= kBlockedMinWork;
+  return m * n * k >= kBlockedMinWork;
 }
 
 // One score panel: *c = A * B[j0 : j0+jn, :]^T, with the optional row-block
-// epilogue fired while rows are cache-hot. Both kernel variants produce
+// epilogue fired while rows are cache-hot. Both kernels produce
 // panel elements bitwise equal to the corresponding full-GEMM elements (same
 // canonical per-element ascending-k chain; tile boundaries only move where
 // zero-padded inert lanes sit).
@@ -392,20 +360,19 @@ void PanelTransB(const Matrix& a, const Matrix& b, std::size_t j0,
 
 }  // namespace
 
-GemmKind CurrentGemmKind() { return ActiveKind(); }
-
-void SetGemmKind(GemmKind kind) { ActiveKind() = kind; }
-
-const char* GemmKindName(GemmKind kind) {
-  return kind == GemmKind::kNaive ? "naive" : "blocked";
+void NaiveMatMulAcc(const Matrix& a, const Matrix& b, Matrix* c) {
+  CheckMatMulShapes(a, b, c);
+  NaiveMatMul(a, b, c);
 }
 
-ScoringMode CurrentScoringMode() { return ActiveScoringMode(); }
+void NaiveMatMulTransAAcc(const Matrix& a, const Matrix& b, Matrix* c) {
+  CheckTransAShapes(a, b, c);
+  NaiveMatMulTransA(a, b, c);
+}
 
-void SetScoringMode(ScoringMode mode) { ActiveScoringMode() = mode; }
-
-const char* ScoringModeName(ScoringMode mode) {
-  return mode == ScoringMode::kMaterialized ? "materialized" : "fused";
+void NaiveMatMulTransBAcc(const Matrix& a, const Matrix& b, Matrix* c) {
+  CheckTransBShapes(a, b, c);
+  NaiveMatMulTransB(a, b, c);
 }
 
 std::size_t ScoreTileCols() { return ActiveScoreTile(); }
@@ -437,10 +404,7 @@ void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* c) {
 }
 
 void MatMulAcc(const Matrix& a, const Matrix& b, Matrix* c) {
-  WR_CHECK(c != &a && c != &b);
-  WR_CHECK_EQ(a.cols(), b.rows());
-  WR_CHECK_EQ(c->rows(), a.rows());
-  WR_CHECK_EQ(c->cols(), b.cols());
+  CheckMatMulShapes(a, b, c);
   if (UseBlocked(c->rows(), c->cols(), a.cols())) {
     BlockedGemm(a, /*trans_a=*/false, b, /*trans_b=*/false, c);
   } else {
@@ -449,10 +413,7 @@ void MatMulAcc(const Matrix& a, const Matrix& b, Matrix* c) {
 }
 
 void MatMulTransAAcc(const Matrix& a, const Matrix& b, Matrix* c) {
-  WR_CHECK(c != &a && c != &b);
-  WR_CHECK_EQ(a.rows(), b.rows());
-  WR_CHECK_EQ(c->rows(), a.cols());
-  WR_CHECK_EQ(c->cols(), b.cols());
+  CheckTransAShapes(a, b, c);
   if (UseBlocked(c->rows(), c->cols(), a.rows())) {
     BlockedGemm(a, /*trans_a=*/true, b, /*trans_b=*/false, c);
   } else {
@@ -461,10 +422,7 @@ void MatMulTransAAcc(const Matrix& a, const Matrix& b, Matrix* c) {
 }
 
 void MatMulTransBAcc(const Matrix& a, const Matrix& b, Matrix* c) {
-  WR_CHECK(c != &a && c != &b);
-  WR_CHECK_EQ(a.cols(), b.cols());
-  WR_CHECK_EQ(c->rows(), a.rows());
-  WR_CHECK_EQ(c->cols(), b.rows());
+  CheckTransBShapes(a, b, c);
   if (UseBlocked(c->rows(), c->cols(), a.cols())) {
     BlockedGemm(a, /*trans_a=*/false, b, /*trans_b=*/true, c);
   } else {
@@ -482,7 +440,8 @@ void MatVecInto(const Matrix& a, const std::vector<double>& x,
   double* WR_RESTRICT yp = y->data();
   const std::size_t cols = a.cols();
   // Four independent row accumulators for ILP; each row keeps the canonical
-  // single-accumulator ascending-k order, so both variants share this path.
+  // single-accumulator ascending-k order, so every problem size shares this
+  // one path.
   core::ParallelFor(0, a.rows(), core::GrainForWork(cols),
                     [&](std::size_t i0, std::size_t i1) {
     std::size_t i = i0;
@@ -564,7 +523,7 @@ double RowDotTransB(const Matrix& a, std::size_t i, const Matrix& b,
   const double* WR_RESTRICT arow = a.RowPtr(i);
   const double* WR_RESTRICT brow = b.RowPtr(j);
   // One accumulator, k ascending, mul-then-add (-ffp-contract=off in this
-  // TU): the exact chain both kernel variants use per element, so the result
+  // TU): the exact chain both kernels use per element, so the result
   // is bitwise identical to the GEMM's element (i, j).
   double sum = 0.0;
   for (std::size_t k = 0; k < a.cols(); ++k) sum += arow[k] * brow[k];

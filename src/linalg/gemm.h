@@ -10,27 +10,29 @@
 namespace whitenrec {
 namespace linalg {
 
-// Dense GEMM kernel layer. Two interchangeable implementations sit behind
-// every MatMul/MatMulTransA/MatMulTransB/MatVec call:
+// Dense GEMM kernel layer. Two kernels sit behind every MatMul/
+// MatMulTransA/MatMulTransB call, chosen by problem size alone:
 //
-//  * kNaive   — the original triple loops, kept as the reference and as an
-//               escape hatch.
-//  * kBlocked — panel-packed, register-tiled, L1/L2 cache-blocked kernels
-//               (see gemm.cc and DESIGN.md §6).
+//  * the reference loops (NaiveMatMul*Acc below) — plain triple loops, used
+//    for products under 8192 multiply-adds, where packing costs more than
+//    it saves;
+//  * the blocked kernels — panel-packed, register-tiled, L1/L2
+//    cache-blocked (see gemm.cc and DESIGN.md §6.1) — for everything else.
 //
-// Both variants accumulate every output element with the SAME canonical
-// order — one running accumulator per element, k ascending from 0 — so they
-// are bitwise identical to each other, at any thread count. Tests assert
-// this (tests/gemm_test.cc); it is what lets the variant switch be invisible
-// to the deterministic-training guarantee.
-enum class GemmKind { kNaive, kBlocked };
+// Both accumulate every output element in the SAME canonical order — one
+// running accumulator per element, k ascending from 0 — so they are bitwise
+// identical to each other at any thread count, and the size dispatch is
+// invisible to the deterministic-training guarantee. tests/gemm_test.cc
+// holds the blocked path to the reference loops bitwise.
 
-// Active kernel variant. Initialized on first use from the WHITENREC_GEMM
-// environment variable ("naive" or "blocked"; default "blocked"; anything
-// else is a fatal configuration error).
-GemmKind CurrentGemmKind();
-void SetGemmKind(GemmKind kind);
-const char* GemmKindName(GemmKind kind);
+// Reference kernels: C += op(A) * op(B) through the plain loops, whatever
+// the problem size. C must already have the output shape. These are the
+// oracles the blocked path is tested against (and the baseline that
+// bench_micro_kernels times it against); production code calls the
+// MatMul*Acc / *Into entry points below instead.
+void NaiveMatMulAcc(const Matrix& a, const Matrix& b, Matrix* c);
+void NaiveMatMulTransAAcc(const Matrix& a, const Matrix& b, Matrix* c);
+void NaiveMatMulTransBAcc(const Matrix& a, const Matrix& b, Matrix* c);
 
 // Destination-reusing entry points: *c is reshaped via Matrix::Resize (so a
 // persistent Workspace slot is reused across calls) and overwritten. c must
@@ -60,7 +62,8 @@ void MatMulTransBAcc(const Matrix& a, const Matrix& b, Matrix* c);
 //
 // The full-softmax objective and full-catalog ranking both need C = A * B^T
 // with B the (num_items, d) item table — a C that is (rows, num_items) and
-// dominates peak memory. The entry points below never materialize that C:
+// dominates peak memory. The entry points below, which back the training
+// loss and every factorized ranking path, never materialize that C:
 // they walk item tiles of width ScoreTileCols() in canonical ascending order
 // and hand each (rows x tile) score panel to the caller while it is still
 // cache-resident.
@@ -69,26 +72,16 @@ void MatMulTransBAcc(const Matrix& a, const Matrix& b, Matrix* c);
 //  * Panel elements are computed by the same kernels with the same canonical
 //    per-element ascending-k accumulation as the materialized GEMM, so every
 //    streamed score is BITWISE identical to the corresponding element of
-//    MatMulTransB(a, b) — for any tile width, kernel variant, thread count.
+//    MatMulTransB(a, b) — for any tile width and thread count.
 //  * Tiles are visited sequentially in ascending column order, and every
 //    output row belongs to exactly one deterministic ParallelFor chunk, so
 //    any per-row reduction the caller runs in the epilogue sees its terms in
 //    a fixed order regardless of thread count.
 // ---------------------------------------------------------------------------
 
-// Scoring-path selector. kMaterialized is the reference implementation (the
-// plain (rows, num_items) GEMM); kFused routes the softmax-CE loss and the
-// ranking evaluation through the streaming layer. Initialized on first use
-// from WHITENREC_SCORING ("materialized" or "fused"; default "materialized";
-// anything else is a fatal configuration error).
-enum class ScoringMode { kMaterialized, kFused };
-
-ScoringMode CurrentScoringMode();
-void SetScoringMode(ScoringMode mode);
-const char* ScoringModeName(ScoringMode mode);
-
-// Item-tile width of the streaming layer. Initialized on first use from
-// WHITENREC_SCORE_TILE (positive integer; default 256); settable for tests.
+// Item-tile width of the streaming layer (default 256). Any positive width
+// produces the same scores and rankings; SetScoreTileCols exists so tests
+// can sweep it.
 std::size_t ScoreTileCols();
 void SetScoreTileCols(std::size_t tile);
 

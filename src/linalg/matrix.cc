@@ -39,6 +39,12 @@ void Matrix::SetRow(std::size_t r, const std::vector<double>& v) {
   std::copy(v.begin(), v.end(), RowPtr(r));
 }
 
+void Matrix::AppendRow(const std::vector<double>& v) {
+  WR_CHECK_EQ(v.size(), cols_);
+  data_.insert(data_.end(), v.begin(), v.end());
+  ++rows_;
+}
+
 Matrix Matrix::RowSlice(std::size_t begin, std::size_t end) const {
   WR_CHECK_LE(begin, end);
   WR_CHECK_LE(end, rows_);
@@ -112,9 +118,9 @@ double Matrix::MaxAbs() const {
   return m;
 }
 
-// The GEMM kernels (naive and blocked variants, WHITENREC_GEMM dispatch)
-// live in linalg/gemm.cc; the by-value entry points below forward to the
-// destination-reusing versions there.
+// The GEMM kernels (reference loops and blocked kernels, dispatched by
+// problem size) live in linalg/gemm.cc; the by-value entry points below
+// forward to the destination-reusing versions there.
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
   Matrix c;

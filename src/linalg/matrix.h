@@ -89,6 +89,9 @@ class Matrix {
   std::vector<double> Col(std::size_t c) const;
   // Overwrites the r-th row.
   void SetRow(std::size_t r, const std::vector<double>& v);
+  // Appends `v` (length cols()) as a new last row. Amortized O(cols): the
+  // storage grows geometrically, so n appends cost O(n * cols) in total.
+  void AppendRow(const std::vector<double>& v);
 
   // Returns rows [begin, end) as a new matrix.
   Matrix RowSlice(std::size_t begin, std::size_t end) const;
@@ -120,8 +123,8 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 // y = A * x.
 std::vector<double> MatVec(const Matrix& a, const std::vector<double>& x);
-// Destination-reusing and accumulating variants (and the kernel-variant
-// escape hatch WHITENREC_GEMM) live in linalg/gemm.h; the by-value entry
+// Destination-reusing and accumulating variants (and the reference kernels
+// the tests compare against) live in linalg/gemm.h; the by-value entry
 // points above forward to them.
 
 Matrix Transpose(const Matrix& a);

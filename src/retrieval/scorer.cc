@@ -19,7 +19,7 @@ namespace {
 
 using linalg::Matrix;
 
-// Strict env parsing, same contract as the WHITENREC_GEMM family.
+// Strict env parsing: a set but malformed value aborts loudly.
 std::size_t EnvSize(const char* name, std::size_t fallback) {
   const char* s = std::getenv(name);
   if (s == nullptr || *s == '\0') return fallback;

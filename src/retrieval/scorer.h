@@ -30,7 +30,7 @@ using Scorer = linalg::Scorer;
 //   WHITENREC_SCORER        "exact" | "ivf"
 //   WHITENREC_IVF_CLUSTERS  k-means clusters (0 = auto ~sqrt(num_items))
 //   WHITENREC_IVF_NPROBE    probed clusters per query
-// A set-but-malformed value aborts loudly, same contract as WHITENREC_GEMM.
+// A set-but-malformed value aborts loudly, naming the variable.
 struct ScorerConfig {
   ScorerKind kind = ScorerKind::kExact;
   std::size_t clusters = 0;  // 0 = auto

@@ -1,6 +1,5 @@
 #include "seqrec/model.h"
 
-#include "linalg/gemm.h"
 #include "nn/loss.h"
 #include "nn/tensor.h"
 
@@ -11,10 +10,8 @@ using linalg::Matrix;
 
 namespace {
 // Slots in SasRecModel::ws_ (see linalg/workspace.h).
-constexpr std::size_t kWsLogits = 0;
-constexpr std::size_t kWsDlogits = 1;
-constexpr std::size_t kWsDh = 2;
-constexpr std::size_t kWsDv = 3;
+constexpr std::size_t kWsDh = 0;
+constexpr std::size_t kWsDv = 1;
 }  // namespace
 
 SasRecModel::SasRecModel(std::unique_ptr<ItemEncoder> encoder,
@@ -80,24 +77,10 @@ double SasRecModel::SequenceLossAndGrad(const data::Batch& batch,
                                         Matrix* dh, Matrix* dv) {
   WR_CHECK(dh != nullptr);
   WR_CHECK(dv != nullptr);
-  if (linalg::CurrentScoringMode() == linalg::ScoringMode::kFused) {
-    // Streaming path: the loss consumes score panels straight out of the
-    // GEMM epilogue; no (batch*L, num_items) buffer exists at any point.
-    return nn::StreamingSoftmaxCrossEntropy(h, v, batch.targets,
-                                            batch.target_weights, dh, dv);
-  }
-  // Logits over the catalog at every position: (batch*L, num_items). The
-  // logits/dlogits pair is the step's largest allocation, so both live in
-  // the model workspace and keep their capacity across steps.
-  Matrix& logits = ws_.MatRef(kWsLogits);
-  linalg::MatMulTransBInto(h, v, &logits);
-  Matrix& dlogits = ws_.MatRef(kWsDlogits);
-  const double loss = nn::SoftmaxCrossEntropy(logits, batch.targets,
-                                              batch.target_weights, &dlogits);
-  linalg::MatMulInto(dlogits, v, dh);
-  if (dv->rows() == 0) dv->Resize(v.rows(), v.cols());
-  linalg::MatMulTransAAcc(dlogits, h, dv);
-  return loss;
+  // The loss consumes score panels straight out of the GEMM epilogue; no
+  // (batch*L, num_items) logits buffer exists at any point.
+  return nn::StreamingSoftmaxCrossEntropy(h, v, batch.targets,
+                                          batch.target_weights, dh, dv);
 }
 
 void SasRecModel::BackwardSequences(const data::Batch& /*batch*/,

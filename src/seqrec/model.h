@@ -55,7 +55,9 @@ class SasRecModel {
   linalg::Matrix EncodeSequences(const data::Batch& batch,
                                  const linalg::Matrix& v, bool train);
   // Full-softmax CE over all positions with a target; fills dH and adds the
-  // logits' contribution into dV.
+  // logits' contribution into dV. Streams the logits tile by tile
+  // (nn::StreamingSoftmaxCrossEntropy), so no (batch*L, num_items) matrix is
+  // ever allocated.
   double SequenceLossAndGrad(const data::Batch& batch, const linalg::Matrix& h,
                              const linalg::Matrix& v, linalg::Matrix* dh,
                              linalg::Matrix* dv);
@@ -79,8 +81,8 @@ class SasRecModel {
   // The factored form of ScoreLastPositions: *users receives the last-
   // position representations (batch_size, d) and *items the item table
   // (num_items, d), so scores = users * items^T. Lets the streaming
-  // (WHITENREC_SCORING=fused) evaluation path consume score panels without
-  // ever allocating the (batch_size, num_items) matrix.
+  // evaluation path consume score panels without ever allocating the
+  // (batch_size, num_items) matrix.
   void ScoreFactors(const data::Batch& batch, linalg::Matrix* users,
                     linalg::Matrix* items);
 
@@ -126,9 +128,8 @@ class SasRecModel {
   std::vector<double> cached_input_mask_;
   std::vector<std::size_t> cached_items_;
 
-  // Scratch reused across training steps: the (batch*L, num_items) logits /
-  // dlogits pair dominates per-step allocation, so those buffers (plus
-  // dH/dV) live here and are reshaped rather than reallocated.
+  // Scratch reused across training steps: dH and the (num_items, d) dV live
+  // here and are reshaped rather than reallocated.
   linalg::Workspace ws_;
 };
 

@@ -65,7 +65,8 @@ struct SortedExclusions {
 // with the canonical row dot (bitwise equal to its GEMM score), then each
 // score panel is consumed from the fused epilogue, counting non-excluded
 // items that score strictly higher. Ranks — and therefore every metric,
-// including MRR — are identical to the materialized path's.
+// including MRR — are identical to ranking the full score row
+// (tests/topk_test.cc holds them to that oracle bitwise).
 void RankBatchStreaming(
     const data::Batch& batch, const Matrix& users, const Matrix& items,
     const std::vector<data::EvalInstance>& instances, std::size_t inst_base,
@@ -110,25 +111,25 @@ eval::MetricAccumulator RankInstances(
   const std::size_t num_items = recommender->num_items();
   const std::vector<data::Batch> batches =
       data::MakeEvalBatches(instances, max_len, batch_size);
-  const bool fused =
-      linalg::CurrentScoringMode() == linalg::ScoringMode::kFused;
   Matrix users;
   Matrix item_table;
   std::size_t inst_base = 0;
   for (const data::Batch& batch : batches) {
     std::vector<std::size_t> ranks(batch.batch_size);
-    if (fused && recommender->ScoreFactors(batch, &users, &item_table)) {
+    if (recommender->ScoreFactors(batch, &users, &item_table)) {
       RankBatchStreaming(batch, users, item_table, instances, inst_base,
                          train_sequences, &ranks);
     } else {
+      // Scores that are not an inner product (FPMC, Caser, GRU4Rec, ...)
+      // arrive as a full score matrix. Rank every user of the batch in
+      // parallel (each user's rank is an independent full-catalog sweep),
+      // then accumulate serially in instance order so the metric sums never
+      // depend on the thread count.
       const Matrix scores = recommender->ScoreLastPositions(batch);
-      // Rank every user of the batch in parallel (each user's rank is an
-      // independent full-catalog sweep), then accumulate serially in
-      // instance order so the metric sums never depend on the thread count.
       core::ParallelFor(0, batch.batch_size, 1, [&](std::size_t b0,
                                                     std::size_t b1) {
-        // Reference path, one allocation per chunk (not per user): the
-        // exclusion scratch is reused across the chunk via assign().
+        // One allocation per chunk (not per user): the exclusion scratch is
+        // reused across the chunk via assign().
         // whitenrec-analyze: allow(hot-alloc)
         std::vector<char> excluded(num_items, 0);
         for (std::size_t b = b0; b < b1; ++b) {
@@ -429,16 +430,12 @@ std::vector<std::vector<std::size_t>> TopKRecommendations(
   out.reserve(instances.size());
   const std::vector<data::Batch> batches =
       data::MakeEvalBatches(instances, max_len, batch_size);
-  // Factorized batches route through the Scorer seam (linalg/scorer.h):
-  // WHITENREC_SCORING=fused selects the exact streaming scorer (identical
-  // lists to the materialized selection below — same strict total order),
-  // and an injected `scorer` (e.g. retrieval's IVF backend) is used
-  // regardless of the scoring mode. The scorer indexes the item table once:
+  // Factorized batches route through the Scorer seam (linalg/scorer.h): the
+  // exact streaming scorer by default (identical lists to the full-score
+  // selection below — same strict total order), or an injected `scorer`
+  // such as retrieval's IVF backend. The scorer indexes the item table once:
   // eval re-encodes a bitwise-identical table per batch into the same Matrix
   // object, so the borrowed table stays valid and current across batches.
-  const bool fused =
-      linalg::CurrentScoringMode() == linalg::ScoringMode::kFused;
-  const bool want_scorer = fused || scorer != nullptr;
   std::unique_ptr<linalg::Scorer> owned_scorer;
   bool scorer_ready = false;
   Matrix users;
@@ -447,8 +444,7 @@ std::vector<std::vector<std::size_t>> TopKRecommendations(
   for (const data::Batch& batch : batches) {
     const std::size_t rows = batch.batch_size;
     std::vector<std::vector<std::size_t>> lists(rows);
-    if (want_scorer &&
-        recommender->ScoreFactors(batch, &users, &item_table)) {
+    if (recommender->ScoreFactors(batch, &users, &item_table)) {
       // One bounded selector per user: O(k) ranking state per row, never a
       // full score row, for the exact and the IVF backend alike.
       std::vector<std::vector<std::size_t>> exclusions(rows);
@@ -480,8 +476,8 @@ std::vector<std::vector<std::size_t>> TopKRecommendations(
     } else {
       const Matrix scores = recommender->ScoreLastPositions(batch);
       core::ParallelFor(0, rows, 1, [&](std::size_t b0, std::size_t b1) {
-        // Reference fallback (materialized scores): per-chunk scratch, reused
-        // across the chunk; the fused path goes through the Scorer instead.
+        // Non-factorized recommenders: per-chunk scratch, reused across the
+        // chunk; factorized ones go through the Scorer instead.
         // whitenrec-analyze: allow(hot-alloc)
         std::vector<char> excluded(num_items, 0);
         std::vector<linalg::ScoredItem> cands;

@@ -147,16 +147,15 @@ class SasRecRecommender : public Recommender {
 // Top-K recommendation lists: for each instance, the K best-scoring items
 // (excluding the user's training items), ordered by score descending with
 // ties broken toward the smaller item id. Factorizable recommenders route
-// through the linalg::Scorer seam: WHITENREC_SCORING=fused selects the
-// exact streaming bounded top-K selector (O(K) state per user, score panels
-// consumed tile-by-tile) and returns lists IDENTICAL to the materialized
-// full-score-row path (tests/topk_test.cc). A caller-injected `scorer`
-// (e.g. retrieval::MakeScorer for the sublinear IVF index; recall-vs-exact
-// reported by bench_ann) is rebuilt on this eval's item table and used for
-// every factorized batch regardless of the scoring mode — injection keeps
-// seqrec below the backend modules in the include-graph layering
-// (tools/analyze). nullptr means "no override": the fused mode uses the
-// exact streaming scorer, the materialized mode the reference path.
+// through the linalg::Scorer seam — by default the exact streaming bounded
+// top-K selector (O(K) state per user, score panels consumed tile-by-tile),
+// whose lists are IDENTICAL to selecting from the full score row
+// (tests/topk_test.cc). A caller-injected `scorer` (e.g.
+// retrieval::MakeScorer for the sublinear IVF index; recall-vs-exact
+// reported by bench_ann) is rebuilt on this eval's item table and replaces
+// the exact one — injection keeps seqrec below the backend modules in the
+// include-graph layering (tools/analyze). Recommenders without factored
+// scores are ranked from ScoreLastPositions.
 std::vector<std::vector<std::size_t>> TopKRecommendations(
     Recommender* recommender, const std::vector<data::EvalInstance>& instances,
     const std::vector<std::vector<std::size_t>>& train_sequences,

@@ -20,8 +20,8 @@ namespace {
 
 using linalg::Matrix;
 
-// Strict env parsing, same contract as the WHITENREC_GEMM family: a set but
-// malformed value aborts loudly rather than silently serving with defaults.
+// Strict env parsing: a set but malformed value aborts loudly rather than
+// silently serving with defaults.
 std::size_t EnvSize(const char* name, std::size_t fallback) {
   const char* s = std::getenv(name);
   if (s == nullptr || *s == '\0') return fallback;
@@ -489,11 +489,7 @@ Status RecommendService::RollbackPending(Status cause) {
     Quarantine(raw_features_.Row(r), "dropped by refit rollback");
   }
   if (rows != last_good_raw_rows_) {
-    Matrix trimmed(last_good_raw_rows_, raw_features_.cols());
-    for (std::size_t r = 0; r < last_good_raw_rows_; ++r) {
-      trimmed.SetRow(r, raw_features_.Row(r));
-    }
-    raw_features_ = std::move(trimmed);
+    raw_features_ = raw_features_.RowSlice(0, last_good_raw_rows_);
   }
   whiten_acc_ = last_good_acc_;
   pending_ingests_ = 0;
@@ -512,21 +508,14 @@ Status RecommendService::IngestItem(const std::vector<double>& raw_feature) {
     Quarantine(raw_feature, valid.message());
     return valid;
   }
-  // Append the row to the raw catalog and fold it into the streaming
-  // whitening statistics (exact Welford update, no rescan).
-  Matrix grown(raw_features_.rows() + 1, raw_features_.cols());
-  for (std::size_t r = 0; r < raw_features_.rows(); ++r) {
-    grown.SetRow(r, raw_features_.Row(r));
-  }
-  double* last = grown.RowPtr(raw_features_.rows());
-  for (std::size_t c = 0; c < raw_feature.size(); ++c) {
-    last[c] = raw_feature[c];
-  }
+  // Append the row to the raw catalog (amortized O(d), no catalog copy) and
+  // fold it into the streaming whitening statistics (exact Welford update,
+  // no rescan).
+  raw_features_.AppendRow(raw_feature);
   Matrix row(1, raw_feature.size());
   std::memcpy(row.RowPtr(0), raw_feature.data(),
               raw_feature.size() * sizeof(double));
   whiten_acc_.Add(row);
-  raw_features_ = std::move(grown);
   ++pending_ingests_;
   ++stats_.ingested;
   if (pending_ingests_ >= config_.refit_every) return Refit();

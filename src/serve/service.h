@@ -35,8 +35,7 @@ namespace serve {
 // plus the retrieval knobs (retrieval/scorer.h): WHITENREC_SCORER selects
 // exact fused scoring or the sublinear IVF index, WHITENREC_IVF_CLUSTERS /
 // WHITENREC_IVF_NPROBE size it.
-// Malformed values abort with a message naming the variable, same contract
-// as the WHITENREC_GEMM/WHITENREC_SCORING knobs.
+// Malformed values abort with a message naming the variable.
 struct ServeConfig {
   // Recommendations returned per request.
   std::size_t top_k = 10;

@@ -144,10 +144,9 @@ struct WhitenRecConfig {
   HeadKind head = HeadKind::kMlp2;
   EnsembleKind ensemble = EnsembleKind::kSum;
   // Whitening-k truncation: keep only the top-`whiten_k` whitened dims
-  // (0 = full rank). Defaults from WHITENREC_WHITEN_K so the knob reaches
-  // every bench/experiment without plumbing. Requires full_groups == 1 and
-  // is rejected by MakeWhitenRecPlusEncoder (the branch widths must match).
-  std::size_t whiten_k = WhitenKFromEnv();
+  // (0 = full rank). Requires full_groups == 1 and is rejected by
+  // MakeWhitenRecPlusEncoder (the branch widths must match).
+  std::size_t whiten_k = 0;
 };
 
 // WhitenRec: whitens `features` (groups = config.full_groups) and wraps them

@@ -1,8 +1,6 @@
 #include "whitening/whitening.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "core/check.h"
 #include "core/parallel.h"
@@ -22,30 +20,6 @@ const char* WhiteningKindName(WhiteningKind kind) {
     case WhiteningKind::kBatchNorm: return "BN";
   }
   return "?";
-}
-
-namespace {
-
-std::size_t WhitenKParsedFromEnv() {
-  const char* s = std::getenv("WHITENREC_WHITEN_K");
-  if (s == nullptr || *s == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
-    std::fprintf(stderr,
-                 "invalid WHITENREC_WHITEN_K value '%s' (expected a "
-                 "non-negative integer; 0 = full rank)\n",
-                 s);
-    std::abort();
-  }
-  return static_cast<std::size_t>(v);
-}
-
-}  // namespace
-
-std::size_t WhitenKFromEnv() {
-  static const std::size_t k = WhitenKParsedFromEnv();
-  return k;
 }
 
 Result<FittedWhitening> FitWhiteningFromMoments(

@@ -88,13 +88,6 @@ Result<FittedWhitening> FitWhiteningFromMoments(std::vector<double> mean,
                                                 const linalg::Matrix& sigma,
                                                 const WhiteningOptions& options);
 
-// Whitening truncation rank from WHITENREC_WHITEN_K (0 = full rank, the
-// default). Parsed strictly on first use: a set-but-malformed value is a
-// fatal configuration error, same contract as the WHITENREC_GEMM family.
-// WhitenRecConfig defaults its whiten_k from this, so the knob reaches every
-// encoder factory without call-site plumbing.
-std::size_t WhitenKFromEnv();
-
 // Applies a fitted transform: Z = (X - 1 mu^T) phi^T.
 linalg::Matrix ApplyWhitening(const FittedWhitening& w,
                               const linalg::Matrix& x);

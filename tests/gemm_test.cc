@@ -1,7 +1,8 @@
-// Bitwise equivalence of the blocked GEMM kernels (linalg/gemm.cc) against
-// the naive reference loops, across shapes that stress every packing edge
-// case (empty, single row/column, odd remainders, non-square, larger than
-// one cache block) and across thread counts. Both variants promise ONE
+// Bitwise equivalence of the production GEMM entry points (linalg/gemm.cc,
+// which dispatch to the blocked kernels above a size threshold) against the
+// reference loops (NaiveMatMul*Acc), across shapes that stress every packing
+// edge case (empty, single row/column, odd remainders, non-square, larger
+// than one cache block) and across thread counts. Both kernels promise ONE
 // canonical accumulation order per output element — ascending k with a
 // single running accumulator — so equality here is exact, not tolerance-
 // based. Also checks that the thread-local packing workspace carries no
@@ -33,17 +34,6 @@ class ScopedThreads {
 
  private:
   std::size_t saved_;
-};
-
-class ScopedGemmKind {
- public:
-  explicit ScopedGemmKind(GemmKind kind) : saved_(CurrentGemmKind()) {
-    SetGemmKind(kind);
-  }
-  ~ScopedGemmKind() { SetGemmKind(saved_); }
-
- private:
-  GemmKind saved_;
 };
 
 void ExpectBitwiseEqual(const Matrix& a, const Matrix& b, const char* what) {
@@ -87,6 +77,22 @@ void RunInto(Op op, const Matrix& a, const Matrix& b, Matrix* c) {
       break;
     case Op::kTransB:
       MatMulTransBInto(a, b, c);
+      break;
+  }
+}
+
+// The reference loops, C += op(A) * op(B), single-threaded.
+void RunReferenceAcc(Op op, const Matrix& a, const Matrix& b, Matrix* c) {
+  ScopedThreads one(1);
+  switch (op) {
+    case Op::kMatMul:
+      NaiveMatMulAcc(a, b, c);
+      break;
+    case Op::kTransA:
+      NaiveMatMulTransAAcc(a, b, c);
+      break;
+    case Op::kTransB:
+      NaiveMatMulTransBAcc(a, b, c);
       break;
   }
 }
@@ -141,24 +147,16 @@ TEST(GemmEquivalenceTest, BlockedMatchesNaiveBitwiseAcrossShapesAndThreads) {
       Matrix a, b;
       MakeOperands(op, s, &a, &b);
 
-      Matrix ref;
-      {
-        ScopedGemmKind naive(GemmKind::kNaive);
-        ScopedThreads one(1);
-        RunInto(op, a, b, &ref);
-      }
+      Matrix ref(s.m, s.n);
+      RunReferenceAcc(op, a, b, &ref);
       for (std::size_t threads : kThreadCounts) {
-        for (GemmKind kind : {GemmKind::kNaive, GemmKind::kBlocked}) {
-          ScopedGemmKind k(kind);
-          ScopedThreads t(threads);
-          Matrix c;
-          RunInto(op, a, b, &c);
-          SCOPED_TRACE(::testing::Message()
-                       << OpName(op) << " m=" << s.m << " k=" << s.k
-                       << " n=" << s.n << " kind=" << GemmKindName(kind)
-                       << " threads=" << threads);
-          ExpectBitwiseEqual(ref, c, OpName(op));
-        }
+        ScopedThreads t(threads);
+        Matrix c;
+        RunInto(op, a, b, &c);
+        SCOPED_TRACE(::testing::Message()
+                     << OpName(op) << " m=" << s.m << " k=" << s.k
+                     << " n=" << s.n << " threads=" << threads);
+        ExpectBitwiseEqual(ref, c, OpName(op));
       }
     }
   }
@@ -173,13 +171,8 @@ TEST(GemmEquivalenceTest, AccVariantsMatchNaiveBitwise) {
       const Matrix c0 = Operand(s.m, s.n, 3);
 
       Matrix ref = c0;
-      {
-        ScopedGemmKind naive(GemmKind::kNaive);
-        ScopedThreads one(1);
-        RunAcc(op, a, b, &ref);
-      }
+      RunReferenceAcc(op, a, b, &ref);
       for (std::size_t threads : kThreadCounts) {
-        ScopedGemmKind blocked(GemmKind::kBlocked);
         ScopedThreads t(threads);
         Matrix c = c0;
         RunAcc(op, a, b, &c);
@@ -213,17 +206,11 @@ TEST(GemmEquivalenceTest, MatVecMatchesMatMulColumn) {
   }
 }
 
-TEST(GemmEquivalenceTest, EnvKindNamesRoundTrip) {
-  EXPECT_STREQ(GemmKindName(GemmKind::kNaive), "naive");
-  EXPECT_STREQ(GemmKindName(GemmKind::kBlocked), "blocked");
-}
-
 // The packing workspace is thread-local scratch: a big product followed by a
 // small one, then the small one again from scratch, must agree bitwise. If
 // stale packed panels leaked between calls, the second small product would
 // read residue from the large one.
 TEST(GemmWorkspaceTest, NoContaminationAcrossCalls) {
-  ScopedGemmKind blocked(GemmKind::kBlocked);
   const Matrix big_a = Operand(96, 512, 7);
   const Matrix big_b = Operand(512, 96, 8);
   const Matrix small_a = Operand(5, 9, 9);
@@ -256,61 +243,53 @@ TEST(GemmWorkspaceTest, NoContaminationAcrossCalls) {
 
 // The streaming layer promises each panel element is the SAME accumulation
 // chain as the corresponding full-GEMM element, so reassembling the panels
-// must reproduce MatMulTransB bitwise — for any tile width, thread count,
-// and kernel variant — and every (row, tile) cell must be delivered exactly
-// once.
+// must reproduce the reference product bitwise — for any tile width and
+// thread count, on both sides of the blocked-kernel size threshold — and
+// every (row, tile) cell must be delivered exactly once.
 TEST(StreamingGemmTest, ReassembledPanelsMatchMatMulTransBBitwise) {
   const Shape stream_shapes[] = {
       {1, 1, 1}, {5, 17, 9}, {31, 29, 37}, {64, 256, 8}, {96, 512, 96}};
   for (const Shape& s : stream_shapes) {
     const Matrix a = Operand(s.m, s.k, 1);
     const Matrix b = Operand(s.n, s.k, 2);
-    Matrix ref;
-    {
-      ScopedGemmKind naive(GemmKind::kNaive);
-      ScopedThreads one(1);
-      MatMulTransBInto(a, b, &ref);
-    }
+    Matrix ref(s.m, s.n);
+    RunReferenceAcc(Op::kTransB, a, b, &ref);
     for (std::size_t threads : kThreadCounts) {
-      for (GemmKind kind : {GemmKind::kNaive, GemmKind::kBlocked}) {
-        for (const std::size_t tile : {1u, 7u, 64u, 1000u}) {
-          ScopedGemmKind k(kind);
-          ScopedThreads t(threads);
-          SCOPED_TRACE(::testing::Message()
-                       << "m=" << s.m << " k=" << s.k << " n=" << s.n
-                       << " kind=" << GemmKindName(kind)
-                       << " threads=" << threads << " tile=" << tile);
-          Matrix assembled(s.m, s.n);
-          std::vector<int> delivered(s.m * s.n, 0);
-          StreamMatMulTransBTiles(
-              a, b, tile,
-              [&](std::size_t i0, std::size_t i1, std::size_t j0,
-                  std::size_t jn, const Matrix& panel) {
-                for (std::size_t i = i0; i < i1; ++i) {
-                  for (std::size_t c = 0; c < jn; ++c) {
-                    assembled(i, j0 + c) = panel(i, c);
-                    ++delivered[i * s.n + j0 + c];
-                  }
+      for (const std::size_t tile : {1u, 7u, 64u, 1000u}) {
+        ScopedThreads t(threads);
+        SCOPED_TRACE(::testing::Message()
+                     << "m=" << s.m << " k=" << s.k << " n=" << s.n
+                     << " threads=" << threads << " tile=" << tile);
+        Matrix assembled(s.m, s.n);
+        std::vector<int> delivered(s.m * s.n, 0);
+        StreamMatMulTransBTiles(
+            a, b, tile,
+            [&](std::size_t i0, std::size_t i1, std::size_t j0,
+                std::size_t jn, const Matrix& panel) {
+              for (std::size_t i = i0; i < i1; ++i) {
+                for (std::size_t c = 0; c < jn; ++c) {
+                  assembled(i, j0 + c) = panel(i, c);
+                  ++delivered[i * s.n + j0 + c];
                 }
-              });
-          ExpectBitwiseEqual(ref, assembled, "streamed tiles");
-          for (std::size_t i = 0; i < delivered.size(); ++i) {
-            ASSERT_EQ(delivered[i], 1) << "cell " << i << " delivered "
-                                       << delivered[i] << " times";
-          }
-
-          Matrix from_panels(s.m, s.n);
-          StreamMatMulTransBPanels(
-              a, b, tile,
-              [&](std::size_t j0, std::size_t jn, Matrix* panel) {
-                for (std::size_t i = 0; i < s.m; ++i) {
-                  for (std::size_t c = 0; c < jn; ++c) {
-                    from_panels(i, j0 + c) = (*panel)(i, c);
-                  }
-                }
-              });
-          ExpectBitwiseEqual(ref, from_panels, "streamed panels");
+              }
+            });
+        ExpectBitwiseEqual(ref, assembled, "streamed tiles");
+        for (std::size_t i = 0; i < delivered.size(); ++i) {
+          ASSERT_EQ(delivered[i], 1) << "cell " << i << " delivered "
+                                     << delivered[i] << " times";
         }
+
+        Matrix from_panels(s.m, s.n);
+        StreamMatMulTransBPanels(
+            a, b, tile,
+            [&](std::size_t j0, std::size_t jn, Matrix* panel) {
+              for (std::size_t i = 0; i < s.m; ++i) {
+                for (std::size_t c = 0; c < jn; ++c) {
+                  from_panels(i, j0 + c) = (*panel)(i, c);
+                }
+              }
+            });
+        ExpectBitwiseEqual(ref, from_panels, "streamed panels");
       }
     }
   }
@@ -329,15 +308,13 @@ TEST(StreamingGemmTest, RowDotMatchesFullGemmElementBitwise) {
   }
 }
 
-TEST(StreamingGemmTest, ScoringKnobsRoundTripAndDefaultSafe) {
-  const ScoringMode saved_mode = CurrentScoringMode();
-  const std::size_t saved_tile = ScoreTileCols();
-  SetScoringMode(ScoringMode::kFused);
-  EXPECT_EQ(CurrentScoringMode(), ScoringMode::kFused);
+// The tile width is a fixed 256 unless a test overrides it; the override is
+// what the tile-invariance sweeps in loss_test and topk_test rely on.
+TEST(StreamingGemmTest, ScoreTileDefaultAndOverride) {
+  EXPECT_EQ(ScoreTileCols(), 256u);
   SetScoreTileCols(77);
   EXPECT_EQ(ScoreTileCols(), 77u);
-  SetScoringMode(saved_mode);
-  SetScoreTileCols(saved_tile);
+  SetScoreTileCols(256);
 }
 
 // Buf() slots grow monotonically and keep their identity.

@@ -61,6 +61,29 @@ TEST(MatrixTest, SetRow) {
   EXPECT_DOUBLE_EQ(m(0, 1), 8.0);
 }
 
+TEST(MatrixTest, AppendRowGrowsInPlace) {
+  Matrix m = Matrix::FromRows({{1, 2}, {3, 4}});
+  m.AppendRow({5, 6});
+  EXPECT_EQ(m.rows(), 3u);
+  EXPECT_EQ(m.cols(), 2u);
+  EXPECT_DOUBLE_EQ(m(0, 1), 2.0);
+  EXPECT_DOUBLE_EQ(m(2, 0), 5.0);
+  EXPECT_DOUBLE_EQ(m(2, 1), 6.0);
+  // Geometric growth: many appends reallocate only O(log n) times.
+  std::size_t reallocations = 0;
+  std::size_t capacity = m.CapacityBytes();
+  for (int i = 0; i < 1000; ++i) {
+    m.AppendRow({static_cast<double>(i), -static_cast<double>(i)});
+    if (m.CapacityBytes() != capacity) {
+      ++reallocations;
+      capacity = m.CapacityBytes();
+    }
+  }
+  EXPECT_EQ(m.rows(), 1003u);
+  EXPECT_DOUBLE_EQ(m(1002, 1), -999.0);
+  EXPECT_LT(reallocations, 32u);
+}
+
 TEST(MatrixTest, RowSlice) {
   const Matrix m = Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}});
   const Matrix s = m.RowSlice(1, 3);

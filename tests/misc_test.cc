@@ -3,9 +3,11 @@
 // belong to a single module's suite.
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/json.h"
 #include "core/status.h"
 #include "whitening/whitening.h"
 #include "data/generator.h"
@@ -63,6 +65,48 @@ TEST(ResultTest, MutableValue) {
   Result<std::vector<int>> r(std::vector<int>{1});
   r.value().push_back(2);
   EXPECT_EQ(r.value().size(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// JSON reader: nesting depth is bounded
+// ---------------------------------------------------------------------------
+
+// Deep '[' or '{"a":' nesting used to recurse once per level and overflow
+// the stack (a 100 kB input crashed the process). It must come back as a
+// clean InvalidArgument, both for hostile depths and just past the cap.
+TEST(JsonDepthTest, DeepNestingIsRejectedNotACrash) {
+  for (const std::size_t depth : {257u, 100000u}) {
+    std::string arrays(depth, '[');
+    std::string objects;
+    for (std::size_t i = 0; i < depth; ++i) objects += "{\"a\":";
+    for (const std::string& text : {arrays, objects}) {
+      core::JsonValue out;
+      const Status s = core::ParseJson(text, &out);
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "depth " << depth;
+      EXPECT_NE(s.message().find("nesting too deep"), std::string::npos)
+          << s.message();
+    }
+  }
+}
+
+TEST(JsonDepthTest, NestingAtTheCapStillParses) {
+  const std::size_t depth = 256;
+  const std::string arrays =
+      std::string(depth, '[') + "1" + std::string(depth, ']');
+  std::string objects;
+  for (std::size_t i = 0; i < depth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(depth, '}');
+  for (const std::string& text : {arrays, objects}) {
+    core::JsonValue out;
+    ASSERT_TRUE(core::ParseJson(text, &out).ok());
+    const core::JsonValue* v = &out;
+    for (std::size_t i = 0; i < depth; ++i) {
+      v = v->kind == core::JsonValue::Kind::kArray ? &v->array.at(0)
+                                                   : &v->object.at("a");
+    }
+    EXPECT_EQ(v->kind, core::JsonValue::Kind::kNumber);
+    EXPECT_EQ(v->number, 1.0);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -47,18 +47,6 @@ class ScopedThreads {
   std::size_t saved_;
 };
 
-class ScopedGemmKind {
- public:
-  explicit ScopedGemmKind(linalg::GemmKind kind)
-      : saved_(linalg::CurrentGemmKind()) {
-    linalg::SetGemmKind(kind);
-  }
-  ~ScopedGemmKind() { linalg::SetGemmKind(saved_); }
-
- private:
-  linalg::GemmKind saved_;
-};
-
 class ScopedItemQuantKind {
  public:
   explicit ScopedItemQuantKind(ItemQuantKind kind)
@@ -203,8 +191,9 @@ TEST(QuantizedItemTableTest, PackedBytesShrinkAtLeast4x) {
 }
 
 // The headline determinism contract: the streamed quantized product is
-// bitwise identical to the materialized GEMM over the dequantized table —
-// for every thread count x tile width x kernel variant — and RowDot
+// bitwise identical to the reference loops over the dequantized table — for
+// every thread count x tile width, and with 17 x 80 x tile products landing
+// on both sides of the blocked-kernel size threshold — and RowDot
 // reproduces single elements.
 TEST(QuantStreamTest, BitwiseAcrossThreadsTilesAndKernels) {
   const Matrix users = MakeItems(17, 80, 44);
@@ -214,24 +203,21 @@ TEST(QuantStreamTest, BitwiseAcrossThreadsTilesAndKernels) {
     table.Pack(items, kind);
     Matrix deq;
     table.DequantizeRowsInto(0, items.rows(), &deq);
-    const Matrix reference = linalg::MatMulTransB(users, deq);
-    for (linalg::GemmKind gemm :
-         {linalg::GemmKind::kNaive, linalg::GemmKind::kBlocked}) {
-      ScopedGemmKind scoped_gemm(gemm);
-      for (std::size_t threads : kThreadCounts) {
-        ScopedThreads scoped_threads(threads);
-        for (std::size_t tile : {std::size_t{1}, std::size_t{7},
-                                 std::size_t{64}, std::size_t{500}}) {
-          const Matrix got = StreamToDense(users, table, tile);
-          ASSERT_EQ(got.rows(), reference.rows());
-          ASSERT_EQ(got.cols(), reference.cols());
-          for (std::size_t r = 0; r < got.rows(); ++r) {
-            for (std::size_t c = 0; c < got.cols(); ++c) {
-              ASSERT_EQ(got(r, c), reference(r, c))
-                  << "quant=" << linalg::ItemQuantKindName(kind)
-                  << " threads=" << threads << " tile=" << tile << " ("
-                  << r << "," << c << ")";
-            }
+    Matrix reference(users.rows(), deq.rows());
+    linalg::NaiveMatMulTransBAcc(users, deq, &reference);
+    for (std::size_t threads : kThreadCounts) {
+      ScopedThreads scoped_threads(threads);
+      for (std::size_t tile : {std::size_t{1}, std::size_t{7},
+                               std::size_t{64}, std::size_t{500}}) {
+        const Matrix got = StreamToDense(users, table, tile);
+        ASSERT_EQ(got.rows(), reference.rows());
+        ASSERT_EQ(got.cols(), reference.cols());
+        for (std::size_t r = 0; r < got.rows(); ++r) {
+          for (std::size_t c = 0; c < got.cols(); ++c) {
+            ASSERT_EQ(got(r, c), reference(r, c))
+                << "quant=" << linalg::ItemQuantKindName(kind)
+                << " threads=" << threads << " tile=" << tile << " ("
+                << r << "," << c << ")";
           }
         }
       }

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -8,6 +9,8 @@
 #include "eval/alignment_uniformity.h"
 #include "eval/conditioning.h"
 #include "eval/metrics.h"
+#include "linalg/gemm.h"
+#include "nn/loss.h"
 #include "seqrec/baselines.h"
 #include "seqrec/general_rec.h"
 #include "seqrec/item_encoder.h"
@@ -199,6 +202,57 @@ TEST(SasRecModelTest, TrainStepReturnsFiniteLoss) {
   EXPECT_GT(loss, 0.0);
   // Initial loss should be near log(num_items) for random init.
   EXPECT_NEAR(loss, std::log(static_cast<double>(ds.num_items)), 1.5);
+}
+
+// Largest |got - want| / max(1, |want|) over all elements.
+double MaxRelDiff(const Matrix& got, const Matrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  double worst = 0.0;
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    const double denom = std::max(1.0, std::abs(want.data()[i]));
+    worst = std::max(worst, std::abs(got.data()[i] - want.data()[i]) / denom);
+  }
+  return worst;
+}
+
+// SequenceLossAndGrad streams the logits tile by tile. Its oracle is the
+// materialized pipeline: full (batch*L, num_items) logits, dense softmax CE,
+// then the two backward GEMMs. The online log-sum-exp rounds differently in
+// the last ulps, so agreement is <= 1e-10 relative, at any tile width.
+TEST(SasRecModelTest, SequenceLossMatchesMaterializedOracle) {
+  const data::Dataset& ds = TinyData().dataset;
+  auto rec = MakeSasRecId(ds, TinyModelConfig());
+  const data::Split split = data::LeaveOneOutSplit(ds);
+  Rng rng(13);
+  const auto batches = data::MakeTrainBatches(split.train, 8, 32, &rng);
+  const data::Batch& batch = batches[0];
+  SasRecModel* model = rec->model();
+  const Matrix v = model->EncodeItems(/*train=*/false);
+  const Matrix h = model->EncodeSequences(batch, v, /*train=*/false);
+
+  Matrix logits;
+  linalg::MatMulTransBInto(h, v, &logits);
+  Matrix dlogits;
+  const double want_loss = nn::SoftmaxCrossEntropy(
+      logits, batch.targets, batch.target_weights, &dlogits);
+  Matrix want_dh;
+  linalg::MatMulInto(dlogits, v, &want_dh);
+  Matrix want_dv;
+  linalg::MatMulTransAInto(dlogits, h, &want_dv);
+
+  for (const std::size_t tile : {7u, 256u, 100000u}) {
+    linalg::SetScoreTileCols(tile);
+    Matrix dh;
+    Matrix dv;
+    const double loss = model->SequenceLossAndGrad(batch, h, v, &dh, &dv);
+    EXPECT_LE(std::abs(loss - want_loss) / std::max(1.0, std::abs(want_loss)),
+              1e-10)
+        << "tile=" << tile;
+    EXPECT_LE(MaxRelDiff(dh, want_dh), 1e-10) << "dH tile=" << tile;
+    EXPECT_LE(MaxRelDiff(dv, want_dv), 1e-10) << "dV tile=" << tile;
+  }
+  linalg::SetScoreTileCols(256);
 }
 
 TEST(SasRecModelTest, TrainingReducesLoss) {

@@ -1,15 +1,17 @@
-// Streaming top-K and fused-scoring evaluation parity. The contracts under
-// test (ISSUE 4): the bounded TopKSelector must select EXACTLY the same
-// items as the partial_sort reference under the canonical (score desc, item
-// id asc) order — including adversarial ties and ±inf — regardless of feed
-// order or tile width; the fused (WHITENREC_SCORING=fused) evaluation paths
-// must produce bitwise-identical ranks, metrics, and recommendation lists to
-// the materialized reference at every thread count; and the nth_element
+// Streaming top-K and streaming evaluation parity. The contracts under
+// test: the bounded TopKSelector must select EXACTLY the same items as the
+// partial_sort reference under the canonical (score desc, item id asc)
+// order — including adversarial ties and ±inf — regardless of feed order or
+// tile width; the streaming evaluation paths must produce bitwise-identical
+// ranks, metrics, and recommendation lists to the full-score-row oracle
+// (the ScoreLastPositions branch, reached through a wrapper that declines
+// ScoreFactors) at every thread count and tile width; and the nth_element
 // popularity head split must match a full-sort reference.
 
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,11 +34,10 @@ using linalg::Matrix;
 using linalg::RanksBefore;
 using linalg::Rng;
 using linalg::ScoredItem;
-using linalg::ScoringMode;
 using linalg::SelectTopK;
 using linalg::TopKSelector;
 
-const std::vector<std::size_t> kThreadCounts = {1, 4, 16};
+const std::vector<std::size_t> kThreadCounts = {1, 2, 4};
 
 class ScopedThreads {
  public:
@@ -47,18 +48,6 @@ class ScopedThreads {
 
  private:
   std::size_t saved_;
-};
-
-class ScopedScoringMode {
- public:
-  explicit ScopedScoringMode(ScoringMode mode)
-      : saved_(linalg::CurrentScoringMode()) {
-    linalg::SetScoringMode(mode);
-  }
-  ~ScopedScoringMode() { linalg::SetScoringMode(saved_); }
-
- private:
-  ScoringMode saved_;
 };
 
 class ScopedScoreTile {
@@ -224,7 +213,7 @@ TEST(PopularityHeadSetTest, EmptyAndDegenerateInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused vs. materialized evaluation (end to end)
+// Streaming vs. full-score-row evaluation (end to end)
 // ---------------------------------------------------------------------------
 
 const data::GeneratedData& TinyData() {
@@ -249,6 +238,23 @@ SasRecConfig TinyModelConfig() {
   return config;
 }
 
+// The oracle: forwards everything to `inner` but declines ScoreFactors, so
+// ranking and top-K take the ScoreLastPositions branch — the full
+// (batch, num_items) score matrix, ranked row by row — instead of the
+// streaming one.
+class FullScoreRowOracle : public Recommender {
+ public:
+  explicit FullScoreRowOracle(Recommender* inner) : inner_(inner) {}
+  std::string name() const override { return inner_->name(); }
+  std::size_t num_items() const override { return inner_->num_items(); }
+  Matrix ScoreLastPositions(const data::Batch& batch) override {
+    return inner_->ScoreLastPositions(batch);
+  }
+
+ private:
+  Recommender* inner_;
+};
+
 void ExpectSameEval(const EvalResult& a, const EvalResult& b) {
   EXPECT_EQ(a.recall20, b.recall20);
   EXPECT_EQ(a.ndcg20, b.ndcg20);
@@ -262,19 +268,16 @@ TEST(FusedEvalTest, EvaluateRankingMatchesMaterializedBitwise) {
   auto rec = MakeSasRecId(ds, TinyModelConfig());
   const data::Split split = data::LeaveOneOutSplit(ds);
 
-  EvalResult ref;
-  {
-    ScopedScoringMode mode(ScoringMode::kMaterialized);
-    ref = EvaluateRanking(rec.get(), split.test, split.train, 8);
-  }
+  FullScoreRowOracle oracle(rec.get());
+  const EvalResult ref =
+      EvaluateRanking(&oracle, split.test, split.train, 8);
   for (const std::size_t threads : kThreadCounts) {
     ScopedThreads t(threads);
     for (const std::size_t tile : {7u, 64u, 256u, 100000u}) {
-      ScopedScoringMode mode(ScoringMode::kFused);
       ScopedScoreTile st(tile);
-      const EvalResult fused =
+      const EvalResult streamed =
           EvaluateRanking(rec.get(), split.test, split.train, 8);
-      ExpectSameEval(fused, ref);
+      ExpectSameEval(streamed, ref);
     }
   }
 }
@@ -284,16 +287,19 @@ TEST(FusedEvalTest, StratifiedEvalMatchesMaterializedBitwise) {
   auto rec = MakeSasRecId(ds, TinyModelConfig());
   const data::Split split = data::LeaveOneOutSplit(ds);
 
-  StratifiedEvalResult ref;
-  {
-    ScopedScoringMode mode(ScoringMode::kMaterialized);
-    ref = EvaluateRankingByPopularity(rec.get(), split.test, split.train, 8);
+  FullScoreRowOracle oracle(rec.get());
+  const StratifiedEvalResult ref =
+      EvaluateRankingByPopularity(&oracle, split.test, split.train, 8);
+  for (const std::size_t threads : kThreadCounts) {
+    ScopedThreads t(threads);
+    for (const std::size_t tile : {7u, 64u, 256u, 100000u}) {
+      ScopedScoreTile st(tile);
+      const StratifiedEvalResult streamed =
+          EvaluateRankingByPopularity(rec.get(), split.test, split.train, 8);
+      ExpectSameEval(streamed.head, ref.head);
+      ExpectSameEval(streamed.tail, ref.tail);
+    }
   }
-  ScopedScoringMode mode(ScoringMode::kFused);
-  const StratifiedEvalResult fused =
-      EvaluateRankingByPopularity(rec.get(), split.test, split.train, 8);
-  ExpectSameEval(fused.head, ref.head);
-  ExpectSameEval(fused.tail, ref.tail);
 }
 
 TEST(FusedEvalTest, TopKRecommendationsIdenticalLists) {
@@ -301,25 +307,23 @@ TEST(FusedEvalTest, TopKRecommendationsIdenticalLists) {
   auto rec = MakeSasRecId(ds, TinyModelConfig());
   const data::Split split = data::LeaveOneOutSplit(ds);
 
-  std::vector<std::vector<std::size_t>> ref;
-  {
-    ScopedScoringMode mode(ScoringMode::kMaterialized);
-    ref = TopKRecommendations(rec.get(), split.test, split.train, 8, 20);
-  }
+  FullScoreRowOracle oracle(rec.get());
+  const std::vector<std::vector<std::size_t>> ref =
+      TopKRecommendations(&oracle, split.test, split.train, 8, 20);
   ASSERT_EQ(ref.size(), split.test.size());
   for (const auto& list : ref) EXPECT_EQ(list.size(), 20u);
 
   for (const std::size_t threads : kThreadCounts) {
     ScopedThreads t(threads);
     for (const std::size_t tile : {13u, 256u}) {
-      ScopedScoringMode mode(ScoringMode::kFused);
       ScopedScoreTile st(tile);
-      const auto fused =
+      const auto streamed =
           TopKRecommendations(rec.get(), split.test, split.train, 8, 20);
-      ASSERT_EQ(fused.size(), ref.size());
+      ASSERT_EQ(streamed.size(), ref.size());
       for (std::size_t u = 0; u < ref.size(); ++u) {
-        EXPECT_EQ(fused[u], ref[u]) << "user " << u << " threads=" << threads
-                                    << " tile=" << tile;
+        EXPECT_EQ(streamed[u], ref[u]) << "user " << u
+                                       << " threads=" << threads
+                                       << " tile=" << tile;
       }
     }
   }
@@ -329,7 +333,6 @@ TEST(FusedEvalTest, RecommendationsExcludeTrainingItems) {
   const data::Dataset& ds = TinyData().dataset;
   auto rec = MakeSasRecId(ds, TinyModelConfig());
   const data::Split split = data::LeaveOneOutSplit(ds);
-  ScopedScoringMode mode(ScoringMode::kFused);
   const auto lists =
       TopKRecommendations(rec.get(), split.test, split.train, 8, 20);
   for (std::size_t u = 0; u < lists.size(); ++u) {
@@ -340,14 +343,6 @@ TEST(FusedEvalTest, RecommendationsExcludeTrainingItems) {
       }
     }
   }
-}
-
-TEST(FusedEvalTest, ScoringModeKnobRoundTrips) {
-  EXPECT_STREQ(linalg::ScoringModeName(ScoringMode::kMaterialized),
-               "materialized");
-  EXPECT_STREQ(linalg::ScoringModeName(ScoringMode::kFused), "fused");
-  ScopedScoringMode mode(ScoringMode::kFused);
-  EXPECT_EQ(linalg::CurrentScoringMode(), ScoringMode::kFused);
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ bool IsKnobName(const std::string& value) {
 // argument position of a call, i.e. token pattern `ident ( "WHITENREC_X"`.
 // Literals in error messages or comparisons don't match the pattern (they
 // follow a comma or operator) and exact-name matching drops embedded
-// mentions like "invalid WHITENREC_GEMM value '%s'".
+// mentions like "invalid WHITENREC_ITEM_QUANT value '%s'".
 std::vector<KnobSite> ExtractSites(const SourceFile& file) {
   std::vector<KnobSite> sites;
   const std::vector<Token> tokens = Tokenize(file.contents);

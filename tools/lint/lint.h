@@ -47,9 +47,9 @@ struct Finding {
 //                     dropped; tests/ bench/ examples/ kept)
 //   full-logits       Matrix allocation in src/ with num_items as a column
 //                     (non-leading) dimension — a (rows, num_items) score or
-//                     logits buffer. The streaming layer (linalg/gemm.h,
-//                     WHITENREC_SCORING=fused) exists so hot paths never
-//                     materialize these; materialized reference paths carry
+//                     logits buffer. The streaming layer (linalg/gemm.h)
+//                     exists so hot paths never materialize these; code
+//                     that must (non-factorized baselines, k-means) carries
 //                     a whitenrec-lint: allow(full-logits) annotation.
 //                     Checked call shapes: `Matrix x(r, ..num_items..)`,
 //                     `Matrix(r, ..num_items..)`, `.Resize(r, ..)`,
