@@ -7,6 +7,8 @@
 // table, results are written to <out>/BENCH_kernels.json (GFLOP/s, thread
 // count and kernel label per run) for machine consumption.
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "linalg/gemm.h"
 #include "linalg/matrix.h"
 #include "linalg/rng.h"
+#include "linalg/scorer.h"
 #include "linalg/topk.h"
 #include "linalg/workspace.h"
 #include "seqrec/baselines.h"
@@ -230,6 +233,43 @@ void BM_SasRecTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SasRecTrainStep);
+
+// The exact scorer at serving batch sizes: `rows` users against a 6000-item,
+// d = 32 table packed once at Rebuild, top-10 per row with an 11-item
+// history excluded — the serve_catalog shape. gflops counts the scoring
+// GEMM's 2 * rows * items * d flops per call (the top-K epilogue is timed
+// but not counted), so it tracks the kernel rate outside perfbench.
+void BM_ExactScorerSmallBatch(benchmark::State& state) {
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  const std::size_t num_items = 6000;
+  const std::size_t d = 32;
+  const std::size_t k = 10;
+  const std::size_t saved = core::NumThreads();
+  core::SetNumThreads(1);
+  linalg::Rng rng(5);
+  const linalg::Matrix users = rng.GaussianMatrix(rows, d, 1.0);
+  const linalg::Matrix items = rng.GaussianMatrix(num_items, d, 1.0);
+  std::vector<std::vector<std::size_t>> exclusions(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t t = 0; t < 11; ++t) {
+      exclusions[r].push_back(rng.UniformInt(num_items));
+    }
+    std::sort(exclusions[r].begin(), exclusions[r].end());
+  }
+  const std::unique_ptr<linalg::Scorer> scorer = linalg::MakeExactScorer();
+  scorer->Rebuild(items);
+  std::vector<linalg::TopKSelector> selectors(rows, linalg::TopKSelector(k));
+  for (auto _ : state) {
+    for (linalg::TopKSelector& sel : selectors) sel.Reset();
+    scorer->TopKBatch(users, exclusions, &selectors);
+    benchmark::DoNotOptimize(selectors.data());
+  }
+  state.counters["gflops"] = benchmark::Counter(
+      2e-9 * static_cast<double>(rows * num_items * d),
+      benchmark::Counter::kIsIterationInvariantRate);
+  core::SetNumThreads(saved);
+}
+BENCHMARK(BM_ExactScorerSmallBatch)->Arg(1)->Arg(2)->Arg(3)->Arg(8);
 
 // Console output plus a flat JSON record per run. GFLOP/s is derived from
 // the items/s counter (items are multiply-adds, i.e. 2 flops each).

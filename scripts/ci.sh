@@ -10,8 +10,8 @@
 #   4. check-lint   — determinism linter over src/ tests/ bench/ examples/
 #   5. check-tidy   — curated clang-tidy profile (loud no-op if not installed)
 #   6. check-faults — crash-safety suite under a WHITENREC_FAULT_RATE sweep
-#   7. check-asan   — GEMM + linalg suites under AddressSanitizer/UBSan
-#   8. check-tsan   — parallel + determinism suites under ThreadSanitizer
+#   7. check-asan   — GEMM + linalg + top-K suites under AddressSanitizer/UBSan
+#   8. check-tsan   — parallel (x20) + determinism suites under ThreadSanitizer
 #   9. check-serve  — serving suite, randomized-traffic soak under TSan,
 #      and a schema-checked out/BENCH_serving.json from bench_serving
 #  10. check-ann    — retrieval suite (deterministic k-means + IVF), the same

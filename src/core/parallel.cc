@@ -163,12 +163,21 @@ struct ForLaunch {
     }
   }
 
-  // Rethrows the lowest-indexed chunk failure so the surfaced error does not
-  // depend on scheduling.
-  void RethrowFirstError() {
+  // Takes the lowest-indexed chunk failure, so the surfaced error does not
+  // depend on scheduling, and releases every other one. Called on the
+  // calling thread once all helpers are done: a helper's task closure can
+  // hold the last reference to this launch, and clearing `errors` here
+  // means no exception object is ever destroyed on a worker.
+  std::exception_ptr TakeFirstError() {
+    std::exception_ptr first;
     for (std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
+      if (e) {
+        first = std::move(e);
+        break;
+      }
     }
+    errors.clear();
+    return first;
   }
 };
 
@@ -236,7 +245,9 @@ void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
     launch->cv.wait(lock,
                     [&] { return launch->helpers_done == helpers; });
   }
-  launch->RethrowFirstError();
+  if (std::exception_ptr error = launch->TakeFirstError()) {
+    std::rethrow_exception(error);
+  }
 }
 
 double ParallelReduceSum(

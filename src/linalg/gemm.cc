@@ -1,6 +1,7 @@
 #include "linalg/gemm.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "core/check.h"
 #include "core/parallel.h"
@@ -85,6 +86,24 @@ void CheckTransBShapes(const Matrix& a, const Matrix& b, const Matrix* c) {
   WR_CHECK_EQ(c->cols(), b.rows());
 }
 
+// Register accumulators for the small-row kernels (SmallRowsTile,
+// RowBlockedMatMul): explicit two-lane vectors (a GCC/Clang extension, like
+// the rest of this build's flags), native on every ISA clone and on non-x86
+// SIMD. Left to the auto-vectorizer, loop nests with one to three rows get
+// vectorized along k instead, with a transposing shuffle per step, and ran
+// ~4x slower; wider generic vectors are lowered to scalars on clones that
+// lack the width. Each lane is one element's own chain, so the vector form
+// changes no bit.
+typedef double Lane2 __attribute__((vector_size(2 * sizeof(double))));
+
+// Unaligned loads and stores of two adjacent doubles (one movupd each).
+inline Lane2 LoadLane2(const double* p) {
+  Lane2 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+inline void StoreLane2(double* p, Lane2 v) { std::memcpy(p, &v, sizeof(v)); }
+
 // ---------------------------------------------------------------------------
 // Naive reference kernels. All accumulate on top of the existing C (the Into
 // entry points zero it first), one term per k in ascending order.
@@ -140,6 +159,48 @@ void NaiveMatMulTransB(const Matrix& a, const Matrix& b, Matrix* c,
       }
     }
     if (hook != nullptr && i1 > i0) (*hook)(i0, i1);
+  });
+}
+
+// C += A * B below the blocked cut-off (the step forward's 1-row
+// projections, for one): the naive ikj order, but each row's columns go in
+// 16-wide blocks whose C values stay in registers across k instead of
+// round-tripping through memory every k-step; the last n % 16 columns take
+// the plain loop. Every element still starts from its C value and adds its
+// k terms in ascending order.
+void RowBlockedMatMul(const Matrix& a, const Matrix& b, Matrix* c) {
+  const std::size_t kdim = a.cols();
+  const std::size_t n = b.cols();
+  const std::size_t grain = core::GrainForWork(kdim * n);
+  core::ParallelFor(0, a.rows(), grain, [&](std::size_t i0, std::size_t i1) {
+    constexpr std::size_t kCols = 2 * kNr;
+    constexpr std::size_t kV = kCols / 2;
+    for (std::size_t i = i0; i < i1; ++i) {
+      const double* arow = a.RowPtr(i);
+      double* crow = c->RowPtr(i);
+      std::size_t jb = 0;
+      for (; jb + kCols <= n; jb += kCols) {
+        Lane2 acc[kV];
+        for (std::size_t v = 0; v < kV; ++v) {
+          acc[v] = LoadLane2(crow + jb + 2 * v);
+        }
+        for (std::size_t k = 0; k < kdim; ++k) {
+          const double aik = arow[k];
+          const double* brow = b.RowPtr(k) + jb;
+          for (std::size_t v = 0; v < kV; ++v) {
+            acc[v] += aik * LoadLane2(brow + 2 * v);
+          }
+        }
+        for (std::size_t v = 0; v < kV; ++v) {
+          StoreLane2(crow + jb + 2 * v, acc[v]);
+        }
+      }
+      for (std::size_t j = jb; j < n; ++j) {
+        double sum = crow[j];
+        for (std::size_t k = 0; k < kdim; ++k) sum += arow[k] * b(k, j);
+        crow[j] = sum;
+      }
+    }
   });
 }
 
@@ -270,6 +331,54 @@ void MicroKernelEdge(std::size_t kb, const double* WR_RESTRICT ap,
   }
   for (std::size_t i = 0; i < m; ++i)
     for (std::size_t j = 0; j < n; ++j) c[i * ldc + j] = acc[i][j];
+}
+
+// Small-M kernel: C[0:M, 0:n] = A rows * packed B strips [s0, s0 + ceil(n /
+// kNr)), every k-panel in turn. Each element has one zero-started
+// accumulator that sums k ascending, mul then add: the naive kernel's chain.
+// A is read in place (its rows are unit stride in k), so a one-row batch
+// pays for no A pack and no zero-padded kMr strip. M <= 3 keeps the
+// accumulators and one B row (M * 4 + 4 two-lane vectors) in 16 registers.
+// The strips past the last item are zero-padded, so only the n valid
+// columns are stored.
+// `packed` is a PackedItemTable's storage: the k-panel at depth k0 starts
+// at packed + padded_rows * k0.
+template <std::size_t M>
+WR_KERNEL_CLONES void SmallRowsTile(const double* packed,
+                                    std::size_t padded_rows,
+                                    std::size_t k_total, std::size_t s0,
+                                    const double* const* arows, double* c,
+                                    std::size_t ldc, std::size_t n) {
+  for (std::size_t jc = 0; jc < n; jc += kNr) {
+    const std::size_t strip = s0 + jc / kNr;
+    const std::size_t nr = std::min(kNr, n - jc);
+    constexpr std::size_t kV = kNr / 2;
+    Lane2 acc[M][kV] = {};
+    for (std::size_t k0 = 0; k0 < k_total; k0 += kKc) {
+      const std::size_t kb = std::min(kKc, k_total - k0);
+      const double* bp = packed + padded_rows * k0 + strip * kb * kNr;
+      for (std::size_t k = 0; k < kb; ++k) {
+        Lane2 bv[kV];
+        for (std::size_t v = 0; v < kV; ++v) {
+          bv[v] = LoadLane2(bp + k * kNr + 2 * v);
+        }
+        for (std::size_t i = 0; i < M; ++i) {
+          const double aik = arows[i][k0 + k];
+          for (std::size_t v = 0; v < kV; ++v) acc[i][v] += aik * bv[v];
+        }
+      }
+    }
+    for (std::size_t i = 0; i < M; ++i) {
+      double* crow = c + i * ldc + jc;
+      if (nr == kNr) {
+        for (std::size_t v = 0; v < kV; ++v) {
+          StoreLane2(crow + 2 * v, acc[i][v]);
+        }
+      } else {
+        for (std::size_t j = 0; j < nr; ++j) crow[j] = acc[i][j / 2][j % 2];
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -408,7 +517,7 @@ void MatMulAcc(const Matrix& a, const Matrix& b, Matrix* c) {
   if (UseBlocked(c->rows(), c->cols(), a.cols())) {
     BlockedGemm(a, /*trans_a=*/false, b, /*trans_b=*/false, c);
   } else {
-    NaiveMatMul(a, b, c);
+    RowBlockedMatMul(a, b, c);
   }
 }
 
@@ -512,6 +621,80 @@ void StreamMatMulTransBPanels(const Matrix& a, const Matrix& b,
     const std::size_t jn = std::min(tile, n - j0);
     PanelTransB(a, b, j0, jn, &panel, /*hook=*/nullptr);
     fn(j0, jn, &panel);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pre-packed item table: the layout BlockedGemm's PackB(trans_b) builds per
+// call, built once. k-panel p (depth k0 = p * kKc, kb rows) starts at
+// padded_rows_ * k0 and holds strip s at s * kb * kNr.
+// ---------------------------------------------------------------------------
+
+void PackedItemTable::Pack(const Matrix& items) {
+  rows_ = items.rows();
+  cols_ = items.cols();
+  padded_rows_ = (rows_ + kNr - 1) / kNr * kNr;
+  strips_.assign(padded_rows_ * cols_, 0.0);
+  for (std::size_t k0 = 0; k0 < cols_; k0 += kKc) {
+    const std::size_t kb = std::min(kKc, cols_ - k0);
+    PackB(items, /*trans=*/true, 0, rows_, k0, kb,
+          strips_.data() + padded_rows_ * k0);
+  }
+}
+
+void PackedItemTable::Clear() {
+  rows_ = 0;
+  cols_ = 0;
+  padded_rows_ = 0;
+  std::vector<double>().swap(strips_);
+}
+
+void StreamPackedMatMulTransB(const Matrix& a, const PackedItemTable& b,
+                              const ScoreRowsFn& fn) {
+  WR_CHECK_EQ(a.cols(), b.cols());
+  WR_CHECK(fn != nullptr);
+  const std::size_t m = a.rows();
+  const std::size_t n = b.rows();
+  const std::size_t d = a.cols();
+  if (m == 0 || n == 0) return;
+  // Whole strips per tile, so no strip straddles two tiles.
+  const std::size_t tile = (ScoreTileCols() + kNr - 1) / kNr * kNr;
+  const double* packed = b.strips_.data();
+  const std::size_t ld = b.padded_rows_;
+  Matrix& panel = ThreadLocalWorkspace().MatRef(kWsStreamPanel);
+  // Row blocks of kMc rows, each scored in groups of up to kSmallRows rows
+  // and handed to `fn` while resident. The body is built once per call;
+  // the tile loop below only moves j0 / jn.
+  constexpr std::size_t kSmallRows = 3;
+  const std::size_t nblocks = (m + kMc - 1) / kMc;
+  std::size_t j0 = 0;
+  std::size_t jn = 0;
+  const std::function<void(std::size_t, std::size_t)> body =
+      [&](std::size_t blk0, std::size_t blk1) {
+        const std::size_t s0 = j0 / kNr;
+        for (std::size_t blk = blk0; blk < blk1; ++blk) {
+          const std::size_t i0 = blk * kMc;
+          const std::size_t i1 = std::min(m, i0 + kMc);
+          for (std::size_t i = i0; i < i1; i += kSmallRows) {
+            const std::size_t mr = std::min(kSmallRows, i1 - i);
+            const double* arows[kSmallRows] = {};
+            for (std::size_t r = 0; r < mr; ++r) arows[r] = a.RowPtr(i + r);
+            double* c = panel.RowPtr(i);
+            if (mr == 1) {
+              SmallRowsTile<1>(packed, ld, d, s0, arows, c, jn, jn);
+            } else if (mr == 2) {
+              SmallRowsTile<2>(packed, ld, d, s0, arows, c, jn, jn);
+            } else {
+              SmallRowsTile<3>(packed, ld, d, s0, arows, c, jn, jn);
+            }
+          }
+          fn(i0, i1, j0, jn, panel);
+        }
+      };
+  for (j0 = 0; j0 < n; j0 += tile) {
+    jn = std::min(tile, n - j0);
+    panel.Resize(m, jn);
+    core::ParallelFor(0, nblocks, core::GrainForWork(kMc * jn * d), body);
   }
 }
 

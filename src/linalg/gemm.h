@@ -117,6 +117,56 @@ void StreamMatMulTransBTiles(const Matrix& a, const Matrix& b,
 void StreamMatMulTransBPanels(const Matrix& a, const Matrix& b,
                               std::size_t tile, const ScorePanelFn& fn);
 
+// ---------------------------------------------------------------------------
+// Pre-packed item table.
+//
+// The entry points above pack B into the blocked kernel's column strips on
+// every call, which suits training and eval, whose B changes between calls. A
+// serving scorer reuses one frozen item table for every request batch, so it
+// packs the table once (Pack, from Scorer::Rebuild) and streams over the
+// packed strips. The pack is a copy: a refit that changes the table must
+// re-pack it.
+//
+// StreamPackedMatMulTransB keeps the streaming contract above: every panel
+// element is bitwise equal to the same element of MatMulTransB(a, items) and
+// tiles arrive in ascending column order. Rows go in groups of up to three
+// through a register kernel that reads A in place, with the canonical
+// per-element chain (one accumulator, k ascending, mul then add); no pack
+// runs per call.
+// ---------------------------------------------------------------------------
+
+class PackedItemTable;
+
+// Streams C = A * B^T over a packed B, firing `fn` per row block while the
+// block is cache-resident. Tiles are ScoreTileCols() wide, rounded up to a
+// whole number of 8-item strips.
+void StreamPackedMatMulTransB(const Matrix& a, const PackedItemTable& b,
+                              const ScoreRowsFn& fn);
+
+class PackedItemTable {
+ public:
+  // Packs the (num_items, d) table, replacing any previous pack. Storage is
+  // one block per k-panel of the blocked kernel, each holding every
+  // 8-item column strip of that panel (zero-padded past the last item), so
+  // any d works.
+  void Pack(const Matrix& items);
+  // Drops the pack and its storage.
+  void Clear();
+
+  std::size_t rows() const { return rows_; }
+  std::size_t cols() const { return cols_; }
+
+ private:
+  friend void StreamPackedMatMulTransB(const Matrix& a,
+                                       const PackedItemTable& b,
+                                       const ScoreRowsFn& fn);
+
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::size_t padded_rows_ = 0;  // rows_ rounded up to whole strips
+  std::vector<double> strips_;
+};
+
 // Single element of A * B^T: a[i] . b[j], accumulated in the canonical
 // ascending-k order inside this translation unit (-ffp-contract=off), so the
 // result is bitwise identical to element (i, j) of the materialized or

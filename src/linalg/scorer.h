@@ -57,7 +57,9 @@ class Scorer {
 
 // Exact fused scoring: the streamed GEMM + per-row bounded selector pass,
 // bitwise identical to materializing A * B^T and partial-sorting each row
-// under the strict score-desc/id-asc order.
+// under the strict score-desc/id-asc order. Rebuild packs a copy of the
+// table (linalg::PackedItemTable, or the quantized table), so TopKBatch
+// never packs per call.
 std::unique_ptr<Scorer> MakeExactScorer();
 
 }  // namespace linalg

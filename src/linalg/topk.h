@@ -53,8 +53,19 @@ class TopKSelector {
   }
 
   // Considers a contiguous score tile: scores[c] belongs to item j0 + c.
+  // Same selection as Push per element; once the heap is full, a score
+  // strictly below the root's can never rank before it, so it is dropped
+  // after one compare against a cached threshold.
   void PushTile(const double* scores, std::size_t j0, std::size_t jn) {
-    for (std::size_t c = 0; c < jn; ++c) Push(j0 + c, scores[c]);
+    std::size_t c = 0;
+    for (; c < jn && heap_.size() < k_; ++c) Push(j0 + c, scores[c]);
+    if (c == jn) return;
+    double worst = heap_[0].score;
+    for (; c < jn; ++c) {
+      if (scores[c] < worst) continue;
+      Push(j0 + c, scores[c]);
+      worst = heap_[0].score;
+    }
   }
 
   // The selected items in ranking order (score desc, item id asc).

@@ -100,10 +100,26 @@ enum ThreadWorkspaceSlot : std::size_t {
   kWsLossRowMax = 2,    // streaming CE: per-row running max (calling thread)
   kWsLossRowSum = 3,    // streaming CE: per-row scaled exp sum
   kWsLossRowTarget = 4, // streaming CE: per-row target logit
+  kWsStepProbs = 5,     // session step: one attention probability row
   kWsLossProbs = 0,     // softmax probabilities (Mat slots, distinct space)
   kWsStreamBTile = 1,   // streaming scorer: current B (item) tile
   kWsStreamPanel = 2,   // streaming scorer: current score panel
   kWsLossDvTile = 3,    // streaming CE: per-tile dV accumulator
+  // Session step forward (seqrec::SasRecModel::EncodeSequenceStep down
+  // through nn::TransformerEncoder::ForwardStepInto): one slot per live
+  // (1, d) temporary, so a step allocates nothing once the slots are warm.
+  kWsStepInput = 4,     // embedded input row
+  kWsStepBlockA = 5,    // encoder: block outputs, ping-ponged
+  kWsStepBlockB = 6,
+  kWsStepNorm = 7,      // block: LayerNorm output
+  kWsStepAttnOut = 8,   // block: attention output
+  kWsStepResidual = 9,  // block: x + attention
+  kWsStepFfnOut = 10,   // block: feed-forward output
+  kWsStepFfnHidden = 11,  // feed-forward: ReLU(fc1) row
+  kWsStepQ = 12,        // attention: projected q/k/v rows
+  kWsStepK = 13,
+  kWsStepV = 14,
+  kWsStepMixed = 15,    // attention: concatenated head outputs
 };
 
 // Per-thread scratch arena. Worker threads and the calling thread each get

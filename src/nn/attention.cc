@@ -4,6 +4,7 @@
 
 #include "core/check.h"
 #include "core/parallel.h"
+#include "linalg/workspace.h"
 
 namespace whitenrec {
 namespace nn {
@@ -129,10 +130,13 @@ void MultiHeadSelfAttention::ForwardStepInto(const Matrix& x_row,
 
   // Project the new position. A (1, dim) GEMM accumulates each element in
   // the same canonical ascending-k order as the batched projection, so the
-  // appended K/V rows (and q) match the full forward bitwise.
-  Matrix q_row;
-  Matrix k_row;
-  Matrix v_row;
+  // appended K/V rows (and q) match the full forward bitwise. Every
+  // temporary lives in the thread's workspace, so a warm step allocates
+  // nothing beyond the cache's own amortized growth.
+  linalg::Workspace& ws = linalg::ThreadLocalWorkspace();
+  Matrix& q_row = ws.MatRef(linalg::kWsStepQ);
+  Matrix& k_row = ws.MatRef(linalg::kWsStepK);
+  Matrix& v_row = ws.MatRef(linalg::kWsStepV);
   wq_.ForwardEvalInto(x_row, &q_row);
   wk_.ForwardEvalInto(x_row, &k_row);
   wv_.ForwardEvalInto(x_row, &v_row);
@@ -140,10 +144,11 @@ void MultiHeadSelfAttention::ForwardStepInto(const Matrix& x_row,
 
   const std::size_t i = kv->len - 1;  // position being appended
   const double scale = 1.0 / std::sqrt(static_cast<double>(head_dim_));
-  Matrix mixed(1, dim_);
+  Matrix& mixed = ws.Mat(linalg::kWsStepMixed, 1, dim_);
   // Row i of the causal attention, head by head — the same masked-score /
-  // softmax / value-mix loops as Forward, reading K/V from the cache.
-  std::vector<double> probs(i + 1, 0.0);
+  // softmax / value-mix loops as Forward, reading K/V from the cache. Each
+  // head writes probs[0, i] before reading it.
+  double* probs = ws.Buf(linalg::kWsStepProbs, i + 1).data();
   for (std::size_t h = 0; h < num_heads_; ++h) {
     const std::size_t off = h * head_dim_;
     const double* qi = q_row.RowPtr(0) + off;

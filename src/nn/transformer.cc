@@ -1,5 +1,7 @@
 #include "nn/transformer.h"
 
+#include "linalg/workspace.h"
+
 namespace whitenrec {
 namespace nn {
 
@@ -19,7 +21,8 @@ Matrix FeedForward::Backward(const Matrix& dy) {
 }
 
 void FeedForward::ForwardEvalInto(const Matrix& x, Matrix* y) const {
-  Matrix hidden;
+  Matrix& hidden = linalg::ThreadLocalWorkspace().MatRef(
+      linalg::kWsStepFfnHidden);
   fc1_.ForwardEvalInto(x, &hidden);
   // ReLU clamp, elementwise (no FP arithmetic beyond the compare).
   for (std::size_t i = 0; i < hidden.size(); ++i) {
@@ -57,16 +60,18 @@ void TransformerBlock::ForwardStepInto(const Matrix& x_row,
                                        AttentionKvCache* kv, Matrix* y) const {
   // h = x + Attn(LN1(x)); y = h + FFN(LN2(h)) — dropout is identity in eval
   // mode, so the residual adds below are exactly Forward(train=false)'s.
-  Matrix ln;
+  linalg::Workspace& ws = linalg::ThreadLocalWorkspace();
+  Matrix& ln = ws.MatRef(linalg::kWsStepNorm);
+  Matrix& attn_out = ws.MatRef(linalg::kWsStepAttnOut);
+  Matrix& h = ws.MatRef(linalg::kWsStepResidual);
+  Matrix& ffn_out = ws.MatRef(linalg::kWsStepFfnOut);
   ln1_.ForwardEvalInto(x_row, &ln);
-  Matrix attn_out;
   attn_.ForwardStepInto(ln, kv, &attn_out);
-  Matrix h = x_row;
+  h = x_row;
   h += attn_out;
   ln2_.ForwardEvalInto(h, &ln);
-  Matrix ffn_out;
   ffn_.ForwardEvalInto(ln, &ffn_out);
-  *y = std::move(h);
+  *y = h;
   *y += ffn_out;
 }
 
@@ -115,13 +120,18 @@ void TransformerEncoder::ForwardStepInto(const Matrix& x_row,
   if (cache->blocks.size() != blocks_.size()) {
     cache->blocks.assign(blocks_.size(), AttentionKvCache());
   }
-  Matrix h = x_row;
-  Matrix next;
+  // Block outputs ping-pong between two workspace slots; block 0 reads the
+  // input row in place.
+  linalg::Workspace& ws = linalg::ThreadLocalWorkspace();
+  Matrix* outs[2] = {&ws.MatRef(linalg::kWsStepBlockA),
+                     &ws.MatRef(linalg::kWsStepBlockB)};
+  const Matrix* h = &x_row;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    blocks_[b]->ForwardStepInto(h, &cache->blocks[b], &next);
-    h = std::move(next);
+    Matrix* next = outs[b % 2];
+    blocks_[b]->ForwardStepInto(*h, &cache->blocks[b], next);
+    h = next;
   }
-  final_ln_.ForwardEvalInto(h, y);
+  final_ln_.ForwardEvalInto(*h, y);
 }
 
 Matrix TransformerEncoder::Backward(const Matrix& dy) {

@@ -1,5 +1,6 @@
 #include "seqrec/model.h"
 
+#include "linalg/workspace.h"
 #include "nn/loss.h"
 #include "nn/tensor.h"
 
@@ -154,7 +155,8 @@ void SasRecModel::EncodeSequenceStep(const Matrix& v, std::size_t item,
   // EmbedInputs' gather + add for an unpadded position in eval mode
   // (dropout identity, mask all-valid).
   const Matrix& pos = pos_emb_.table().value;
-  Matrix x(1, config_.hidden_dim);
+  Matrix& x = linalg::ThreadLocalWorkspace().Mat(linalg::kWsStepInput, 1,
+                                                 config_.hidden_dim);
   for (std::size_t c = 0; c < config_.hidden_dim; ++c) {
     x(0, c) = v(item, c) + pos(t, c);
   }

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "core/check.h"
@@ -43,6 +44,33 @@ std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
 // Quarantined feature rows kept for inspection; the ServeStats counter keeps
 // counting past the cap so a poisoning flood is still visible in full.
 constexpr std::size_t kQuarantineCap = 256;
+
+// A kExact ladder rung over the service's own exact scorer: it forwards
+// every batch, so the rung shares that scorer's packed table instead of
+// packing a second copy per refit. Rebuild has nothing to do, because
+// RebuildScorers rebuilds the shared scorer before its rungs.
+class SharedExactView final : public retrieval::Scorer {
+ public:
+  explicit SharedExactView(const retrieval::Scorer* base) : base_(base) {
+    num_items_ = base->num_items();
+  }
+
+  void Rebuild(const Matrix& items) override {
+    WR_CHECK_EQ(items.rows(), base_->num_items());
+    num_items_ = items.rows();
+  }
+
+  void TopKBatch(const Matrix& users,
+                 const std::vector<std::vector<std::size_t>>& exclusions,
+                 std::vector<linalg::TopKSelector>* selectors) const override {
+    base_->TopKBatch(users, exclusions, selectors);
+  }
+
+  const char* name() const override { return base_->name(); }
+
+ private:
+  const retrieval::Scorer* base_;  // borrowed: the service's scorer_
+};
 
 }  // namespace
 
@@ -114,7 +142,11 @@ void RecommendService::RebuildScorers() {
     std::unique_ptr<retrieval::Scorer> scorer;
     switch (rung.kind) {
       case RungKind::kExact:
-        scorer = linalg::MakeExactScorer();
+        if (config_.scorer.kind == retrieval::ScorerKind::kExact) {
+          scorer = std::make_unique<SharedExactView>(scorer_.get());
+        } else {
+          scorer = linalg::MakeExactScorer();
+        }
         break;
       case RungKind::kIvf:
         scorer = shared_ivf_->MakeView(rung.nprobe);
@@ -256,7 +288,8 @@ void RecommendService::HandleSlice(
             hit[out] = AppendAndEncode(&session, requests[r].item, &h_row)
                            ? 1
                            : 0;
-            users.SetRow(out, h_row.Row(0));
+            std::copy(h_row.RowPtr(0), h_row.RowPtr(0) + hidden,
+                      users.RowPtr(out));
             lens[out] = session.window.size();
             if (config_.exclude_history) {
               exclusions[out] = session.window;
@@ -276,11 +309,11 @@ void RecommendService::HandleSlice(
     session.last_use = ++request_seq_;
   }
 
-  // Scoring goes through the Scorer seam (retrieval/scorer.h): exact is the
-  // fused streamed-GEMM + O(K) selector pass (the pre-Scorer code verbatim,
-  // so default responses are bitwise unchanged); ivf probes the deterministic
-  // IVF index and exact-reranks candidates with the same selectors. Either
-  // way the (n, num_items) score matrix never exists and the selected set is
+  // Scoring goes through the Scorer seam (retrieval/scorer.h): exact streams
+  // the item table packed at Rebuild into O(K) selectors, with scores
+  // bitwise those of the reference GEMM; ivf probes the deterministic IVF
+  // index and exact-reranks candidates with the same selectors. Either way
+  // the (n, num_items) score matrix never exists and the selected set is
   // feed-order independent (strict total order).
   std::vector<linalg::TopKSelector> selectors;
   selectors.reserve(n);

@@ -492,6 +492,27 @@ TEST(HotAllocTest, QuantStreamLambdaIsHot) {
   EXPECT_NE(f[0].message.find("StreamQuantMatMulTransB"), std::string::npos);
 }
 
+TEST(HotAllocTest, PackedStreamLambdaIsHot) {
+  // The pre-packed item table's stream serves every exact-scorer request
+  // batch: its epilogue runs once per score tile and row block.
+  const SourceTree tree = TreeOf(
+      {{"src/linalg/k.cc",
+        "void F(const PackedItemTable& p) {\n"
+        "  StreamPackedMatMulTransB(a, p, [&](std::size_t r0, std::size_t r1,\n"
+        "                                     std::size_t j0, std::size_t jn,\n"
+        "                                     const Matrix& panel) {\n"
+        "    Matrix copy(panel);\n"
+        "    std::vector<double> row(jn);\n"
+        "    (void)copy; (void)row;\n"
+        "  });\n"
+        "}\n"}});
+  const std::vector<Finding> f = CheckHotAlloc(tree);
+  ASSERT_EQ(f.size(), 2u);
+  EXPECT_EQ(f[0].line, 5u);
+  EXPECT_EQ(f[1].line, 6u);
+  EXPECT_NE(f[0].message.find("StreamPackedMatMulTransB"), std::string::npos);
+}
+
 TEST(HotAllocTest, NestedTemplateVectorFires) {
   // std::vector<std::vector<int>> closes with a '>>' shift token; the angle
   // matcher must still find the declared identifier after it.

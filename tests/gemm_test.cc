@@ -48,7 +48,9 @@ void ExpectBitwiseEqual(const Matrix& a, const Matrix& b, const char* what) {
 
 // (m, k, n) triples covering the packing edge cases: kMr=4 / kNr=8 register
 // tiles, kMc=64 row blocks, kKc=256 k-panels. Shapes straddle each boundary
-// and include degenerate and strongly rectangular cases.
+// and include degenerate and strongly rectangular cases. The products below
+// the blocked cut-off with n >= 16 (1x32x32, 2x32x64, 3x17x41) run the
+// small kernel's 16-column register blocks, the last with a scalar tail.
 struct Shape {
   std::size_t m, k, n;
 };
@@ -57,6 +59,7 @@ const Shape kShapes[] = {
     {0, 0, 0},    {0, 5, 7},    {3, 4, 0},    {1, 1, 1},   {1, 17, 9},
     {5, 1, 8},    {4, 8, 8},    {7, 13, 11},  {31, 29, 37}, {64, 256, 8},
     {65, 257, 9}, {12, 300, 5}, {130, 40, 70}, {96, 512, 96},
+    {1, 32, 32},  {2, 32, 64},  {3, 17, 41},
 };
 
 // Fresh deterministic operands for a shape; `salt` decorrelates A from B.

@@ -195,6 +195,45 @@ TEST(IncrementalForward, ReplayAfterClearMatchesUninterruptedSession) {
   }
 }
 
+TEST(IncrementalForward, InterleavedSessionsLeakNoWorkspaceState) {
+  // The step forward keeps its temporaries in the thread's workspace, so
+  // two sessions stepped alternately on one thread reuse the same slots.
+  // Each must still land bitwise on its own batched forward.
+  seqrec::SasRecModel* model = Fixture().model();
+  const std::size_t hidden = model->config().hidden_dim;
+  const std::size_t max_len = model->config().max_len;
+  const Matrix v = model->EncodeItems(/*train=*/false);
+  linalg::Rng rng(17);
+  std::vector<std::size_t> items_a(max_len);
+  std::vector<std::size_t> items_b(max_len - 3);
+  for (std::size_t& item : items_a) item = rng.UniformInt(v.rows());
+  for (std::size_t& item : items_b) item = rng.UniformInt(v.rows());
+  const Matrix full_a =
+      model->EncodeSequences(MakeBatch(items_a), v, /*train=*/false);
+  const Matrix full_b =
+      model->EncodeSequences(MakeBatch(items_b), v, /*train=*/false);
+
+  core::SetNumThreads(1);
+  seqrec::SasRecModel::SessionStepState state_a;
+  seqrec::SasRecModel::SessionStepState state_b;
+  Matrix h_a;
+  Matrix h_b;
+  for (std::size_t t = 0; t < max_len; ++t) {
+    model->EncodeSequenceStep(v, items_a[t], &state_a, &h_a);
+    ASSERT_TRUE(BitwiseEqualRows(h_a.RowPtr(0), full_a.RowPtr(t), hidden))
+        << "session a, t=" << t;
+    if (t < items_b.size()) {
+      model->EncodeSequenceStep(v, items_b[t], &state_b, &h_b);
+      ASSERT_TRUE(BitwiseEqualRows(h_b.RowPtr(0), full_b.RowPtr(t), hidden))
+          << "session b, t=" << t;
+      // a's last output is untouched by b's step.
+      ASSERT_TRUE(BitwiseEqualRows(h_a.RowPtr(0), full_a.RowPtr(t), hidden))
+          << "session a after b, t=" << t;
+    }
+  }
+  core::SetNumThreads(0);
+}
+
 TEST(IncrementalForward, TruncationShiftMatchesBatchedWindow) {
   // Streams longer than max_len: the service drops the oldest item and
   // replays. The replayed hidden state must equal the batched forward over
@@ -984,8 +1023,10 @@ QueuedRun DriveQueued(seqrec::SasRecModel* model,
 }
 
 TEST(Resilience, QueuedPathBitwiseMatchesDirectPathWhenUnloaded) {
-  // No ladder, no deadlines, roomy queue: Enqueue + ServeQueued must be the
-  // direct HandleBatch computation, rung-0 labeled, in arrival order.
+  // No deadlines, roomy queue: Enqueue + ServeQueued must be the direct
+  // HandleBatch computation, rung-0 labeled, in arrival order. Run without
+  // a ladder and with an exact rung 0 that never degrades; that rung is a
+  // view of the service's own exact scorer (one packed table, not two).
   seqrec::SasRecModel* model = Fixture().model();
   TrafficConfig traffic;
   traffic.num_sessions = 10;
@@ -1006,21 +1047,31 @@ TEST(Resilience, QueuedPathBitwiseMatchesDirectPathWhenUnloaded) {
   const std::vector<ServeResponse> direct =
       RecommendService(model, config).HandleBatch(all);
 
-  const QueuedRun run = DriveQueued(model, trace, config,
-                                    /*serve_every=*/trace.size(),
-                                    /*batch_cost_ns=*/1);
-  ASSERT_EQ(run.outcomes.size(), trace.size());
-  ASSERT_EQ(run.rung_served.size(), 1u);
-  EXPECT_EQ(run.rung_served[0], trace.size());
-  for (std::size_t i = 0; i < run.outcomes.size(); ++i) {
-    ASSERT_EQ(run.outcomes[i].kind, ServeOutcomeKind::kServed);
-    EXPECT_EQ(run.outcomes[i].seq, i);
-    EXPECT_EQ(run.outcomes[i].response.rung, 0u);
-    ASSERT_EQ(run.outcomes[i].response.topk.size(), direct[i].topk.size());
-    for (std::size_t k = 0; k < direct[i].topk.size(); ++k) {
-      EXPECT_EQ(run.outcomes[i].response.topk[k].item, direct[i].topk[k].item);
-      EXPECT_TRUE(BitwiseEqualRows(&run.outcomes[i].response.topk[k].score,
-                                   &direct[i].topk[k].score, 1));
+  for (const char* ladder : {"", "exact,popularity"}) {
+    SCOPED_TRACE(ladder);
+    ServeConfig queued = config;
+    if (*ladder != '\0') {
+      queued.ladder.rungs = ParseLadderSpec(ladder).ValueOrDie();
+      queued.ladder.high_watermark = trace.size() + 1;
+    }
+    const QueuedRun run = DriveQueued(model, trace, queued,
+                                      /*serve_every=*/trace.size(),
+                                      /*batch_cost_ns=*/1);
+    ASSERT_EQ(run.outcomes.size(), trace.size());
+    ASSERT_EQ(run.rung_served.size(),
+              std::max<std::size_t>(1, queued.ladder.rungs.size()));
+    EXPECT_EQ(run.rung_served[0], trace.size());
+    for (std::size_t i = 0; i < run.outcomes.size(); ++i) {
+      ASSERT_EQ(run.outcomes[i].kind, ServeOutcomeKind::kServed);
+      EXPECT_EQ(run.outcomes[i].seq, i);
+      EXPECT_EQ(run.outcomes[i].response.rung, 0u);
+      ASSERT_EQ(run.outcomes[i].response.topk.size(), direct[i].topk.size());
+      for (std::size_t k = 0; k < direct[i].topk.size(); ++k) {
+        EXPECT_EQ(run.outcomes[i].response.topk[k].item,
+                  direct[i].topk[k].item);
+        EXPECT_TRUE(BitwiseEqualRows(&run.outcomes[i].response.topk[k].score,
+                                     &direct[i].topk[k].score, 1));
+      }
     }
   }
 }

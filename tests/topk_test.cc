@@ -6,10 +6,16 @@
 // ranks, metrics, and recommendation lists to the full-score-row oracle
 // (the ScoreLastPositions branch, reached through a wrapper that declines
 // ScoreFactors) at every thread count and tile width; and the nth_element
-// popularity head split must match a full-sort reference.
+// popularity head split must match a full-sort reference; and the exact
+// scorer, which streams over an item table packed once at Rebuild, must
+// return bitwise the lists of a reference-GEMM + partial_sort oracle at every
+// batch size, catalog edge, depth, exclusion shape and thread count.
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -21,7 +27,9 @@
 #include "data/split.h"
 #include "eval/metrics.h"
 #include "linalg/gemm.h"
+#include "linalg/quant.h"
 #include "linalg/rng.h"
+#include "linalg/scorer.h"
 #include "linalg/topk.h"
 #include "seqrec/baselines.h"
 #include "seqrec/trainer.h"
@@ -87,6 +95,112 @@ void CheckSelectorAgainstReference(const std::vector<double>& scores,
       sel.PushTile(scores.data() + j0, j0, jn);
     }
     ExpectSameSelection(sel.SortedDescending(), want);
+    // Tiles in descending order: a later tie now carries a smaller id and
+    // must displace the root, so PushTile's early reject has to be strict.
+    sel.Reset();
+    const std::size_t tiles = (scores.size() + tile - 1) / tile;
+    for (std::size_t t = tiles; t-- > 0;) {
+      const std::size_t j0 = t * tile;
+      const std::size_t jn = std::min<std::size_t>(tile, scores.size() - j0);
+      sel.PushTile(scores.data() + j0, j0, jn);
+    }
+    ExpectSameSelection(sel.SortedDescending(), want);
+  }
+}
+
+// Oracle for Scorer::TopKBatch: the full score matrix from the reference
+// loops, then per row the non-excluded scores compacted in ascending id
+// order and selected by partial_sort. Compaction keeps ids ascending, so
+// ties still break toward the smaller id.
+std::vector<std::vector<ScoredItem>> OracleTopK(
+    const Matrix& users, const Matrix& items,
+    const std::vector<std::vector<std::size_t>>& exclusions, std::size_t k) {
+  Matrix scores(users.rows(), items.rows());
+  linalg::NaiveMatMulTransBAcc(users, items, &scores);
+  std::vector<std::vector<ScoredItem>> out(users.rows());
+  for (std::size_t r = 0; r < users.rows(); ++r) {
+    std::vector<double> kept;
+    std::vector<std::size_t> ids;
+    for (std::size_t j = 0; j < items.rows(); ++j) {
+      if (!exclusions.empty() &&
+          std::binary_search(exclusions[r].begin(), exclusions[r].end(), j)) {
+        continue;
+      }
+      kept.push_back(scores(r, j));
+      ids.push_back(j);
+    }
+    out[r] = SelectTopK(kept.data(), kept.size(), k);
+    for (ScoredItem& si : out[r]) si.item = ids[si.item];
+  }
+  return out;
+}
+
+std::vector<std::vector<ScoredItem>> ScorerTopK(
+    const linalg::Scorer& scorer, const Matrix& users,
+    const std::vector<std::vector<std::size_t>>& exclusions, std::size_t k) {
+  std::vector<TopKSelector> selectors(users.rows(), TopKSelector(k));
+  scorer.TopKBatch(users, exclusions, &selectors);
+  std::vector<std::vector<ScoredItem>> out;
+  for (const TopKSelector& sel : selectors) {
+    out.push_back(sel.SortedDescending());
+  }
+  return out;
+}
+
+// A random (n, d) table with exact ties planted: a few rows duplicate an
+// earlier one, so equal scores must resolve by item id.
+Matrix TableWithTies(std::size_t n, std::size_t d, Rng* rng) {
+  Matrix items = rng->GaussianMatrix(n, d, 1.0);
+  for (std::size_t j = 5; j < n; j += 7) {
+    for (std::size_t c = 0; c < d; ++c) items(j, c) = items(j - 5, c);
+  }
+  return items;
+}
+
+// Per-row exclusion shapes, cycling over rows: none, duplicated ids, ids at
+// or past the catalog end, and every item (plus a duplicate).
+std::vector<std::vector<std::size_t>> MixedExclusions(std::size_t rows,
+                                                      std::size_t n) {
+  std::vector<std::vector<std::size_t>> excl(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    switch (r % 4) {
+      case 0:
+        break;
+      case 1:
+        excl[r] = {0, 0, n / 2, n / 2, n / 2, n - 1, n - 1};
+        break;
+      case 2:
+        excl[r] = {n / 3, n, n + 5};
+        break;
+      default:
+        for (std::size_t j = 0; j < n; ++j) excl[r].push_back(j);
+        excl[r].push_back(n - 1);
+        break;
+    }
+    std::sort(excl[r].begin(), excl[r].end());
+  }
+  return excl;
+}
+
+class ScopedItemQuant {
+ public:
+  explicit ScopedItemQuant(linalg::ItemQuantKind kind)
+      : saved_(linalg::CurrentItemQuantKind()) {
+    linalg::SetItemQuantKind(kind);
+  }
+  ~ScopedItemQuant() { linalg::SetItemQuantKind(saved_); }
+
+ private:
+  linalg::ItemQuantKind saved_;
+};
+
+void ExpectSameLists(const std::vector<std::vector<ScoredItem>>& got,
+                     const std::vector<std::vector<ScoredItem>>& want,
+                     const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    SCOPED_TRACE(where + " row " + std::to_string(r));
+    ExpectSameSelection(got[r], want[r]);
   }
 }
 
@@ -340,6 +454,142 @@ TEST(FusedEvalTest, RecommendationsExcludeTrainingItems) {
     for (const std::size_t item : lists[u]) {
       for (const std::size_t trained : split.train[user]) {
         EXPECT_NE(item, trained) << "user " << user;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Exact scorer over the packed item table vs. the reference oracle
+// ---------------------------------------------------------------------------
+
+TEST(PackedScorerTest, MatchesOracleAcrossShapesExclusionsAndThreads) {
+  // Rows go through the register kernel in groups of up to three: 4, 5 and
+  // 67 end in a one- or two-row group, and 67 spans two 64-row blocks; n
+  // straddles the 8-item strip edges and the 256-item tile; d = 300 spans
+  // two k-panels.
+  ScopedItemQuant fp32(linalg::ItemQuantKind::kFp32);
+  Rng rng(23);
+  for (const std::size_t d : {1u, 32u, 300u}) {
+    for (const std::size_t n : {1u, 7u, 8u, 9u, 255u, 257u, 6000u}) {
+      const Matrix items = TableWithTies(n, d, &rng);
+      const std::unique_ptr<linalg::Scorer> scorer = linalg::MakeExactScorer();
+      scorer->Rebuild(items);
+      for (const std::size_t rows : {0u, 1u, 2u, 3u, 4u, 5u, 67u}) {
+        const Matrix users = rng.GaussianMatrix(rows, d, 1.0);
+        const std::vector<std::vector<std::size_t>> excl =
+            MixedExclusions(rows, n);
+        for (const std::size_t k : {std::size_t{5}, n + 2}) {
+          const auto want_all = OracleTopK(users, items, {}, k);
+          const auto want_excl = OracleTopK(users, items, excl, k);
+          for (const std::size_t threads : kThreadCounts) {
+            ScopedThreads t(threads);
+            const std::string where =
+                "d=" + std::to_string(d) + " n=" + std::to_string(n) +
+                " rows=" + std::to_string(rows) + " k=" + std::to_string(k) +
+                " threads=" + std::to_string(threads);
+            ExpectSameLists(ScorerTopK(*scorer, users, {}, k), want_all,
+                            where + " no exclusions");
+            ExpectSameLists(ScorerTopK(*scorer, users, excl, k), want_excl,
+                            where + " mixed exclusions");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PackedScorerTest, TileWidthIsInvisible) {
+  // Packed tiles round the score tile up to whole 8-item strips; every width
+  // must give the same lists.
+  ScopedItemQuant fp32(linalg::ItemQuantKind::kFp32);
+  Rng rng(29);
+  const Matrix items = TableWithTies(1001, 24, &rng);
+  const std::unique_ptr<linalg::Scorer> scorer = linalg::MakeExactScorer();
+  scorer->Rebuild(items);
+  for (const std::size_t rows : {1u, 3u, 9u}) {
+    const Matrix users = rng.GaussianMatrix(rows, 24, 1.0);
+    const auto excl = MixedExclusions(rows, items.rows());
+    const auto want = OracleTopK(users, items, excl, 12);
+    for (const std::size_t tile : {1u, 7u, 8u, 9u, 100u, 4096u}) {
+      ScopedScoreTile st(tile);
+      ExpectSameLists(ScorerTopK(*scorer, users, excl, 12), want,
+                      "tile=" + std::to_string(tile));
+    }
+  }
+}
+
+TEST(PackedScorerTest, RebuildRepacksTheNewTable) {
+  // A refit installs a new table through Rebuild: the scorer must then equal
+  // a freshly built one, never the stale pack.
+  ScopedItemQuant fp32(linalg::ItemQuantKind::kFp32);
+  Rng rng(31);
+  const Matrix first = TableWithTies(300, 16, &rng);
+  const Matrix second = TableWithTies(517, 16, &rng);
+  const Matrix users = rng.GaussianMatrix(6, 16, 1.0);
+  const auto excl = MixedExclusions(6, 300);
+
+  const std::unique_ptr<linalg::Scorer> reused = linalg::MakeExactScorer();
+  reused->Rebuild(first);
+  const auto before = ScorerTopK(*reused, users, excl, 10);
+  ExpectSameLists(before, OracleTopK(users, first, excl, 10), "first table");
+
+  reused->Rebuild(second);
+  EXPECT_EQ(reused->num_items(), second.rows());
+  const std::unique_ptr<linalg::Scorer> fresh = linalg::MakeExactScorer();
+  fresh->Rebuild(second);
+  const auto after = ScorerTopK(*reused, users, excl, 10);
+  ExpectSameLists(after, ScorerTopK(*fresh, users, excl, 10), "rebuilt");
+  ExpectSameLists(after, OracleTopK(users, second, excl, 10), "second table");
+  bool changed = false;
+  for (std::size_t r = 0; r < before.size(); ++r) {
+    for (std::size_t i = 0; i < before[r].size() && !changed; ++i) {
+      changed = before[r][i].item != after[r][i].item ||
+                before[r][i].score != after[r][i].score;
+    }
+  }
+  EXPECT_TRUE(changed) << "the two tables should rank differently";
+}
+
+TEST(PackedScorerTest, PackedStreamPanelsEqualReferenceGemm) {
+  // The raw stream: every panel element bitwise equals the reference
+  // kernel's element, and tiles arrive in ascending column order.
+  Rng rng(37);
+  for (const std::size_t d : {3u, 300u}) {
+    const Matrix items = rng.GaussianMatrix(77, d, 1.0);
+    linalg::PackedItemTable packed;
+    packed.Pack(items);
+    EXPECT_EQ(packed.rows(), 77u);
+    EXPECT_EQ(packed.cols(), d);
+    for (const std::size_t rows : {1u, 2u, 3u, 4u, 70u}) {
+      const Matrix users = rng.GaussianMatrix(rows, d, 1.0);
+      Matrix want(rows, items.rows());
+      linalg::NaiveMatMulTransBAcc(users, items, &want);
+      Matrix got(rows, items.rows());
+      std::size_t next_col = 0;
+      for (const std::size_t threads : kThreadCounts) {
+        ScopedThreads t(threads);
+        ScopedScoreTile st(16);
+        next_col = 0;
+        linalg::StreamPackedMatMulTransB(
+            users, packed,
+            [&](std::size_t i0, std::size_t i1, std::size_t j0,
+                std::size_t jn, const Matrix& panel) {
+              if (i0 == 0) {
+                EXPECT_EQ(j0, next_col);
+                next_col = j0 + jn;
+              }
+              for (std::size_t r = i0; r < i1; ++r) {
+                for (std::size_t c = 0; c < jn; ++c) {
+                  got(r, j0 + c) = panel(r, c);
+                }
+              }
+            });
+        EXPECT_EQ(next_col, items.rows());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(double)),
+                  0)
+            << "d=" << d << " rows=" << rows << " threads=" << threads;
       }
     }
   }

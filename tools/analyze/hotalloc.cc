@@ -11,9 +11,10 @@
 // chunk / score tile, so a Matrix or std::vector constructed inside them
 // turns into O(chunks) heap traffic that the linalg::Workspace arena exists
 // to absorb (DESIGN.md §4). The pass finds lambda bodies in hot positions —
-// arguments of core::ParallelFor and the Stream(Quant)MatMulTransB family, and
-// initializers of RowBlockHook / ScoreRowsFn / ScorePanelFn callbacks — and
-// flags Matrix / std::vector constructions inside them (rule hot-alloc).
+// arguments of core::ParallelFor and the Stream(Quant|Packed)MatMulTransB
+// family, and initializers of RowBlockHook / ScoreRowsFn / ScorePanelFn
+// callbacks — and flags Matrix / std::vector constructions inside them
+// (rule hot-alloc).
 //
 // Declared reference paths (the materialized scoring fallback, tests) carry
 // a `whitenrec-analyze: allow(hot-alloc)` annotation stating why the
@@ -30,7 +31,7 @@ const std::set<std::string>& HotCallees() {
       "ParallelFor",           "ParallelReduceSum",
       "StreamMatMulTransB",    "StreamMatMulTransBTiles",
       "StreamMatMulTransBPanels", "StreamQuantMatMulTransB",
-      "StreamQuantMatMulTransBTiles"};
+      "StreamQuantMatMulTransBTiles", "StreamPackedMatMulTransB"};
   return kCallees;
 }
 
