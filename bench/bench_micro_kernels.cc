@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the computational kernels behind
 // the paper's complexity analysis (Sec. IV-E): dense matmul (naive vs the
 // blocked kernels of linalg/gemm.cc), symmetric eigendecomposition,
-// whitening fits of each kind, group whitening, flow whitening, and one
-// SASRec training step. These quantify the claim that the whitening
+// whitening fits of each kind, group whitening, flow whitening, one
+// SASRec training step, the exact scorer at serving batch sizes and the IVF
+// index's k-means fit. These quantify the claim that the whitening
 // transforms are cheap, precomputable preprocessing. Besides the console
 // table, results are written to <out>/BENCH_kernels.json (GFLOP/s, thread
 // count and kernel label per run) for machine consumption.
@@ -27,6 +28,7 @@
 #include "linalg/scorer.h"
 #include "linalg/topk.h"
 #include "linalg/workspace.h"
+#include "retrieval/kmeans.h"
 #include "seqrec/baselines.h"
 
 namespace whitenrec {
@@ -270,6 +272,35 @@ void BM_ExactScorerSmallBatch(benchmark::State& state) {
   core::SetNumThreads(saved);
 }
 BENCHMARK(BM_ExactScorerSmallBatch)->Arg(1)->Arg(2)->Arg(3)->Arg(8);
+
+// The IVF index build's k-means at the serve_ingest shape: 5000 x 32
+// points, 71 clusters, 8 Lloyd iterations, one thread, reported in ms.
+// gflops counts the distance arithmetic, 3 * n * clusters * d flops (sub,
+// mul, add) per pass over the points, with iterations + 2 passes per fit:
+// the k-means++ seeding (one distance per point per centre, so one pass in
+// all), the Lloyd assignments and the final labeling. The O(n * d)
+// centroid update is timed but not counted.
+void BM_KMeansFit(benchmark::State& state) {
+  const std::size_t n = 5000;
+  const std::size_t d = 32;
+  retrieval::KMeansConfig config;
+  config.clusters = 71;
+  config.iterations = 8;
+  const std::size_t saved = core::NumThreads();
+  core::SetNumThreads(1);
+  linalg::Rng rng(9);
+  const linalg::Matrix points = rng.GaussianMatrix(n, d, 1.0);
+  for (auto _ : state) {
+    retrieval::KMeansResult result = retrieval::FitKMeans(points, config);
+    benchmark::DoNotOptimize(result.assignment.data());
+  }
+  state.counters["gflops"] = benchmark::Counter(
+      3e-9 * static_cast<double>(n * config.clusters * d *
+                                 (config.iterations + 2)),
+      benchmark::Counter::kIsIterationInvariantRate);
+  core::SetNumThreads(saved);
+}
+BENCHMARK(BM_KMeansFit)->Unit(benchmark::kMillisecond);
 
 // Console output plus a flat JSON record per run. GFLOP/s is derived from
 // the items/s counter (items are multiply-adds, i.e. 2 flops each).

@@ -1,6 +1,7 @@
 #include "linalg/gemm.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 #include "core/check.h"
@@ -103,6 +104,14 @@ inline Lane2 LoadLane2(const double* p) {
   return v;
 }
 inline void StoreLane2(double* p, Lane2 v) { std::memcpy(p, &v, sizeof(v)); }
+
+// One packed strip row (kNr = 8 points at one k) for the distance kernels,
+// and the matching integer lanes for their running nearest-centroid ids.
+// Each lane is one point's own chain, as with Lane2. Neither is ever passed
+// or returned by value: outside an AVX-512 clone that ABI is not fixed
+// (-Wpsabi).
+typedef double Lane8 __attribute__((vector_size(8 * sizeof(double))));
+typedef std::int64_t Index8 __attribute__((vector_size(8 * sizeof(double))));
 
 // ---------------------------------------------------------------------------
 // Naive reference kernels. All accumulate on top of the existing C (the Into
@@ -381,6 +390,118 @@ WR_KERNEL_CLONES void SmallRowsTile(const double* packed,
   }
 }
 
+// Squared-distance tile over a PackedItemTable's storage: acc[c * S + t]
+// holds, lane j, ||x - centers[c]||^2 for point j of strip s0 + t. Every
+// lane is one zero-started accumulator summing k ascending as
+// `diff = x - y; acc += diff * diff`, mul then add: the chain of
+// retrieval::NearestCentroid (the interleaving of C * S independent chains
+// changes no bit). Inlined into the cloned kernels below, so it takes their ISA.
+template <std::size_t S, std::size_t C>
+__attribute__((always_inline)) inline void SquaredDistanceTile(
+    const double* packed, std::size_t padded_rows, std::size_t k_total,
+    std::size_t s0, const double* const* centers, Lane8* acc) {
+  for (std::size_t v = 0; v < C * S; ++v) acc[v] = Lane8{};
+  for (std::size_t k0 = 0; k0 < k_total; k0 += kKc) {
+    const std::size_t kb = std::min(kKc, k_total - k0);
+    const double* panel = packed + padded_rows * k0 + s0 * kb * kNr;
+    for (std::size_t k = 0; k < kb; ++k) {
+      Lane8 x[S];
+      for (std::size_t t = 0; t < S; ++t) {
+        std::memcpy(&x[t], panel + t * kb * kNr + k * kNr, sizeof(Lane8));
+      }
+      for (std::size_t c = 0; c < C; ++c) {
+        const double y = centers[c][k0 + k];
+        for (std::size_t t = 0; t < S; ++t) {
+          const Lane8 diff = x[t] - y;
+          acc[c * S + t] += diff * diff;
+        }
+      }
+    }
+  }
+}
+
+// Nearest-centroid labels for packed strips [s0, s1): one strip against
+// kCenters centroids per tile (eight-point lanes times four centres is four
+// independent vector chains). The running best starts from centroid 0 and
+// a lane moves only where dist < best, centroids ascending:
+// retrieval::NearestCentroid's exact rule, ties and NaNs included. Rows past `rows` (the zero padding of
+// the last strip) are computed but not stored.
+WR_KERNEL_CLONES
+void NearestCentroidStrips(const double* packed, std::size_t padded_rows,
+                           std::size_t rows, std::size_t d, std::size_t s0,
+                           std::size_t s1, const double* centroids,
+                           std::size_t clusters, std::uint32_t* labels) {
+  constexpr std::size_t kCenters = 4;
+  for (std::size_t s = s0; s < s1; ++s) {
+    Lane8 best = {};
+    Index8 best_id = {};
+    for (std::size_t c0 = 0; c0 < clusters; c0 += kCenters) {
+      const std::size_t cn = std::min(kCenters, clusters - c0);
+      const double* centers[kCenters] = {};
+      for (std::size_t c = 0; c < cn; ++c) {
+        centers[c] = centroids + (c0 + c) * d;
+      }
+      Lane8 dist[kCenters];
+      if (cn == 4) {
+        SquaredDistanceTile<1, 4>(packed, padded_rows, d, s, centers, dist);
+      } else if (cn == 3) {
+        SquaredDistanceTile<1, 3>(packed, padded_rows, d, s, centers, dist);
+      } else if (cn == 2) {
+        SquaredDistanceTile<1, 2>(packed, padded_rows, d, s, centers, dist);
+      } else {
+        SquaredDistanceTile<1, 1>(packed, padded_rows, d, s, centers, dist);
+      }
+      std::size_t c = 0;
+      if (c0 == 0) {
+        best = dist[0];
+        c = 1;
+      }
+      for (; c < cn; ++c) {
+        const Index8 closer = dist[c] < best;
+        best = closer ? dist[c] : best;
+        best_id = closer ? Index8{} + static_cast<std::int64_t>(c0 + c)
+                         : best_id;
+      }
+    }
+    const std::size_t nr = std::min(kNr, rows - s * kNr);
+    for (std::size_t j = 0; j < nr; ++j) {
+      labels[s * kNr + j] = static_cast<std::uint32_t>(best_id[j]);
+    }
+  }
+}
+
+// Min-distance update for packed strips [s0, s1) against one centre:
+// kStrips strips per tile for four independent chains, then single strips
+// for the remainder. Scalar epilogue per stored row.
+WR_KERNEL_CLONES
+void MinDistanceStrips(const double* packed, std::size_t padded_rows,
+                       std::size_t rows, std::size_t d, std::size_t s0,
+                       std::size_t s1, const double* center, bool reset,
+                       double* min_dist) {
+  constexpr std::size_t kStrips = 4;
+  const double* const centers[1] = {center};
+  std::size_t s = s0;
+  while (s < s1) {
+    Lane8 dist[kStrips];
+    const std::size_t sn = s + kStrips <= s1 ? kStrips : 1;
+    if (sn == kStrips) {
+      SquaredDistanceTile<kStrips, 1>(packed, padded_rows, d, s, centers,
+                                      dist);
+    } else {
+      SquaredDistanceTile<1, 1>(packed, padded_rows, d, s, centers, dist);
+    }
+    for (std::size_t t = 0; t < sn; ++t) {
+      const std::size_t i0 = (s + t) * kNr;
+      const std::size_t nr = std::min(kNr, rows - i0);
+      for (std::size_t j = 0; j < nr; ++j) {
+        const double v = dist[t][j];
+        if (reset || v < min_dist[i0 + j]) min_dist[i0 + j] = v;
+      }
+    }
+    s += sn;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Blocked driver: C += op(A) * op(B), C already shaped (m, n).
 //
@@ -627,18 +748,36 @@ void StreamMatMulTransBPanels(const Matrix& a, const Matrix& b,
 // ---------------------------------------------------------------------------
 // Pre-packed item table: the layout BlockedGemm's PackB(trans_b) builds per
 // call, built once. k-panel p (depth k0 = p * kKc, kb rows) starts at
-// padded_rows_ * k0 and holds strip s at s * kb * kNr.
+// padded_rows_ * k0 and holds strip s at s * kb * kNr, where element
+// (k, j) is column k0 + k of packed row s * kNr + j.
 // ---------------------------------------------------------------------------
 
 void PackedItemTable::Pack(const Matrix& items) {
-  rows_ = items.rows();
+  PackGathered(items, nullptr, items.rows());
+}
+
+void PackedItemTable::PackRows(const Matrix& items,
+                               const std::vector<std::size_t>& rows) {
+  for (std::size_t r : rows) WR_CHECK_LT(r, items.rows());
+  PackGathered(items, rows.data(), rows.size());
+}
+
+void PackedItemTable::PackGathered(const Matrix& items,
+                                   const std::size_t* rows,
+                                   std::size_t count) {
+  rows_ = count;
   cols_ = items.cols();
   padded_rows_ = (rows_ + kNr - 1) / kNr * kNr;
-  strips_.assign(padded_rows_ * cols_, 0.0);
+  strips_.assign(padded_rows_ * cols_, 0.0);  // zero padding past rows_
   for (std::size_t k0 = 0; k0 < cols_; k0 += kKc) {
     const std::size_t kb = std::min(kKc, cols_ - k0);
-    PackB(items, /*trans=*/true, 0, rows_, k0, kb,
-          strips_.data() + padded_rows_ * k0);
+    double* panel = strips_.data() + padded_rows_ * k0;
+    for (std::size_t r = 0; r < rows_; ++r) {
+      const double* src =
+          items.RowPtr(rows != nullptr ? rows[r] : r) + k0;
+      double* dst = panel + (r / kNr) * kb * kNr + r % kNr;
+      for (std::size_t k = 0; k < kb; ++k) dst[k * kNr] = src[k];
+    }
   }
 }
 
@@ -696,6 +835,40 @@ void StreamPackedMatMulTransB(const Matrix& a, const PackedItemTable& b,
     panel.Resize(m, jn);
     core::ParallelFor(0, nblocks, core::GrainForWork(kMc * jn * d), body);
   }
+}
+
+void PackedNearestCentroids(const PackedItemTable& points,
+                            const Matrix& centroids,
+                            std::vector<std::uint32_t>* labels) {
+  WR_CHECK_GT(centroids.rows(), 0u);
+  WR_CHECK_EQ(centroids.cols(), points.cols());
+  WR_CHECK_EQ(labels->size(), points.rows());
+  const std::size_t d = points.cols();
+  const std::size_t clusters = centroids.rows();
+  const std::size_t nstrips = points.padded_rows_ / kNr;
+  const double* packed = points.strips_.data();
+  std::uint32_t* out = labels->data();
+  core::ParallelFor(0, nstrips, core::GrainForWork(kNr * clusters * d),
+                    [&](std::size_t s0, std::size_t s1) {
+    NearestCentroidStrips(packed, points.padded_rows_, points.rows_, d, s0,
+                          s1, centroids.data(), clusters, out);
+  });
+}
+
+void PackedMinSquaredDistances(const PackedItemTable& points,
+                               const double* center, bool reset,
+                               std::vector<double>* min_dist) {
+  WR_CHECK(center != nullptr);
+  WR_CHECK_EQ(min_dist->size(), points.rows());
+  const std::size_t d = points.cols();
+  const std::size_t nstrips = points.padded_rows_ / kNr;
+  const double* packed = points.strips_.data();
+  double* out = min_dist->data();
+  core::ParallelFor(0, nstrips, core::GrainForWork(kNr * d),
+                    [&](std::size_t s0, std::size_t s1) {
+    MinDistanceStrips(packed, points.padded_rows_, points.rows_, d, s0, s1,
+                      center, reset, out);
+  });
 }
 
 double RowDotTransB(const Matrix& a, std::size_t i, const Matrix& b,

@@ -2,6 +2,7 @@
 #define WHITENREC_LINALG_GEMM_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -143,6 +144,37 @@ class PackedItemTable;
 void StreamPackedMatMulTransB(const Matrix& a, const PackedItemTable& b,
                               const ScoreRowsFn& fn);
 
+// ---------------------------------------------------------------------------
+// Squared Euclidean distances over a packed table (the k-means builder).
+//
+// k-means packs its points once per fit and then, on every Lloyd pass, asks
+// for each point's nearest centroid, and on every k-means++ step for each
+// point's distance to one new centre. Every (point, centre) distance is one
+// accumulator summed k ascending as `diff = x - y; acc += diff * diff`, mul
+// then add (-ffp-contract=off): the expression and order of the scalar loop
+// behind retrieval::NearestCentroid, so each distance is bitwise equal to
+// it. The kernel interleaves independent chains only (a strip of 8 points
+// against a few centres at once). Both entry points split the strips over
+// the thread pool; each point's result depends on that point alone, so the
+// output is the same at any thread count.
+// ---------------------------------------------------------------------------
+
+// (*labels)[i] = the row of `centroids` nearest to packed row i, for every
+// row. The running best starts at centroid 0 and moves only on a strict <,
+// in ascending centroid order, so ties go to the smaller index and a NaN
+// distance never wins. labels must already hold points.rows() entries.
+void PackedNearestCentroids(const PackedItemTable& points,
+                            const Matrix& centroids,
+                            std::vector<std::uint32_t>* labels);
+
+// For every packed row i, with dist the squared distance from row i to
+// `center` (points.cols() values): (*min_dist)[i] = dist when `reset`,
+// otherwise (*min_dist)[i] = dist only if dist < (*min_dist)[i]. min_dist
+// must already hold points.rows() entries.
+void PackedMinSquaredDistances(const PackedItemTable& points,
+                               const double* center, bool reset,
+                               std::vector<double>* min_dist);
+
 class PackedItemTable {
  public:
   // Packs the (num_items, d) table, replacing any previous pack. Storage is
@@ -150,6 +182,8 @@ class PackedItemTable {
   // 8-item column strip of that panel (zero-padded past the last item), so
   // any d works.
   void Pack(const Matrix& items);
+  // Same layout over a row subset: packed row i is items row rows[i].
+  void PackRows(const Matrix& items, const std::vector<std::size_t>& rows);
   // Drops the pack and its storage.
   void Clear();
 
@@ -160,6 +194,16 @@ class PackedItemTable {
   friend void StreamPackedMatMulTransB(const Matrix& a,
                                        const PackedItemTable& b,
                                        const ScoreRowsFn& fn);
+  friend void PackedNearestCentroids(const PackedItemTable& points,
+                                     const Matrix& centroids,
+                                     std::vector<std::uint32_t>* labels);
+  friend void PackedMinSquaredDistances(const PackedItemTable& points,
+                                        const double* center, bool reset,
+                                        std::vector<double>* min_dist);
+
+  // Packs items rows rows[0 .. count), or rows 0 .. count when rows is null.
+  void PackGathered(const Matrix& items, const std::size_t* rows,
+                    std::size_t count);
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

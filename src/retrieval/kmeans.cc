@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/check.h"
-#include "core/parallel.h"
+#include "linalg/gemm.h"
 #include "linalg/rng.h"
 
 namespace whitenrec {
@@ -29,26 +29,12 @@ double SquaredDistance(const Matrix& points, std::size_t i,
   return acc;
 }
 
-std::size_t NearestTo(const Matrix& centroids, const Matrix& points,
-                      std::size_t row) {
-  std::size_t best = 0;
-  double best_dist = SquaredDistance(points, row, centroids, 0);
-  for (std::size_t c = 1; c < centroids.rows(); ++c) {
-    const double dist = SquaredDistance(points, row, centroids, c);
-    // Strict < keeps the earlier (smaller-id) centroid on ties.
-    if (dist < best_dist) {
-      best_dist = dist;
-      best = c;
-    }
-  }
-  return best;
-}
-
-// k-means++ over the training rows `train_idx` of `points`: the first center
-// is a uniform Rng draw, each next center a Categorical draw proportional to
-// the squared distance to the nearest already-chosen center. min_dist is
-// maintained incrementally (only the newly added center can lower it).
-Matrix SeedPlusPlus(const Matrix& points,
+// k-means++ over the training sample, packed in `train` (packed row i is
+// points row train_idx[i]): the first center is a uniform Rng draw, each
+// next center a Categorical draw proportional to the squared distance to the
+// nearest already-chosen center. min_dist is maintained incrementally (only
+// the newly added center can lower it).
+Matrix SeedPlusPlus(const Matrix& points, const linalg::PackedItemTable& train,
                     const std::vector<std::size_t>& train_idx,
                     std::size_t clusters, std::uint64_t seed) {
   const std::size_t m = train_idx.size();
@@ -61,9 +47,8 @@ Matrix SeedPlusPlus(const Matrix& points,
   std::size_t first = rng.UniformInt(m);
   centroids.SetRow(0, points.Row(train_idx[first]));
   used[first] = 1;
-  for (std::size_t i = 0; i < m; ++i) {
-    min_dist[i] = SquaredDistance(points, train_idx[i], centroids, 0);
-  }
+  linalg::PackedMinSquaredDistances(train, centroids.RowPtr(0),
+                                    /*reset=*/true, &min_dist);
 
   for (std::size_t c = 1; c < clusters; ++c) {
     double total = 0.0;
@@ -82,10 +67,8 @@ Matrix SeedPlusPlus(const Matrix& points,
     }
     used[pick] = 1;
     centroids.SetRow(c, points.Row(train_idx[pick]));
-    for (std::size_t i = 0; i < m; ++i) {
-      const double dist = SquaredDistance(points, train_idx[i], centroids, c);
-      if (dist < min_dist[i]) min_dist[i] = dist;
-    }
+    linalg::PackedMinSquaredDistances(train, centroids.RowPtr(c),
+                                      /*reset=*/false, &min_dist);
   }
   return centroids;
 }
@@ -96,7 +79,17 @@ std::size_t NearestCentroid(const Matrix& centroids, const Matrix& points,
                             std::size_t row) {
   WR_CHECK_GT(centroids.rows(), 0u);
   WR_CHECK_EQ(centroids.cols(), points.cols());
-  return NearestTo(centroids, points, row);
+  std::size_t best = 0;
+  double best_dist = SquaredDistance(points, row, centroids, 0);
+  for (std::size_t c = 1; c < centroids.rows(); ++c) {
+    const double dist = SquaredDistance(points, row, centroids, c);
+    // Strict < keeps the earlier (smaller-id) centroid on ties.
+    if (dist < best_dist) {
+      best_dist = dist;
+      best = c;
+    }
+  }
+  return best;
 }
 
 KMeansResult FitKMeans(const Matrix& points, const KMeansConfig& config) {
@@ -115,23 +108,26 @@ KMeansResult FitKMeans(const Matrix& points, const KMeansConfig& config) {
   std::vector<std::size_t> train_idx(m);
   for (std::size_t i = 0; i < m; ++i) train_idx[i] = i * n / m;
 
-  Matrix centroids = SeedPlusPlus(points, train_idx, clusters, config.seed);
+  // The sample is packed once into the distance kernel's 8-point strips
+  // (m * d doubles, freed on return) and read by the seeding, every Lloyd
+  // assignment and, when it covers every row, the final labeling.
+  linalg::PackedItemTable packed;
+  if (m == n) {
+    packed.Pack(points);
+  } else {
+    packed.PackRows(points, train_idx);
+  }
+  Matrix centroids = SeedPlusPlus(points, packed, train_idx, clusters,
+                                  config.seed);
 
   // Index-builder scratch proportional to the training sample / catalog; the
   // O(catalog) buffers here are the sanctioned exception to the full-logits
   // rule (ISSUE 7: scoped allow only in the index builder).
   std::vector<std::uint32_t> train_assign(m, 0);
-  const std::size_t grain = core::GrainForWork(clusters * d);
   for (std::size_t iter = 0; iter < config.iterations; ++iter) {
     // Assignment: each training point's nearest centroid is independent, so
     // the parallel chunking cannot change any label.
-    core::ParallelFor(0, m, grain, [&](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        train_assign[i] =
-            static_cast<std::uint32_t>(NearestTo(centroids, points,
-                                                 train_idx[i]));
-      }
-    });
+    linalg::PackedNearestCentroids(packed, centroids, &train_assign);
     // Update: serial ascending-point-index accumulation — the canonical
     // order, bitwise identical at any thread count.
     Matrix sums(clusters, d);
@@ -160,12 +156,9 @@ KMeansResult FitKMeans(const Matrix& points, const KMeansConfig& config) {
   const std::size_t num_items = n;
   // whitenrec-lint: allow(full-logits)
   result.assignment.assign(num_items, 0);
-  core::ParallelFor(0, n, grain, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      result.assignment[i] =
-          static_cast<std::uint32_t>(NearestTo(result.centroids, points, i));
-    }
-  });
+  if (m < n) packed.Pack(points);  // the strided sample missed rows
+  linalg::PackedNearestCentroids(packed, result.centroids,
+                                 &result.assignment);
   return result;
 }
 

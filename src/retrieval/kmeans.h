@@ -22,9 +22,17 @@ namespace retrieval {
 //    the smallest not-yet-chosen row index, not an Rng draw.
 //  * Lloyd runs a FIXED number of iterations (no data-dependent convergence
 //    test, whose FP comparison could flip across math libraries).
-//  * The assignment step parallelizes over points; each point's nearest
-//    centroid is an independent pure function (ties -> smaller centroid id),
-//    so chunking cannot change it.
+//  * Every squared distance (seeding, assignment, final labeling) is one
+//    accumulator summed over dims in ascending order, `diff = x - y;
+//    acc += diff * diff`, mul then add: the chain NearestCentroid below
+//    computes. FitKMeans packs its points once into 8-point strips
+//    (linalg::PackedItemTable) and runs linalg's packed distance kernels,
+//    which interleave independent chains (8 points x a few centroids) and
+//    never split or reorder one, so every distance is bitwise the scalar
+//    one.
+//  * The assignment step parallelizes over point strips; each point's
+//    nearest centroid is an independent pure function (ties -> smaller
+//    centroid id, a NaN distance never wins), so chunking cannot change it.
 //  * The update step accumulates per-cluster sums SERIALLY in ascending
 //    point-index order — the canonical accumulation order used everywhere in
 //    this repo — so centroid coordinates are bitwise identical at any thread
@@ -35,7 +43,8 @@ namespace retrieval {
 // Cost control: when points.rows() > max_train_rows the Lloyd loop trains on
 // a deterministic strided row sample (indices i*n/m, strictly increasing),
 // then one final parallel assignment pass labels ALL rows against the final
-// centroids. Exact-parity (probing every cluster recovers exact search) is
+// centroids (from a second pack of every row). The pack is a transient copy
+// of the points: m * d doubles, plus n * d for that second pack. Exact-parity (probing every cluster recovers exact search) is
 // unaffected by the training sample.
 struct KMeansConfig {
   std::size_t clusters = 0;           // required: >= 1 (clamped to rows)
@@ -54,8 +63,9 @@ struct KMeansResult {
 KMeansResult FitKMeans(const linalg::Matrix& points, const KMeansConfig& config);
 
 // The index of the centroid nearest to row `row` of `points` under squared
-// Euclidean distance, ties toward the smaller centroid index. Exposed for
-// tests and for incremental labeling.
+// Euclidean distance, ties toward the smaller centroid index: the scalar
+// oracle of the packed kernels FitKMeans runs. Exposed for tests and for
+// incremental labeling.
 std::size_t NearestCentroid(const linalg::Matrix& centroids,
                             const linalg::Matrix& points, std::size_t row);
 

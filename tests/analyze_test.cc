@@ -513,6 +513,43 @@ TEST(HotAllocTest, PackedStreamLambdaIsHot) {
   EXPECT_NE(f[0].message.find("StreamPackedMatMulTransB"), std::string::npos);
 }
 
+TEST(HotAllocTest, PackedDistanceKernelBodiesAreHot) {
+  // k-means calls the packed distance kernels once per Lloyd pass and once
+  // per k-means++ centre, so the bodies of their definitions are hot: a
+  // per-call Matrix or sized vector there is flagged, once even inside a
+  // nested ParallelFor lambda. Their declarations and call sites are clean.
+  const SourceTree tree = TreeOf(
+      {{"src/linalg/k.cc",
+        "void PackedNearestCentroids(const PackedItemTable& p,\n"
+        "                            const Matrix& c,\n"
+        "                            std::vector<std::uint32_t>* labels);\n"
+        "void PackedNearestCentroids(const PackedItemTable& p,\n"
+        "                            const Matrix& c,\n"
+        "                            std::vector<std::uint32_t>* labels) {\n"
+        "  Matrix dist(c.rows(), 8);\n"
+        "  (void)dist;\n"
+        "}\n"
+        "void PackedMinSquaredDistances(const PackedItemTable& p,\n"
+        "                               const double* center, bool reset,\n"
+        "                               std::vector<double>* min_dist) {\n"
+        "  core::ParallelFor(0, 4, 1, [&](std::size_t a, std::size_t b) {\n"
+        "    std::vector<double> row(p.cols());\n"
+        "    (void)row;\n"
+        "  });\n"
+        "}\n"
+        "void Fit(const PackedItemTable& p, const Matrix& c,\n"
+        "         std::vector<std::uint32_t>* labels) {\n"
+        "  PackedNearestCentroids(p, c, labels);\n"
+        "}\n"}});
+  const std::vector<Finding> f = CheckHotAlloc(tree);
+  ASSERT_EQ(f.size(), 2u);
+  EXPECT_EQ(f[0].line, 7u);
+  EXPECT_NE(f[0].message.find("PackedNearestCentroids"), std::string::npos);
+  EXPECT_EQ(f[1].line, 14u);
+  EXPECT_NE(f[1].message.find("PackedMinSquaredDistances"),
+            std::string::npos);
+}
+
 TEST(HotAllocTest, NestedTemplateVectorFires) {
   // std::vector<std::vector<int>> closes with a '>>' shift token; the angle
   // matcher must still find the declared identifier after it.

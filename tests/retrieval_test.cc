@@ -173,6 +173,223 @@ TEST(KMeans, MoreClustersThanPointsClamps) {
 }
 
 // ---------------------------------------------------------------------------
+// Differential k-means: the packed, register-blocked build against a scalar
+// reference (the k-means that computed one distance per call).
+// ---------------------------------------------------------------------------
+
+// The scalar distance chain: one accumulator, dims ascending, the square of
+// x - y added after it is formed.
+double ScalarSquaredDistance(const Matrix& points, std::size_t i,
+                             const Matrix& centroids, std::size_t c) {
+  double acc = 0.0;
+  for (std::size_t k = 0; k < points.cols(); ++k) {
+    const double diff = points(i, k) - centroids(c, k);
+    acc += diff * diff;
+  }
+  return acc;
+}
+
+// Scalar k-means with the library's contract: k-means++ from one Rng stream
+// (smallest-unused-index fallback on zero total weight), a fixed number of
+// Lloyd passes labeling through NearestCentroid, serial ascending-index
+// sums, empty clusters kept, strided training sample, final labeling of
+// every row.
+KMeansResult ReferenceKMeans(const Matrix& points, const KMeansConfig& config) {
+  const std::size_t n = points.rows();
+  const std::size_t d = points.cols();
+  const std::size_t clusters = std::min(config.clusters, n);
+  const std::size_t m = config.max_train_rows == 0
+                            ? n
+                            : std::min(n, config.max_train_rows);
+  std::vector<std::size_t> train_idx(m);
+  for (std::size_t i = 0; i < m; ++i) train_idx[i] = i * n / m;
+
+  linalg::Rng rng(config.seed);
+  Matrix centroids(clusters, d);
+  std::vector<double> min_dist(m, 0.0);
+  std::vector<char> used(m, 0);
+  const std::size_t first = rng.UniformInt(m);
+  centroids.SetRow(0, points.Row(train_idx[first]));
+  used[first] = 1;
+  for (std::size_t i = 0; i < m; ++i) {
+    min_dist[i] = ScalarSquaredDistance(points, train_idx[i], centroids, 0);
+  }
+  for (std::size_t c = 1; c < clusters; ++c) {
+    double total = 0.0;
+    for (std::size_t i = 0; i < m; ++i) total += min_dist[i];
+    std::size_t pick;
+    if (total > 0.0) {
+      pick = rng.Categorical(min_dist);
+    } else {
+      pick = 0;
+      while (pick < m && used[pick]) ++pick;
+      if (pick == m) pick = 0;
+    }
+    used[pick] = 1;
+    centroids.SetRow(c, points.Row(train_idx[pick]));
+    for (std::size_t i = 0; i < m; ++i) {
+      const double dist =
+          ScalarSquaredDistance(points, train_idx[i], centroids, c);
+      if (dist < min_dist[i]) min_dist[i] = dist;
+    }
+  }
+
+  for (std::size_t iter = 0; iter < config.iterations; ++iter) {
+    std::vector<std::size_t> assign(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      assign[i] = NearestCentroid(centroids, points, train_idx[i]);
+    }
+    Matrix sums(clusters, d);
+    std::vector<std::size_t> counts(clusters, 0);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t k = 0; k < d; ++k) {
+        sums(assign[i], k) += points(train_idx[i], k);
+      }
+      ++counts[assign[i]];
+    }
+    for (std::size_t c = 0; c < clusters; ++c) {
+      if (counts[c] == 0) continue;
+      const double inv = 1.0 / static_cast<double>(counts[c]);
+      for (std::size_t k = 0; k < d; ++k) centroids(c, k) = sums(c, k) * inv;
+    }
+  }
+
+  KMeansResult result;
+  result.centroids = std::move(centroids);
+  result.assignment.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    result.assignment[i] =
+        static_cast<std::uint32_t>(NearestCentroid(result.centroids, points, i));
+  }
+  return result;
+}
+
+struct KMeansShape {
+  std::size_t n;
+  std::size_t d;
+  std::size_t clusters;
+  std::size_t max_train_rows;  // < n takes the strided sample
+  std::size_t distinct;        // 0: all rows distinct; else rows repeat
+};
+
+// Points whose rows cycle through `distinct` Gaussian rows when distinct > 0
+// (exact ties, and the zero-weight seeding fallback once clusters exceed
+// the distinct rows).
+Matrix ShapePoints(const KMeansShape& shape, std::uint64_t seed) {
+  if (shape.distinct == 0) return RandomPoints(shape.n, shape.d, seed);
+  const Matrix base = RandomPoints(shape.distinct, shape.d, seed);
+  Matrix points(shape.n, shape.d);
+  for (std::size_t r = 0; r < shape.n; ++r) {
+    points.SetRow(r, base.Row(r % shape.distinct));
+  }
+  return points;
+}
+
+TEST(KMeansDifferential, BitwiseEqualToScalarReference) {
+  // n covers one partial strip (1, 7), exactly one strip (8), one past it
+  // (9), many with a partial tail (257) and the serving catalog (5000); d
+  // covers one dim, odd dims, a k-panel boundary (300 > 256); clusters
+  // covers 1, a partial centre group (71 = 17 * 4 + 3), n and n + 3.
+  const std::vector<KMeansShape> shapes = {
+      {1, 1, 1, 0, 0},      {1, 3, 4, 0, 0},       {7, 3, 4, 0, 0},
+      {7, 33, 7, 0, 0},     {7, 1, 10, 0, 0},      {8, 32, 8, 0, 0},
+      {8, 300, 4, 0, 0},    {9, 33, 12, 0, 0},     {9, 300, 9, 0, 0},
+      {9, 3, 12, 0, 1},     {257, 32, 71, 0, 0},   {257, 300, 4, 0, 0},
+      {257, 33, 257, 0, 0}, {257, 1, 71, 0, 0},    {257, 3, 71, 0, 5},
+      {257, 33, 71, 100, 0}, {257, 300, 4, 9, 0},  {5000, 32, 71, 0, 0},
+      {5000, 3, 4, 1000, 0}, {5000, 32, 71, 0, 40}};
+  const std::size_t saved = core::NumThreads();
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    const KMeansShape& shape = shapes[s];
+    const Matrix points = ShapePoints(shape, 100 + s);
+    KMeansConfig config;
+    config.clusters = shape.clusters;
+    config.max_train_rows = shape.max_train_rows;
+    config.seed = 7 + s;
+    const KMeansResult reference = ReferenceKMeans(points, config);
+    for (std::size_t threads : {1u, 2u, 4u}) {
+      core::SetNumThreads(threads);
+      const KMeansResult fit = FitKMeans(points, config);
+      EXPECT_TRUE(BitwiseEqual(fit.centroids, reference.centroids))
+          << "centroids differ: n=" << shape.n << " d=" << shape.d
+          << " clusters=" << shape.clusters << " threads=" << threads;
+      EXPECT_EQ(fit.assignment, reference.assignment)
+          << "assignment differs: n=" << shape.n << " d=" << shape.d
+          << " clusters=" << shape.clusters << " threads=" << threads;
+    }
+  }
+  core::SetNumThreads(saved);
+}
+
+TEST(KMeansDifferential, PackedLabelsMatchNearestCentroid) {
+  // Equidistant centroids: every point sits at the same distance from
+  // centroids 1, 2 and 3 (+/- one unit vector, and the point itself offset
+  // along a third axis), so the label must be the smallest of the tied ids.
+  // Rows also carry non-finite values, which must label as NearestCentroid
+  // does (a NaN distance never wins; an inf one only ties).
+  const std::size_t n = 19;
+  const std::size_t d = 3;
+  Matrix points(n, d);
+  for (std::size_t r = 0; r < n; ++r) {
+    points(r, 0) = 0.0;
+    points(r, 1) = 0.0;
+    points(r, 2) = static_cast<double>(r % 4);
+  }
+  points(5, 1) = std::numeric_limits<double>::quiet_NaN();
+  points(11, 0) = std::numeric_limits<double>::infinity();
+  Matrix centroids(6, d);
+  for (std::size_t k = 0; k < d; ++k) centroids(0, k) = 9.0;  // far away
+  centroids(1, 0) = 1.0;
+  centroids(2, 0) = -1.0;
+  centroids(3, 1) = 1.0;
+  centroids(4, 1) = -1.0;
+  centroids(5, 2) = std::numeric_limits<double>::quiet_NaN();
+
+  linalg::PackedItemTable packed;
+  packed.Pack(points);
+  std::vector<std::uint32_t> labels(n, 99);
+  linalg::PackedNearestCentroids(packed, centroids, &labels);
+  for (std::size_t r = 0; r < n; ++r) {
+    EXPECT_EQ(labels[r], NearestCentroid(centroids, points, r)) << "row " << r;
+  }
+  EXPECT_EQ(labels[0], 1u);  // centroids 1..4 tie; the smallest id wins
+  EXPECT_EQ(labels[5], 0u);  // every distance NaN: centroid 0 stays
+
+  // Min-distance update: reset copies every distance (NaN included), an
+  // update lowers only on a strict <.
+  std::vector<double> min_dist(n, -1.0);
+  linalg::PackedMinSquaredDistances(packed, centroids.RowPtr(1),
+                                    /*reset=*/true, &min_dist);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double want = ScalarSquaredDistance(points, r, centroids, 1);
+    EXPECT_EQ(std::memcmp(&min_dist[r], &want, sizeof(double)), 0)
+        << "row " << r;
+  }
+  std::vector<double> expected = min_dist;
+  for (std::size_t c : {0u, 5u, 2u}) {
+    linalg::PackedMinSquaredDistances(packed, centroids.RowPtr(c),
+                                      /*reset=*/false, &min_dist);
+    for (std::size_t r = 0; r < n; ++r) {
+      const double dist = ScalarSquaredDistance(points, r, centroids, c);
+      if (dist < expected[r]) expected[r] = dist;
+    }
+    EXPECT_EQ(std::memcmp(min_dist.data(), expected.data(),
+                          n * sizeof(double)),
+              0)
+        << "after centre " << c;
+  }
+
+  // A strided row subset packs the listed rows in order.
+  const std::vector<std::size_t> rows = {0, 5, 11, 18};
+  packed.PackRows(points, rows);
+  std::vector<std::uint32_t> sub(rows.size(), 99);
+  linalg::PackedNearestCentroids(packed, centroids, &sub);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(sub[i], NearestCentroid(centroids, points, rows[i]));
+  }
+}
+
+// ---------------------------------------------------------------------------
 // IVF: monotone recall, exact parity, exclusions.
 // ---------------------------------------------------------------------------
 
@@ -247,6 +464,23 @@ TEST(IvfIndex, RecallMonotoneInNprobeAndExactAtFullProbe) {
     }
     // Exact parity: probing every cluster IS exact search, bitwise.
     const std::vector<ScoredItem> full = c.IvfTopK(qi, k, c.clusters, no_excl);
+    ASSERT_EQ(full.size(), exact.size());
+    for (std::size_t r = 0; r < full.size(); ++r) {
+      EXPECT_EQ(full[r].item, exact[r].item);
+      EXPECT_EQ(std::memcmp(&full[r].score, &exact[r].score, sizeof(double)),
+                0);
+    }
+  }
+}
+
+TEST(IvfIndex, ExactAtFullProbePastOneKPanel) {
+  // d = 300 crosses the distance kernel's k-panel; 257 items end on a
+  // partial strip.
+  const IvfCase c(257, 300, 6, 16);
+  const std::vector<std::size_t> no_excl;
+  for (std::size_t qi = 0; qi < c.queries.rows(); ++qi) {
+    const std::vector<ScoredItem> exact = c.ExactTopK(qi, 10, no_excl);
+    const std::vector<ScoredItem> full = c.IvfTopK(qi, 10, c.clusters, no_excl);
     ASSERT_EQ(full.size(), exact.size());
     for (std::size_t r = 0; r < full.size(); ++r) {
       EXPECT_EQ(full[r].item, exact[r].item);

@@ -14,7 +14,10 @@
 // arguments of core::ParallelFor and the Stream(Quant|Packed)MatMulTransB
 // family, and initializers of RowBlockHook / ScoreRowsFn / ScorePanelFn
 // callbacks — and flags Matrix / std::vector constructions inside them
-// (rule hot-alloc).
+// (rule hot-alloc). The packed distance kernels behind k-means run once per
+// Lloyd pass and once per k-means++ centre and take no lambda, so for them
+// the pass scans the body of their definition instead: a Matrix or
+// std::vector built there is per-call heap traffic on the index build.
 //
 // Declared reference paths (the materialized scoring fallback, tests) carry
 // a `whitenrec-analyze: allow(hot-alloc)` annotation stating why the
@@ -33,6 +36,14 @@ const std::set<std::string>& HotCallees() {
       "StreamMatMulTransBPanels", "StreamQuantMatMulTransB",
       "StreamQuantMatMulTransBTiles", "StreamPackedMatMulTransB"};
   return kCallees;
+}
+
+// Hot kernels without a lambda argument: the body of their definition is
+// the hot region.
+const std::set<std::string>& HotDefinitions() {
+  static const std::set<std::string> kDefinitions = {
+      "PackedNearestCentroids", "PackedMinSquaredDistances"};
+  return kDefinitions;
 }
 
 const std::set<std::string>& HotCallbackTypes() {
@@ -161,8 +172,24 @@ std::vector<Finding> CheckHotAlloc(const SourceTree& tree) {
     for (std::size_t i = 0; i < tokens.size(); ++i) {
       const Token& t = tokens[i];
       if (t.kind != TokKind::kIdent) continue;
-      if (HotCallees().count(t.text) && i + 1 < tokens.size() &&
+      if (HotDefinitions().count(t.text) && i + 1 < tokens.size() &&
           IsPunct(tokens[i + 1], "(")) {
+        // A definition (parameter list then body) is scanned whole, lambdas
+        // inside included, so skip past it rather than report twice. Calls
+        // and declarations have no body.
+        const std::size_t params_end = MatchForward(tokens, i + 1, "(", ")");
+        if (params_end + 1 >= tokens.size() ||
+            !IsPunct(tokens[params_end + 1], "{")) {
+          continue;
+        }
+        const std::size_t close =
+            MatchForward(tokens, params_end + 1, "{", "}");
+        if (close >= tokens.size()) continue;
+        ScanBody(file, tokens, params_end + 1, close, raw_lines,
+                 "the hot kernel " + t.text, &findings);
+        i = close;
+      } else if (HotCallees().count(t.text) && i + 1 < tokens.size() &&
+                 IsPunct(tokens[i + 1], "(")) {
         // Hot call: every lambda in its argument list is a hot region.
         const std::size_t call_end = MatchForward(tokens, i + 1, "(", ")");
         for (std::size_t j = i + 2; j < call_end; ++j) {
