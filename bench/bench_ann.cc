@@ -5,13 +5,14 @@
 // schema-checks the artifact on disk (retrieval::ValidateAnnBenchJson)
 // before exiting 0.
 //
-// Knobs: --threads/-t, WHITENREC_OUT_DIR, and
+// Knobs: --threads, WHITENREC_THREADS, WHITENREC_OUT_DIR, and
 //   WHITENREC_ANN_ITEMS    full catalog size      (default 1000000)
 //   WHITENREC_ANN_QUERIES  query batch size       (default 256)
 //   WHITENREC_ANN_DIM      whitened embedding dim (default 32)
 //   WHITENREC_ANN_TOPK     K                      (default 10)
 //   WHITENREC_IVF_CLUSTERS clusters for the FULL catalog; smaller sweep
 //                          entries scale it down (default 0 = ~sqrt(n))
+// nprobe is swept in code, not read from the environment.
 //
 // The catalog comes from data::GenerateItemFeatures (blocked, arena-backed,
 // bitwise independent of the block size) run through a ZCA whitening fit —
@@ -43,12 +44,6 @@ namespace whitenrec {
 namespace {
 
 using linalg::Matrix;
-
-std::size_t EnvSizeOr(const char* name, std::size_t fallback) {
-  const char* s = std::getenv(name);
-  return (s == nullptr || *s == '\0') ? fallback
-                                      : bench::ParseSizeOrDie(name, s);
-}
 
 double Seconds(std::chrono::steady_clock::time_point t0,
                std::chrono::steady_clock::time_point t1) {
@@ -93,11 +88,11 @@ double MeanCandidates(const retrieval::IvfIndex& index, const Matrix& queries,
 
 int Run(int argc, char** argv) {
   const std::size_t threads = bench::ApplyThreadsFlag(argc, argv);
-  const std::size_t full_items = EnvSizeOr("WHITENREC_ANN_ITEMS", 1000000);
-  const std::size_t num_queries = EnvSizeOr("WHITENREC_ANN_QUERIES", 256);
-  const std::size_t dim = EnvSizeOr("WHITENREC_ANN_DIM", 32);
-  const std::size_t top_k = EnvSizeOr("WHITENREC_ANN_TOPK", 10);
-  const std::size_t full_clusters = EnvSizeOr("WHITENREC_IVF_CLUSTERS", 0);
+  const std::size_t full_items = core::EnvSize("WHITENREC_ANN_ITEMS", 1000000);
+  const std::size_t num_queries = core::EnvSize("WHITENREC_ANN_QUERIES", 256);
+  const std::size_t dim = core::EnvSize("WHITENREC_ANN_DIM", 32);
+  const std::size_t top_k = core::EnvSize("WHITENREC_ANN_TOPK", 10);
+  const std::size_t full_clusters = core::EnvSize("WHITENREC_IVF_CLUSTERS", 0);
 
   std::printf("[ann] catalog=%zu queries=%zu dim=%zu k=%zu threads=%zu\n",
               full_items, num_queries, dim, top_k, threads);

@@ -1,12 +1,11 @@
 #ifndef WHITENREC_BENCH_BENCH_COMMON_H_
 #define WHITENREC_BENCH_BENCH_COMMON_H_
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "core/env.h"
 #include "core/parallel.h"
 #include "data/generator.h"
 #include "data/split.h"
@@ -22,62 +21,32 @@ namespace bench {
 // sweep:
 //   WHITENREC_SCALE   dataset scale multiplier (default 1.0)
 //   WHITENREC_EPOCHS  training epoch cap       (default 12)
-
-// Strict numeric parsing: a typo like WHITENREC_SCALE=0.5x or
-// `--threads eight` is a fatal configuration error, never a silent 0 (which
-// atoi/atof would produce, and which 0-means-hardware-concurrency would then
-// reinterpret).
-inline double ParseDoubleOrDie(const char* what, const char* s) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "bench: %s expects a number, got '%s'\n", what, s);
-    std::exit(EXIT_FAILURE);
-  }
-  return v;
-}
-
-inline std::size_t ParseSizeOrDie(const char* what, const char* s) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  // strtoull silently accepts a leading '-' by wrapping around; reject it.
-  const char* p = s;
-  while (*p == ' ' || *p == '\t') ++p;
-  if (end == s || *end != '\0' || errno == ERANGE || *p == '-') {
-    std::fprintf(stderr, "bench: %s expects a non-negative integer, got '%s'\n",
-                 what, s);
-    std::exit(EXIT_FAILURE);
-  }
-  return static_cast<std::size_t>(v);
-}
+// A set but malformed value exits naming the knob (core/env.h).
 
 inline double EnvScale() {
-  const char* s = std::getenv("WHITENREC_SCALE");
-  return s == nullptr ? 1.0 : ParseDoubleOrDie("WHITENREC_SCALE", s);
+  return core::EnvDouble("WHITENREC_SCALE", 1.0, 0.0, 1000.0);
 }
 
-inline std::size_t EnvEpochs() {
-  const char* s = std::getenv("WHITENREC_EPOCHS");
-  return s == nullptr ? 12 : ParseSizeOrDie("WHITENREC_EPOCHS", s);
-}
+inline std::size_t EnvEpochs() { return core::EnvSize("WHITENREC_EPOCHS", 12); }
 
-// Applies a `--threads N` / `--threads=N` command-line override of the
-// worker-thread count (otherwise WHITENREC_THREADS, otherwise 1) and returns
-// the resulting setting. 0 selects hardware concurrency.
+// Sets the worker-thread count from `--threads N` / `--threads=N`, else from
+// WHITENREC_THREADS, else hardware concurrency (which 0 also selects), and
+// returns the resulting setting.
 inline std::size_t ApplyThreadsFlag(int argc, char** argv) {
+  std::size_t threads = core::EnvSize("WHITENREC_THREADS", 0);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--threads=", 0) == 0) {
-      core::SetNumThreads(ParseSizeOrDie("--threads", arg.c_str() + 10));
-    } else if (arg == "--threads" && i + 1 < argc) {
-      core::SetNumThreads(ParseSizeOrDie("--threads", argv[i + 1]));
+      threads = core::OrExit("--threads", core::ParseSize(arg.substr(10)));
     } else if (arg == "--threads") {
-      std::fprintf(stderr, "bench: --threads requires a value\n");
-      std::exit(EXIT_FAILURE);
+      if (i + 1 == argc) {
+        core::ExitWithConfigError(
+            "--threads", Status::InvalidArgument("requires a value"));
+      }
+      threads = core::OrExit("--threads", core::ParseSize(argv[++i]));
     }
   }
+  core::SetNumThreads(threads);
   return core::NumThreads();
 }
 

@@ -9,7 +9,7 @@
 // enforces the acceptance floor: some cell must reach >= 4x memory
 // reduction at <= 1% NDCG@K loss.
 //
-// Knobs: --threads/-t, WHITENREC_OUT_DIR, and
+// Knobs: --threads, WHITENREC_THREADS, WHITENREC_OUT_DIR, and
 //   WHITENREC_COMPRESS_ITEMS   catalog size     (default 200000)
 //   WHITENREC_COMPRESS_QUERIES query batch size (default 256)
 //
@@ -42,12 +42,6 @@ namespace whitenrec {
 namespace {
 
 using linalg::Matrix;
-
-std::size_t EnvSizeOr(const char* name, std::size_t fallback) {
-  const char* s = std::getenv(name);
-  return (s == nullptr || *s == '\0') ? fallback
-                                      : bench::ParseSizeOrDie(name, s);
-}
 
 double Seconds(std::chrono::steady_clock::time_point t0,
                std::chrono::steady_clock::time_point t1) {
@@ -98,9 +92,10 @@ double MeanNdcg(const std::vector<std::vector<linalg::ScoredItem>>& lists,
 
 int Run(int argc, char** argv) {
   const std::size_t threads = bench::ApplyThreadsFlag(argc, argv);
-  const std::size_t num_items = EnvSizeOr("WHITENREC_COMPRESS_ITEMS", 200000);
+  const std::size_t num_items =
+      core::EnvSize("WHITENREC_COMPRESS_ITEMS", 200000);
   const std::size_t num_queries =
-      EnvSizeOr("WHITENREC_COMPRESS_QUERIES", 256);
+      core::EnvSize("WHITENREC_COMPRESS_QUERIES", 256);
   constexpr std::size_t kDim = 64;
   constexpr std::size_t kTopK = 10;
 

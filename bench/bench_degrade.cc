@@ -6,10 +6,10 @@
 // against the written artifact, including the availability floor at every
 // load point).
 //
-// Knobs: --threads/-t, WHITENREC_SCALE, WHITENREC_EPOCHS, WHITENREC_OUT_DIR,
-// WHITENREC_DEGRADE_REQUESTS (trace length, default 2048 * scale), and the
-// WHITENREC_CHAOS_{SEED,RATE} pair (default here: seed 42, rate 0.25 — the
-// acceptance operating point — unless the env sets them).
+// Knobs: --threads, WHITENREC_THREADS, WHITENREC_SCALE, WHITENREC_EPOCHS,
+// WHITENREC_OUT_DIR, WHITENREC_DEGRADE_REQUESTS (trace length, default
+// 2048 * scale), and the WHITENREC_CHAOS_{SEED,RATE} pair (default here:
+// seed 42, rate 0.25 — the acceptance operating point).
 
 #include <cstdio>
 #include <cstdlib>
@@ -40,19 +40,16 @@ int Run(int argc, char** argv) {
   rec->Fit(split, bench::DefaultTrainConfig());
   seqrec::SasRecModel* model = rec->model();
 
-  // The acceptance operating point is 25% chaos; an explicit env setting
-  // (already consumed by the injector at construction) wins.
-  if (std::getenv("WHITENREC_CHAOS_RATE") == nullptr) {
-    serve::ChaosInjector::Global().Configure(/*seed=*/42, /*rate=*/0.25);
-  }
+  // The acceptance operating point is seed 42 at 25% chaos; either knob
+  // overrides its half.
+  serve::ChaosInjector::Global().Configure(
+      core::EnvU64("WHITENREC_CHAOS_SEED", 42),
+      core::EnvDouble("WHITENREC_CHAOS_RATE", 0.25, 0.0, 1.0));
 
   serve::DegradeConfig config;
   config.traffic.num_sessions = data.dataset.sequences.size();
-  const char* requests_env = std::getenv("WHITENREC_DEGRADE_REQUESTS");
-  config.traffic.num_requests =
-      requests_env != nullptr
-          ? bench::ParseSizeOrDie("WHITENREC_DEGRADE_REQUESTS", requests_env)
-          : static_cast<std::size_t>(2048 * scale);
+  config.traffic.num_requests = core::EnvSize(
+      "WHITENREC_DEGRADE_REQUESTS", static_cast<std::size_t>(2048 * scale));
   config.traffic.mean_interarrival_ns = 100000;  // 10k rps offered at 1x
   config.traffic.deadline_ns = 20000000;         // 20 ms per request
   config.serve.max_batch = 64;

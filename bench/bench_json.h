@@ -15,14 +15,16 @@
 #include <utility>
 #include <vector>
 
+#include "core/env.h"
+
 namespace whitenrec {
 namespace bench {
 
 // Output directory for bench artifacts; created on first use.
 inline const std::string& OutDir() {
   static const std::string dir = [] {
-    const char* env = std::getenv("WHITENREC_OUT_DIR");
-    std::string d = (env != nullptr && env[0] != '\0') ? env : "out";
+    const char* env = core::EnvText("WHITENREC_OUT_DIR");
+    std::string d = env != nullptr ? env : "out";
     std::error_code ec;
     std::filesystem::create_directories(d, ec);
     if (ec) {

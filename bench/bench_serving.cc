@@ -4,8 +4,9 @@
 // refit path, and writes out/BENCH_serving.json (schema-checked against the
 // written artifact before exiting).
 //
-// Knobs: --threads/-t, WHITENREC_SCALE, WHITENREC_EPOCHS, WHITENREC_OUT_DIR,
-// and the WHITENREC_SERVE_* family (see README.md).
+// Knobs: --threads, WHITENREC_THREADS, WHITENREC_SCALE, WHITENREC_EPOCHS,
+// WHITENREC_OUT_DIR and WHITENREC_SERVE_REQUESTS (trace length, default
+// 4096 * scale). The service runs at ServeConfig::Defaults().
 
 #include <cstdio>
 #include <cstdlib>
@@ -38,7 +39,7 @@ int Run(int argc, char** argv) {
   // Exercise the online ingest path before the sweep: stream in a handful of
   // new items (perturbed copies of real embeddings) and force a refit so the
   // served catalog includes them.
-  serve::ServeConfig serve_config = serve::ServeConfig::FromEnv();
+  serve::ServeConfig serve_config = serve::ServeConfig::Defaults();
   serve::RecommendService ingest_service(model, serve_config);
   const std::size_t before_items = ingest_service.num_items();
   Status armed = ingest_service.EnableIngest(data.dataset.text_embeddings,
@@ -69,11 +70,8 @@ int Run(int argc, char** argv) {
   serve::HarnessConfig harness;
   harness.serve = serve_config;
   harness.traffic.num_sessions = data.dataset.sequences.size();
-  const char* requests_env = std::getenv("WHITENREC_SERVE_REQUESTS");
-  harness.traffic.num_requests =
-      requests_env != nullptr
-          ? bench::ParseSizeOrDie("WHITENREC_SERVE_REQUESTS", requests_env)
-          : static_cast<std::size_t>(4096 * scale);
+  harness.traffic.num_requests = core::EnvSize(
+      "WHITENREC_SERVE_REQUESTS", static_cast<std::size_t>(4096 * scale));
   harness.batch_windows_ns = {0, 100000, 1000000, 10000000};
   harness.thread_counts = {1, threads};
   if (threads == 1) harness.thread_counts = {1};

@@ -11,12 +11,13 @@
 //         unisrec_tid, vqrec, fdsa, gru4rec, bert4rec, fpmc, caser, grcn,
 //         bm3, whitenrec, whitenrec+.
 
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <vector>
 
+#include "core/env.h"
 #include "core/parallel.h"
 #include "data/generator.h"
 #include "data/io.h"
@@ -59,18 +60,26 @@ std::string Get(const std::map<std::string, std::string>& args,
   return it == args.end() ? fallback : it->second;
 }
 
-// Seeds are uint64; atoll would silently wrap a negative or malformed value
-// into a huge seed, making "reproduce with the seed from the logs"
-// impossible. Reject anything that is not a plain non-negative integer.
-std::uint64_t ParseSeed(const std::string& s) {
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || v < 0) {
-    std::fprintf(stderr, "invalid --seed '%s': need a non-negative integer\n",
-                 s.c_str());
-    std::exit(2);
-  }
-  return static_cast<std::uint64_t>(v);
+// Strict flag parsing (core/env.h): a malformed value exits naming the flag
+// instead of silently becoming 0 or a wrapped integer.
+template <typename T>
+T Flag(const std::map<std::string, std::string>& args, const std::string& key,
+       const std::string& fallback,
+       Result<T> (*parse)(const std::string&)) {
+  return core::OrExit(("--" + key).c_str(), parse(Get(args, key, fallback)));
+}
+
+double DoubleFlag(const std::map<std::string, std::string>& args,
+                  const std::string& key, const std::string& fallback) {
+  return core::OrExit(("--" + key).c_str(),
+                      core::ParseDouble(Get(args, key, fallback), 0.0, 1000.0));
+}
+
+std::size_t ChoiceFlag(const std::map<std::string, std::string>& args,
+                       const std::string& key,
+                       const std::vector<std::string>& choices) {
+  return core::OrExit(("--" + key).c_str(),
+                      core::ParseChoice(Get(args, key, choices[0]), choices));
 }
 
 void PrintEval(const char* split_name, const seqrec::EvalResult& r) {
@@ -99,8 +108,7 @@ int main(int argc, char** argv) {
   // Worker threads for the parallel kernels; 0 = hardware concurrency.
   // Results are bitwise identical at any setting (see DESIGN.md).
   if (args.count("threads")) {
-    core::SetNumThreads(
-        static_cast<std::size_t>(std::atoi(Get(args, "threads", "1").c_str())));
+    core::SetNumThreads(Flag(args, "threads", "1", core::ParseSize));
   }
   std::printf("worker threads: %zu\n", core::NumThreads());
 
@@ -116,13 +124,14 @@ int main(int argc, char** argv) {
     }
     dataset = std::move(loaded).ValueOrDie();
   } else {
-    const std::string name = Get(args, "dataset", "arts");
-    const double scale = std::atof(Get(args, "scale", "1.0").c_str());
+    const std::size_t name =
+        ChoiceFlag(args, "dataset", {"arts", "toys", "tools", "food"});
+    const double scale = DoubleFlag(args, "scale", "1.0");
     data::DatasetProfile profile =
-        name == "toys"    ? data::ToysProfile(scale)
-        : name == "tools" ? data::ToolsProfile(scale)
-        : name == "food"  ? data::FoodProfile(scale)
-                          : data::ArtsProfile(scale);
+        name == 1   ? data::ToysProfile(scale)
+        : name == 2 ? data::ToolsProfile(scale)
+        : name == 3 ? data::FoodProfile(scale)
+                    : data::ArtsProfile(scale);
     dataset = data::GenerateDataset(profile).dataset;
   }
   const data::DatasetStats stats = data::ComputeStats(dataset);
@@ -144,7 +153,7 @@ int main(int argc, char** argv) {
   // --- Split -------------------------------------------------------------
   data::Split split;
   if (args.count("cold")) {
-    linalg::Rng rng(ParseSeed(Get(args, "seed", "9")));
+    linalg::Rng rng(Flag(args, "seed", "9", core::ParseU64));
     split = data::ColdStartSplit(dataset, 0.15, &rng).split;
     std::printf("cold-start split: %zu cold test instances\n",
                 split.test.size());
@@ -154,31 +163,28 @@ int main(int argc, char** argv) {
 
   // --- Model -------------------------------------------------------------
   seqrec::SasRecConfig mc;
-  mc.hidden_dim =
-      static_cast<std::size_t>(std::atoi(Get(args, "hidden", "32").c_str()));
-  mc.seed = ParseSeed(Get(args, "seed", "42"));
+  mc.hidden_dim = Flag(args, "hidden", "32", core::ParseSize);
+  mc.seed = Flag(args, "seed", "42", core::ParseU64);
   seqrec::TrainConfig tc;
-  tc.epochs =
-      static_cast<std::size_t>(std::atoi(Get(args, "epochs", "12").c_str()));
-  tc.learning_rate = std::atof(Get(args, "lr", "1e-3").c_str());
+  tc.epochs = Flag(args, "epochs", "12", core::ParseSize);
+  tc.learning_rate = DoubleFlag(args, "lr", "1e-3");
   tc.verbose = args.count("verbose") > 0;
   // Crash-safe checkpoint/resume (DESIGN.md §8): full-state generations in
   // --checkpoint-dir; --resume continues from the newest loadable one.
   tc.checkpoint_dir = Get(args, "checkpoint-dir", "");
   if (args.count("checkpoint-every")) {
-    tc.checkpoint_every = static_cast<std::size_t>(
-        std::atoi(Get(args, "checkpoint-every", "1").c_str()));
+    tc.checkpoint_every = Flag(args, "checkpoint-every", "1", core::ParseSize);
   }
   tc.resume = args.count("resume") > 0;
 
   WhitenRecConfig wc;
-  wc.relaxed_groups =
-      static_cast<std::size_t>(std::atoi(Get(args, "groups", "4").c_str()));
-  const std::string wname = Get(args, "whitening", "zca");
-  wc.whitening = wname == "pca"  ? WhiteningKind::kPca
-                 : wname == "cd" ? WhiteningKind::kCholesky
-                 : wname == "bn" ? WhiteningKind::kBatchNorm
-                                 : WhiteningKind::kZca;
+  wc.relaxed_groups = Flag(args, "groups", "4", core::ParseSize);
+  const std::size_t wname =
+      ChoiceFlag(args, "whitening", {"zca", "pca", "cd", "bn"});
+  wc.whitening = wname == 1   ? WhiteningKind::kPca
+                 : wname == 2 ? WhiteningKind::kCholesky
+                 : wname == 3 ? WhiteningKind::kBatchNorm
+                              : WhiteningKind::kZca;
 
   const std::string model_name = Get(args, "model", "whitenrec+");
   std::unique_ptr<seqrec::Recommender> rec;

@@ -8,8 +8,8 @@
 //                            quantize the whitened table and report the
 //                            packed footprint and roundtrip error
 //
-// Both flags are strictly parsed: a malformed value aborts with a message
-// instead of silently doing something else.
+// Both flags are strictly parsed (core/env.h): a malformed value exits with
+// a message naming the flag instead of silently doing something else.
 
 #include <cmath>
 #include <cstdio>
@@ -18,6 +18,7 @@
 
 #include "whitening/flow_whitening.h"
 #include "whitening/whitening.h"
+#include "core/env.h"
 #include "data/generator.h"
 #include "linalg/eigen.h"
 #include "linalg/quant.h"
@@ -45,23 +46,6 @@ void Report(const char* name, const whitenrec::linalg::Matrix& z) {
   std::exit(2);
 }
 
-std::size_t ParseWhitenK(const char* value) {
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || value[0] == '-') {
-    UsageError("--whiten-k: expected a non-negative integer");
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
-whitenrec::linalg::ItemQuantKind ParseItemQuant(const char* value) {
-  using whitenrec::linalg::ItemQuantKind;
-  if (std::strcmp(value, "fp32") == 0) return ItemQuantKind::kFp32;
-  if (std::strcmp(value, "int8") == 0) return ItemQuantKind::kInt8;
-  if (std::strcmp(value, "bf16") == 0) return ItemQuantKind::kBf16;
-  UsageError("--item-quant: expected fp32, int8 or bf16");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,10 +57,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--whiten-k") == 0) {
       if (i + 1 >= argc) UsageError("--whiten-k: missing value");
-      whiten_k = ParseWhitenK(argv[++i]);
+      whiten_k = core::OrExit("--whiten-k", core::ParseSize(argv[++i]));
     } else if (std::strcmp(argv[i], "--item-quant") == 0) {
       if (i + 1 >= argc) UsageError("--item-quant: missing value");
-      quant_kind = ParseItemQuant(argv[++i]);
+      quant_kind = core::OrExit("--item-quant",
+                                linalg::ParseItemQuantKind(argv[++i]));
       quant_requested = true;
     } else {
       UsageError("unknown flag");

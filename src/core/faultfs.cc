@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -84,49 +85,18 @@ void FsyncParentDir(const std::string& path) {
 
 }  // namespace
 
-FaultInjector::FaultInjector() { ConfigureFromEnv(); }
-
 FaultInjector& FaultInjector::Global() {
   static FaultInjector* injector = new FaultInjector();
   return *injector;
 }
 
 void FaultInjector::Configure(std::uint64_t seed, double rate) {
+  WR_CHECK_MSG(std::isfinite(rate), "fault rate must be finite");
   std::lock_guard<std::mutex> lock(mu_);
   seed_ = seed;
   rate_ = rate < 0.0 ? 0.0 : (rate > 1.0 ? 1.0 : rate);
   state_ = seed;
   stats_ = FaultStats{};
-}
-
-void FaultInjector::ConfigureFromEnv() {
-  std::uint64_t seed = 1;
-  double rate = 0.0;
-  if (const char* s = std::getenv("WHITENREC_FAULT_SEED")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0') {
-      std::fprintf(stderr,
-                   "invalid WHITENREC_FAULT_SEED value '%s' (expected an "
-                   "unsigned integer)\n",
-                   s);
-      std::abort();
-    }
-    seed = static_cast<std::uint64_t>(v);
-  }
-  if (const char* s = std::getenv("WHITENREC_FAULT_RATE")) {
-    char* end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0') {
-      std::fprintf(stderr,
-                   "invalid WHITENREC_FAULT_RATE value '%s' (expected a "
-                   "real number in [0, 1])\n",
-                   s);
-      std::abort();
-    }
-    rate = v;
-  }
-  Configure(seed, rate);
 }
 
 double FaultInjector::rate() const {

@@ -19,12 +19,11 @@ namespace core {
 // property instead of an aspiration: the injector simulates the failure
 // modes a real machine exhibits around a kill -9 or a flaky disk — short
 // writes, torn renames, EIO, and silent bit-flips — from a seeded PRNG, so
-// a failing fault schedule is reproducible from WHITENREC_FAULT_SEED alone.
+// a failing fault schedule is reproducible from its seed alone.
 //
-// Knobs (read once, lazily):
-//   WHITENREC_FAULT_RATE  probability in [0, 1] that any single I/O
-//                         operation faults (default 0 = disabled)
-//   WHITENREC_FAULT_SEED  seed for the fault schedule (default 1)
+// The injector starts disabled (seed 1, rate 0). Configure sets the
+// probability in [0, 1] that any single I/O operation faults; test mains
+// take it from WHITENREC_FAULT_SEED / WHITENREC_FAULT_RATE.
 //
 // Transient faults (EIO, short write, torn rename) are retried internally
 // with a bounded, deterministic backoff schedule; bit-flips complete
@@ -58,11 +57,9 @@ class FaultInjector {
  public:
   static FaultInjector& Global();
 
-  // Programmatic configuration (tests). rate is clamped to [0, 1];
+  // Sets the schedule: rate must be finite and is clamped to [0, 1];
   // rate <= 0 disables injection. Resets the schedule and the counters.
   void Configure(std::uint64_t seed, double rate);
-  // Re-reads WHITENREC_FAULT_SEED / WHITENREC_FAULT_RATE.
-  void ConfigureFromEnv();
 
   double rate() const;
   std::uint64_t seed() const;
@@ -77,7 +74,7 @@ class FaultInjector {
   std::uint64_t NextBelow(std::uint64_t n);
 
  private:
-  FaultInjector();
+  FaultInjector() = default;
 
   mutable std::mutex mu_;
   std::uint64_t seed_ = 1;

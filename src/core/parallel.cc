@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/check.h"
@@ -91,23 +89,6 @@ std::size_t HardwareThreads() {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-std::size_t InitialThreadCount() {
-  const char* env = std::getenv("WHITENREC_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || v == 0) {
-      std::fprintf(stderr,
-                   "invalid WHITENREC_THREADS value '%s' (expected a "
-                   "positive integer)\n",
-                   env);
-      std::abort();
-    }
-    return static_cast<std::size_t>(v);
-  }
-  return HardwareThreads();
-}
-
 struct GlobalPool {
   std::mutex mu;
   std::size_t num_threads = 0;            // 0 = not yet initialized
@@ -117,7 +98,7 @@ struct GlobalPool {
   // nullptr when running serially).
   ThreadPool* Ensure() {
     std::lock_guard<std::mutex> lock(mu);
-    if (num_threads == 0) num_threads = InitialThreadCount();
+    if (num_threads == 0) num_threads = HardwareThreads();
     const std::size_t want = num_threads - 1;
     if (pool == nullptr ? want > 0 : pool->num_workers() != want) {
       pool.reset();
@@ -186,7 +167,7 @@ struct ForLaunch {
 std::size_t NumThreads() {
   GlobalPool& g = Global();
   std::lock_guard<std::mutex> lock(g.mu);
-  if (g.num_threads == 0) g.num_threads = InitialThreadCount();
+  if (g.num_threads == 0) g.num_threads = HardwareThreads();
   return g.num_threads;
 }
 

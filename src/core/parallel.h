@@ -70,9 +70,8 @@ class ThreadPool {
 
 // --- Global thread configuration -------------------------------------------
 
-// Number of threads parallel kernels use (>= 1; 1 means serial). Initialized
-// on first use from the WHITENREC_THREADS environment variable, falling back
-// to std::thread::hardware_concurrency().
+// Number of threads parallel kernels use (>= 1; 1 means serial). Starts at
+// std::thread::hardware_concurrency() until SetNumThreads overrides it.
 std::size_t NumThreads();
 
 // Overrides the global thread count at runtime (rebuilds the shared pool).

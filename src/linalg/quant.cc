@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -22,22 +20,8 @@ namespace linalg {
 
 namespace {
 
-ItemQuantKind QuantKindFromEnv() {
-  const char* s = std::getenv("WHITENREC_ITEM_QUANT");
-  if (s == nullptr || *s == '\0') return ItemQuantKind::kFp32;
-  const std::string v(s);
-  if (v == "fp32") return ItemQuantKind::kFp32;
-  if (v == "int8") return ItemQuantKind::kInt8;
-  if (v == "bf16") return ItemQuantKind::kBf16;
-  std::fprintf(
-      stderr,
-      "invalid WHITENREC_ITEM_QUANT value '%s' (expected fp32|int8|bf16)\n",
-      s);
-  std::abort();
-}
-
 ItemQuantKind& ActiveQuantKind() {
-  static ItemQuantKind kind = QuantKindFromEnv();
+  static ItemQuantKind kind = ItemQuantKind::kFp32;
   return kind;
 }
 
@@ -75,6 +59,15 @@ const char* ItemQuantKindName(ItemQuantKind kind) {
       return "bf16";
   }
   return "unknown";
+}
+
+Result<ItemQuantKind> ParseItemQuantKind(const std::string& text) {
+  for (ItemQuantKind kind :
+       {ItemQuantKind::kFp32, ItemQuantKind::kInt8, ItemQuantKind::kBf16}) {
+    if (text == ItemQuantKindName(kind)) return kind;
+  }
+  return Status::InvalidArgument("expected fp32|int8|bf16, got \"" + text +
+                                 "\"");
 }
 
 double RoundHalfToEven(double x) {

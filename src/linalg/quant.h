@@ -3,8 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "core/status.h"
 #include "linalg/gemm.h"
 #include "linalg/matrix.h"
 
@@ -38,12 +40,12 @@ namespace linalg {
 // native table is the full-precision baseline.)
 enum class ItemQuantKind { kFp32, kInt8, kBf16 };
 
-// Active representation. Initialized on first use from WHITENREC_ITEM_QUANT
-// ("fp32", "int8" or "bf16"; default "fp32"; anything else is a fatal
-// configuration error). Settable for tests and sweeps.
+// Active representation, process-wide; kFp32 until SetItemQuantKind.
 ItemQuantKind CurrentItemQuantKind();
 void SetItemQuantKind(ItemQuantKind kind);
 const char* ItemQuantKindName(ItemQuantKind kind);
+// Inverse of ItemQuantKindName: "fp32" | "int8" | "bf16".
+Result<ItemQuantKind> ParseItemQuantKind(const std::string& text);
 
 // Round half to even, implemented with explicit arithmetic so the result
 // does not depend on the floating-point environment's rounding mode.

@@ -12,7 +12,7 @@ namespace {
 
 // Exact fused scoring: the streamed GEMM + per-row bounded selector pass.
 // Rebuild packs the table once — into the blocked kernel's strips for fp32,
-// or into the WHITENREC_ITEM_QUANT representation — and TopKBatch streams
+// or into the CurrentItemQuantKind() representation — and TopKBatch streams
 // over that pack: StreamPackedMatMulTransB or the dequantize-in-tile stream.
 // Either producer feeds the same epilogue, so compression is invisible to
 // every Scorer consumer, and the fp32 scores are bitwise those of

@@ -18,7 +18,7 @@ namespace linalg {
 // so seqrec eval can accept any backend by pointer without depending on the
 // module that implements it: the exact backend (MakeExactScorer, this file)
 // is the fused streaming GEMM, and retrieval/scorer.h layers the sublinear
-// IVF backend plus the WHITENREC_SCORER env selection on top.
+// IVF backend plus the ScorerConfig selection on top.
 //
 // Lifecycle: Rebuild(items) installs (and for indexed backends, indexes) the
 // table; TopKBatch scores against the installed table. `items` is borrowed —

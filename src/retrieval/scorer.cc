@@ -1,9 +1,6 @@
 #include "retrieval/scorer.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -18,20 +15,6 @@ namespace retrieval {
 namespace {
 
 using linalg::Matrix;
-
-// Strict env parsing: a set but malformed value aborts loudly.
-std::size_t EnvSize(const char* name, std::size_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
-    std::fprintf(stderr, "%s: expected a non-negative integer, got \"%s\"\n",
-                 name, s);
-    std::abort();
-  }
-  return static_cast<std::size_t>(v);
-}
 
 // Shared probe + rerank pass over a built family index. Rows are independent
 // pure functions of the installed index, so the per-row ParallelFor cannot
@@ -205,33 +188,9 @@ const char* ScorerKindName(ScorerKind kind) {
   return kind == ScorerKind::kExact ? "exact" : "ivf";
 }
 
-ScorerConfig ScorerConfig::FromEnv() {
-  ScorerConfig config;
-  const char* kind = std::getenv("WHITENREC_SCORER");
-  if (kind != nullptr && *kind != '\0') {
-    if (std::strcmp(kind, "exact") == 0) {
-      config.kind = ScorerKind::kExact;
-    } else if (std::strcmp(kind, "ivf") == 0) {
-      config.kind = ScorerKind::kIvf;
-    } else {
-      std::fprintf(stderr,
-                   "WHITENREC_SCORER: expected \"exact\" or \"ivf\", got "
-                   "\"%s\"\n",
-                   kind);
-      std::abort();
-    }
-  }
-  config.clusters = EnvSize("WHITENREC_IVF_CLUSTERS", config.clusters);
-  config.nprobe = EnvSize("WHITENREC_IVF_NPROBE", config.nprobe);
-  if (config.kind == ScorerKind::kIvf && config.nprobe == 0) {
-    std::fprintf(stderr, "WHITENREC_IVF_NPROBE: must be >= 1\n");
-    std::abort();
-  }
-  return config;
-}
-
 std::unique_ptr<Scorer> MakeScorer(const ScorerConfig& config) {
   if (config.kind == ScorerKind::kIvf) {
+    WR_CHECK_MSG(config.nprobe >= 1, "IVF scorer needs nprobe >= 1");
     return std::make_unique<IvfScorer>(config);
   }
   return linalg::MakeExactScorer();

@@ -17,7 +17,7 @@ namespace retrieval {
 // the sublinear IVF index (ivf_index.h). The abstract interface lives in
 // linalg so lower layers (seqrec eval) can consume an injected backend
 // without including this module; this header owns the concrete backends and
-// the env-driven choice between them.
+// the config-driven choice between them.
 enum class ScorerKind { kExact, kIvf };
 
 const char* ScorerKindName(ScorerKind kind);
@@ -26,23 +26,21 @@ const char* ScorerKindName(ScorerKind kind);
 // (serving, benches) readable at this layer.
 using Scorer = linalg::Scorer;
 
-// Knobs. Defaults() gives the compiled-in values; FromEnv() overlays
-//   WHITENREC_SCORER        "exact" | "ivf"
-//   WHITENREC_IVF_CLUSTERS  k-means clusters (0 = auto ~sqrt(num_items))
-//   WHITENREC_IVF_NPROBE    probed clusters per query
-// A set-but-malformed value aborts loudly, naming the variable.
+// Backend choice and IVF index sizing; Defaults() gives the compiled-in
+// values.
 struct ScorerConfig {
   ScorerKind kind = ScorerKind::kExact;
-  std::size_t clusters = 0;  // 0 = auto
-  std::size_t nprobe = 8;
+  std::size_t clusters = 0;  // k-means clusters; 0 = auto ~sqrt(num_items)
+  std::size_t nprobe = 8;    // probed clusters per query; >= 1 for kIvf
   std::size_t iterations = 8;
   std::size_t max_train_rows = 65536;
   std::uint64_t seed = 0x5eedc1u;
 
   static ScorerConfig Defaults() { return ScorerConfig(); }
-  static ScorerConfig FromEnv();
 };
 
+// The backend `config` selects. A kIvf config with nprobe == 0 is a
+// programming error (WR_CHECK).
 std::unique_ptr<Scorer> MakeScorer(const ScorerConfig& config);
 
 // One IVF index shared by several Scorer views at different nprobe values —

@@ -1,7 +1,8 @@
 #include "serve/chaos.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <cmath>
+
+#include "core/check.h"
 
 namespace whitenrec {
 namespace serve {
@@ -20,49 +21,18 @@ std::uint64_t SplitMix64(std::uint64_t* state) {
 
 }  // namespace
 
-ChaosInjector::ChaosInjector() { ConfigureFromEnv(); }
-
 ChaosInjector& ChaosInjector::Global() {
   static ChaosInjector* injector = new ChaosInjector();
   return *injector;
 }
 
 void ChaosInjector::Configure(std::uint64_t seed, double rate) {
+  WR_CHECK_MSG(std::isfinite(rate), "chaos rate must be finite");
   std::lock_guard<std::mutex> lock(mu_);
   seed_ = seed;
   rate_ = rate < 0.0 ? 0.0 : (rate > 1.0 ? 1.0 : rate);
   state_ = seed;
   stats_ = ChaosStats{};
-}
-
-void ChaosInjector::ConfigureFromEnv() {
-  std::uint64_t seed = 1;
-  double rate = 0.0;
-  if (const char* s = std::getenv("WHITENREC_CHAOS_SEED")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0') {
-      std::fprintf(stderr,
-                   "invalid WHITENREC_CHAOS_SEED value '%s' (expected an "
-                   "unsigned integer)\n",
-                   s);
-      std::abort();
-    }
-    seed = static_cast<std::uint64_t>(v);
-  }
-  if (const char* s = std::getenv("WHITENREC_CHAOS_RATE")) {
-    char* end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0') {
-      std::fprintf(stderr,
-                   "invalid WHITENREC_CHAOS_RATE value '%s' (expected a "
-                   "real number in [0, 1])\n",
-                   s);
-      std::abort();
-    }
-    rate = v;
-  }
-  Configure(seed, rate);
 }
 
 double ChaosInjector::rate() const {

@@ -14,10 +14,10 @@ namespace serve {
 // corrupted ingest feature rows, and refit failures injected between the
 // feature swap and the index rebuild (the widest window for a torn update).
 //
-// Knobs (read once at construction, strict parse-or-abort):
-//   WHITENREC_CHAOS_RATE  probability in [0, 1] that any single decision
-//                         point faults (default 0 = disabled)
-//   WHITENREC_CHAOS_SEED  seed for the chaos schedule (default 1)
+// The injector starts disabled (seed 1, rate 0). Configure sets the
+// probability in [0, 1] that any single decision point faults; test mains
+// take it from WHITENREC_CHAOS_SEED / WHITENREC_CHAOS_RATE and bench_degrade
+// from the same knobs with its own defaults.
 //
 // Determinism: the decision sequence is a pure function of
 // (seed, rate, decision order). Every consultation site sits on the serial
@@ -49,11 +49,9 @@ class ChaosInjector {
  public:
   static ChaosInjector& Global();
 
-  // Programmatic configuration (tests / harness). rate is clamped to [0, 1];
+  // Sets the schedule: rate must be finite and is clamped to [0, 1];
   // rate <= 0 disables injection. Resets the schedule and the counters.
   void Configure(std::uint64_t seed, double rate);
-  // Re-reads WHITENREC_CHAOS_SEED / WHITENREC_CHAOS_RATE.
-  void ConfigureFromEnv();
 
   double rate() const;
   std::uint64_t seed() const;
@@ -68,7 +66,7 @@ class ChaosInjector {
   std::uint64_t NextBelow(std::uint64_t n);
 
  private:
-  ChaosInjector();
+  ChaosInjector() = default;
 
   mutable std::mutex mu_;
   std::uint64_t seed_ = 1;

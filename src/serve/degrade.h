@@ -28,7 +28,7 @@ struct LadderRung {
 
 // Parses a ladder spec — comma-separated rungs, each one of
 //   exact | ivf:<nprobe> | popularity
-// e.g. "exact,ivf:8,ivf:2,popularity" (the WHITENREC_DEGRADE_LADDER format).
+// e.g. "exact,ivf:8,ivf:2,popularity".
 // Rejects empty specs, unknown rung names, and ivf without a positive
 // nprobe. Cost factors are assigned per kind (exact 1.0; ivf shrinking with
 // nprobe; popularity 0.02).

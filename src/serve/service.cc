@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -20,26 +18,6 @@ namespace serve {
 namespace {
 
 using linalg::Matrix;
-
-// Strict env parsing: a set but malformed value aborts loudly rather than
-// silently serving with defaults.
-std::size_t EnvSize(const char* name, std::size_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
-    std::fprintf(stderr, "%s: expected a non-negative integer, got \"%s\"\n",
-                 name, s);
-    std::abort();
-  }
-  return static_cast<std::size_t>(v);
-}
-
-std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
-  return static_cast<std::uint64_t>(
-      EnvSize(name, static_cast<std::size_t>(fallback)));
-}
 
 // Quarantined feature rows kept for inspection; the ServeStats counter keeps
 // counting past the cap so a poisoning flood is still visible in full.
@@ -73,33 +51,6 @@ class SharedExactView final : public retrieval::Scorer {
 };
 
 }  // namespace
-
-ServeConfig ServeConfig::FromEnv() {
-  ServeConfig config;
-  config.top_k = EnvSize("WHITENREC_SERVE_TOPK", config.top_k);
-  config.max_cached_sessions =
-      EnvSize("WHITENREC_SERVE_CACHE_SESSIONS", config.max_cached_sessions);
-  config.max_batch = EnvSize("WHITENREC_SERVE_MAX_BATCH", config.max_batch);
-  config.batch_window_ns =
-      EnvU64("WHITENREC_SERVE_WINDOW_NS", config.batch_window_ns);
-  config.refit_every = EnvSize("WHITENREC_SERVE_REFIT_EVERY",
-                               config.refit_every);
-  config.deadline_ns =
-      EnvU64("WHITENREC_SERVE_DEADLINE_NS", config.deadline_ns);
-  config.queue_max = EnvSize("WHITENREC_SERVE_QUEUE_MAX", config.queue_max);
-  const char* ladder = std::getenv("WHITENREC_DEGRADE_LADDER");
-  if (ladder != nullptr && *ladder != '\0') {
-    Result<std::vector<LadderRung>> rungs = ParseLadderSpec(ladder);
-    if (!rungs.ok()) {
-      std::fprintf(stderr, "WHITENREC_DEGRADE_LADDER: %s\n",
-                   rungs.status().message().c_str());
-      std::abort();
-    }
-    config.ladder.rungs = std::move(rungs).ValueOrDie();
-  }
-  config.scorer = retrieval::ScorerConfig::FromEnv();
-  return config;
-}
 
 RecommendService::RecommendService(seqrec::SasRecModel* model,
                                    const ServeConfig& config)

@@ -21,21 +21,7 @@
 namespace whitenrec {
 namespace serve {
 
-// Serving knobs. Defaults() gives the compiled-in values; FromEnv() overlays
-// WHITENREC_SERVE_* environment variables (see README.md / DESIGN.md Sec. 9):
-//   WHITENREC_SERVE_TOPK            top_k
-//   WHITENREC_SERVE_WINDOW_NS       batch_window_ns (micro-batching window)
-//   WHITENREC_SERVE_MAX_BATCH       max_batch
-//   WHITENREC_SERVE_CACHE_SESSIONS  max_cached_sessions
-//   WHITENREC_SERVE_REFIT_EVERY     refit_every
-//   WHITENREC_SERVE_DEADLINE_NS     deadline_ns (default request deadline)
-//   WHITENREC_SERVE_QUEUE_MAX       queue_max (admission queue bound)
-//   WHITENREC_DEGRADE_LADDER        ladder.rungs spec, e.g.
-//                                   "exact,ivf:8,ivf:2,popularity"
-// plus the retrieval knobs (retrieval/scorer.h): WHITENREC_SCORER selects
-// exact fused scoring or the sublinear IVF index, WHITENREC_IVF_CLUSTERS /
-// WHITENREC_IVF_NPROBE size it.
-// Malformed values abort with a message naming the variable.
+// Serving configuration; Defaults() gives the compiled-in values.
 struct ServeConfig {
   // Recommendations returned per request.
   std::size_t top_k = 10;
@@ -83,7 +69,6 @@ struct ServeConfig {
   double refit_eigen_floor = 0.0;
 
   static ServeConfig Defaults() { return ServeConfig(); }
-  static ServeConfig FromEnv();
 };
 
 struct ServeResponse {

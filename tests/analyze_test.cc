@@ -235,13 +235,13 @@ TEST(KnobsTest, UnregisteredKnobReadFires) {
   inputs.knobs_def = "# empty registry\n";
   inputs.readme = "";
   const SourceTree tree = TreeOf(
-      {{"src/core/a.cc",
-        "int f() {\n  auto* v = std::getenv(\"WHITENREC_FIXTURE_GHOST\");\n"
+      {{"bench/b.cc",
+        "int f() {\n  auto* v = core::EnvText(\"WHITENREC_FIXTURE_GHOST\");\n"
         "  return v != nullptr;\n}\n"}});
   const std::vector<Finding> f = CheckKnobs(tree, inputs);
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].rule, "unregistered-knob");
-  EXPECT_EQ(f[0].file, "src/core/a.cc");
+  EXPECT_EQ(f[0].file, "bench/b.cc");
   EXPECT_EQ(f[0].line, 2u);
 }
 
@@ -284,8 +284,8 @@ TEST(KnobsTest, UndocumentedKnobFires) {
   inputs.knobs_def = "knob WHITENREC_FIXTURE_HIDDEN type=string\n";
   inputs.readme = "no mention of the knob here\n";
   const SourceTree tree = TreeOf(
-      {{"src/core/a.cc",
-        "auto* v = std::getenv(\"WHITENREC_FIXTURE_HIDDEN\");\n"}});
+      {{"bench/b.cc",
+        "auto* v = core::EnvText(\"WHITENREC_FIXTURE_HIDDEN\");\n"}});
   const std::vector<Finding> f = CheckKnobs(tree, inputs);
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].rule, "undocumented-knob");
@@ -315,69 +315,88 @@ TEST(KnobsTest, ReadmeDocumentingUnknownKnobFires) {
   EXPECT_EQ(f[0].line, 2u);
 }
 
-TEST(KnobsTest, LaxNumericParseFires) {
+// Knobs-pass findings over one file, with the size knob WHITENREC_FIXTURE_N
+// registered and documented.
+std::vector<Finding> KnobsOver(const std::string& path,
+                               const std::string& body) {
   TreeInputs inputs;
   inputs.knobs_def = "knob WHITENREC_FIXTURE_N type=size\n";
   inputs.readme = "docs for WHITENREC_FIXTURE_N\n";
-  const SourceTree tree = TreeOf(
-      {{"src/core/a.cc",
-        "std::size_t F() {\n"
-        "  const char* e = std::getenv(\"WHITENREC_FIXTURE_N\");\n"
-        "  if (e != nullptr) {\n"
-        "    const long v = std::atol(e);\n"
-        "    if (v >= 1) return static_cast<std::size_t>(v);\n"
-        "  }\n"
-        "  return 1;\n"
-        "}\n"}});
-  const std::vector<Finding> f = CheckKnobs(tree, inputs);
+  return CheckKnobs(TreeOf({{path, body}}), inputs);
+}
+
+// Asserts exactly one finding, a bare-getenv at `line`.
+void ExpectBareGetenv(const std::vector<Finding>& f, std::size_t line) {
   ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "lax-knob-parse");
-  EXPECT_EQ(f[0].line, 2u);
+  EXPECT_EQ(f[0].rule, "bare-getenv");
+  EXPECT_EQ(f[0].line, line);
+}
+
+// A getenv of a knob outside src/core/env.cc is a bare-getenv violation
+// however strictly the code around it parses; reads through the core/env
+// readers are clean.
+TEST(KnobsTest, LaxNumericParseFires) {
+  ExpectBareGetenv(
+      KnobsOver("src/core/a.cc",
+                "std::size_t F() {\n"
+                "  const char* e = std::getenv(\"WHITENREC_FIXTURE_N\");\n"
+                "  if (e != nullptr) {\n"
+                "    const long v = std::atol(e);\n"
+                "    if (v >= 1) return static_cast<std::size_t>(v);\n"
+                "  }\n"
+                "  return 1;\n"
+                "}\n"),
+      2);
 }
 
 TEST(KnobsTest, StrictStrtoPlusAbortIsClean) {
-  TreeInputs inputs;
-  inputs.knobs_def = "knob WHITENREC_FIXTURE_N type=size\n";
-  inputs.readme = "docs for WHITENREC_FIXTURE_N\n";
-  const SourceTree tree = TreeOf(
-      {{"src/core/a.cc",
-        "std::size_t F() {\n"
-        "  const char* e = std::getenv(\"WHITENREC_FIXTURE_N\");\n"
-        "  if (e == nullptr) return 1;\n"
-        "  char* end = nullptr;\n"
-        "  const unsigned long long v = std::strtoull(e, &end, 10);\n"
-        "  if (end == e || *end != 0 || v == 0) std::abort();\n"
-        "  return static_cast<std::size_t>(v);\n"
-        "}\n"}});
-  EXPECT_TRUE(CheckKnobs(tree, inputs).empty());
+  // Clean only in the one parser file; anywhere else it is a second parser.
+  const std::string body =
+      "std::size_t F() {\n"
+      "  const char* e = std::getenv(\"WHITENREC_FIXTURE_N\");\n"
+      "  if (e == nullptr) return 1;\n"
+      "  char* end = nullptr;\n"
+      "  const unsigned long long v = std::strtoull(e, &end, 10);\n"
+      "  if (end == e || *end != 0 || v == 0) std::abort();\n"
+      "  return static_cast<std::size_t>(v);\n"
+      "}\n";
+  EXPECT_TRUE(KnobsOver("src/core/env.cc", body).empty());
+  ExpectBareGetenv(KnobsOver("src/core/a.cc", body), 2);
 }
 
 TEST(KnobsTest, OrDieDelegationIsClean) {
-  TreeInputs inputs;
-  inputs.knobs_def = "knob WHITENREC_FIXTURE_N type=size\n";
-  inputs.readme = "docs for WHITENREC_FIXTURE_N\n";
-  const SourceTree tree = TreeOf(
-      {{"bench/b.cc",
-        "std::size_t F() {\n"
-        "  const char* e = std::getenv(\"WHITENREC_FIXTURE_N\");\n"
-        "  return e == nullptr ? 1 : ParseSizeOrDie(e);\n"
-        "}\n"}});
-  EXPECT_TRUE(CheckKnobs(tree, inputs).empty());
+  EXPECT_TRUE(KnobsOver("bench/b.cc",
+                        "std::size_t n = core::EnvSize(\"WHITENREC_FIXTURE_N"
+                        "\", 1);\n")
+                  .empty());
+  // A bench-local getenv in front of a strict parser is still a bare read.
+  ExpectBareGetenv(
+      KnobsOver("bench/b.cc",
+                "std::size_t F() {\n"
+                "  const char* e = std::getenv(\"WHITENREC_FIXTURE_N\");\n"
+                "  return e == nullptr ? 1 : ParseSizeOrDie(e);\n"
+                "}\n"),
+      2);
 }
 
 TEST(KnobsTest, EnumNeedsLoudRejectionOnly) {
-  TreeInputs inputs;
-  inputs.knobs_def = "knob WHITENREC_FIXTURE_MODE type=enum\n";
-  inputs.readme = "docs for WHITENREC_FIXTURE_MODE\n";
-  const SourceTree tree = TreeOf(
-      {{"src/core/a.cc",
-        "int F() {\n"
-        "  const char* e = std::getenv(\"WHITENREC_FIXTURE_MODE\");\n"
-        "  if (e == nullptr) return 0;\n"
-        "  WR_CHECK(std::string(e) == \"fast\");\n"
-        "  return 1;\n"
-        "}\n"}});
-  EXPECT_TRUE(CheckKnobs(tree, inputs).empty());
+  EXPECT_TRUE(KnobsOver("tests/t.cc",
+                        "int F() {\n"
+                        "  const char* e = core::EnvText(\"WHITENREC_FIXTURE_N"
+                        "\");\n"
+                        "  return e == nullptr ? 0 : core::OrExit(\"WHITENREC_"
+                        "FIXTURE_N\", ParseMode(e));\n"
+                        "}\n")
+                  .empty());
+  ExpectBareGetenv(
+      KnobsOver("src/core/a.cc",
+                "int F() {\n"
+                "  const char* e = std::getenv(\"WHITENREC_FIXTURE_N\");\n"
+                "  if (e == nullptr) return 0;\n"
+                "  WR_CHECK(std::string(e) == \"fast\");\n"
+                "  return 1;\n"
+                "}\n"),
+      2);
 }
 
 TEST(KnobsTest, StringKnobAndStrictHelpersAreExempt) {
@@ -387,26 +406,54 @@ TEST(KnobsTest, StringKnobAndStrictHelpersAreExempt) {
       "knob WHITENREC_FIXTURE_N type=size\n";
   inputs.readme =
       "docs for WHITENREC_FIXTURE_DIR and WHITENREC_FIXTURE_N\n";
-  const SourceTree tree = TreeOf(
-      {{"src/serve/s.cc",
-        "void F() {\n"
-        "  const char* d = std::getenv(\"WHITENREC_FIXTURE_DIR\");\n"
-        "  const std::size_t n = EnvSize(\"WHITENREC_FIXTURE_N\", 4);\n"
-        "  (void)d; (void)n;\n"
-        "}\n"}});
-  EXPECT_TRUE(CheckKnobs(tree, inputs).empty());
+  EXPECT_TRUE(CheckKnobs(TreeOf({{"bench/b.cc",
+                                  "auto* d = core::EnvText(\"WHITENREC_FIXTURE"
+                                  "_DIR\");\n"
+                                  "auto n = core::EnvSize(\"WHITENREC_FIXTURE_"
+                                  "N\", 4);\n"}}),
+                         inputs)
+                  .empty());
+  // A string knob is no exception to bare-getenv, and neither is a getenv
+  // whose argument is not a literal; a literal non-knob name is.
+  const std::vector<Finding> f = WithRule(
+      CheckKnobs(TreeOf({{"src/serve/s.cc",
+                          "auto* d = std::getenv(\"WHITENREC_FIXTURE_DIR\");\n"
+                          "auto* n = std::getenv(name);\n"
+                          "auto* h = std::getenv(\"HOME\");\n"}}),
+                 inputs),
+      "bare-getenv");
+  ASSERT_EQ(f.size(), 2u);
+  EXPECT_EQ(f[0].line, 1u);
+  EXPECT_EQ(f[1].line, 2u);
 }
 
 TEST(KnobsTest, TestsAreOutsideStrictScope) {
-  // Tests may read knobs laxly (they set the values themselves); the
-  // registration requirement still applies there.
-  TreeInputs inputs;
-  inputs.knobs_def = "knob WHITENREC_FIXTURE_N type=size\n";
-  inputs.readme = "docs for WHITENREC_FIXTURE_N\n";
+  // Mains — tests, benches, examples — may include core/env.h (library-env
+  // covers src/ only), but a bare getenv there still fires.
+  EXPECT_TRUE(KnobsOver("tests/t.cc",
+                        "#include \"core/env.h\"\n"
+                        "std::size_t n = core::EnvSize(\"WHITENREC_FIXTURE_N"
+                        "\", 1);\n")
+                  .empty());
+  ExpectBareGetenv(KnobsOver("tests/t.cc",
+                             "int F() { return std::atoi(std::getenv("
+                             "\"WHITENREC_FIXTURE_N\")); }\n"),
+                   1);
+}
+
+TEST(KnobsTest, LibraryIncludingEnvFires) {
   const SourceTree tree = TreeOf(
-      {{"tests/t.cc",
-        "int F() { return std::atoi(std::getenv(\"WHITENREC_FIXTURE_N\")); }\n"}});
-  EXPECT_TRUE(CheckKnobs(tree, inputs).empty());
+      {{"src/core/env.cc", "#include \"core/env.h\"\n"},
+       {"src/serve/s.cc",
+        "#include \"core/check.h\"\n"
+        "// #include \"core/env.h\" in a comment is not an include\n"
+        "#include \"core/env.h\"\n"},
+       {"bench/b.cc", "#include \"core/env.h\"\n"}});
+  const std::vector<Finding> f = CheckKnobs(tree, TreeInputs{});
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].rule, "library-env");
+  EXPECT_EQ(f[0].file, "src/serve/s.cc");
+  EXPECT_EQ(f[0].line, 3u);
 }
 
 TEST(KnobsTest, AllowInKnobsDefSuppressesRegistryFinding) {
@@ -420,16 +467,13 @@ TEST(KnobsTest, AllowInKnobsDefSuppressesRegistryFinding) {
 }
 
 TEST(KnobsTest, AllowAtSiteSuppressesLaxParse) {
-  TreeInputs inputs;
-  inputs.knobs_def = "knob WHITENREC_FIXTURE_N type=size\n";
-  inputs.readme = "docs for WHITENREC_FIXTURE_N\n";
-  const SourceTree tree = TreeOf(
-      {{"src/core/a.cc",
-        "int F() {\n"
-        "  // whitenrec-analyze: allow(lax-knob-parse)\n"
-        "  return std::atoi(std::getenv(\"WHITENREC_FIXTURE_N\"));\n"
-        "}\n"}});
-  EXPECT_TRUE(CheckKnobs(tree, inputs).empty());
+  EXPECT_TRUE(KnobsOver("src/core/a.cc",
+                        "int F() {\n"
+                        "  // whitenrec-analyze: allow(bare-getenv)\n"
+                        "  return std::atoi(std::getenv(\"WHITENREC_FIXTURE_N"
+                        "\"));\n"
+                        "}\n")
+                  .empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -634,7 +678,7 @@ AnalyzeResult SampleResult() {
   AnalyzeResult result;
   result.files_scanned = 7;
   result.findings.push_back(Finding{"src/core/a.cc", 12, "knobs",
-                                    "lax-knob-parse",
+                                    "bare-getenv",
                                     "message with \"quotes\" and\nnewline"});
   result.findings.push_back(
       Finding{"src/serve/b.cc", 3, "layering", "upward-include", "msg"});

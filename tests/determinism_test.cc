@@ -17,6 +17,7 @@
 #include "linalg/stats.h"
 #include "seqrec/baselines.h"
 #include "seqrec/trainer.h"
+#include "scoped_knobs.h"
 
 namespace whitenrec {
 namespace {
@@ -25,17 +26,6 @@ using linalg::Matrix;
 using linalg::Rng;
 
 const std::vector<std::size_t> kThreadCounts = {1, 2, 8};
-
-class ScopedThreads {
- public:
-  explicit ScopedThreads(std::size_t n) : saved_(core::NumThreads()) {
-    core::SetNumThreads(n);
-  }
-  ~ScopedThreads() { core::SetNumThreads(saved_); }
-
- private:
-  std::size_t saved_;
-};
 
 void ExpectBitwiseEqual(const Matrix& a, const Matrix& b, const char* what) {
   ASSERT_EQ(a.rows(), b.rows()) << what;

@@ -18,23 +18,13 @@
 #include "linalg/matrix.h"
 #include "linalg/rng.h"
 #include "linalg/workspace.h"
+#include "scoped_knobs.h"
 
 namespace whitenrec {
 namespace linalg {
 namespace {
 
 const std::vector<std::size_t> kThreadCounts = {1, 2, 8};
-
-class ScopedThreads {
- public:
-  explicit ScopedThreads(std::size_t n) : saved_(core::NumThreads()) {
-    core::SetNumThreads(n);
-  }
-  ~ScopedThreads() { core::SetNumThreads(saved_); }
-
- private:
-  std::size_t saved_;
-};
 
 void ExpectBitwiseEqual(const Matrix& a, const Matrix& b, const char* what) {
   ASSERT_EQ(a.rows(), b.rows()) << what;

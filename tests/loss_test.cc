@@ -25,6 +25,7 @@
 #include "linalg/rng.h"
 #include "linalg/workspace.h"
 #include "nn/loss.h"
+#include "scoped_knobs.h"
 
 namespace whitenrec {
 namespace nn {
@@ -32,17 +33,6 @@ namespace {
 
 using linalg::Matrix;
 using linalg::Rng;
-
-class ScopedThreads {
- public:
-  explicit ScopedThreads(std::size_t n) : saved_(core::NumThreads()) {
-    core::SetNumThreads(n);
-  }
-  ~ScopedThreads() { core::SetNumThreads(saved_); }
-
- private:
-  std::size_t saved_;
-};
 
 class ScopedScoreTile {
  public:

@@ -11,6 +11,7 @@
 #include "nn/optimizer.h"
 #include "nn/tensor.h"
 #include "nn/transformer.h"
+#include "scoped_knobs.h"
 
 namespace whitenrec {
 namespace nn {
@@ -497,17 +498,6 @@ TEST(AdamTest, NumParameters) {
 // serial). These repeat the attention-backward and full-softmax checks with
 // the pool forced wide enough that the (batch x head) and batch-row chunking
 // actually splits, verifying the parallel backward paths analytically.
-
-class ScopedThreads {
- public:
-  explicit ScopedThreads(std::size_t n) : saved_(core::NumThreads()) {
-    core::SetNumThreads(n);
-  }
-  ~ScopedThreads() { core::SetNumThreads(saved_); }
-
- private:
-  std::size_t saved_;
-};
 
 TEST(AttentionTest, GradCheckInputMultiThreaded) {
   ScopedThreads guard(4);

@@ -4,6 +4,7 @@
 // grain > range). These run under check-tsan as well.
 
 #include "core/parallel.h"
+#include "scoped_knobs.h"
 
 #include <atomic>
 #include <numeric>
@@ -15,19 +16,6 @@
 namespace whitenrec {
 namespace core {
 namespace {
-
-// Restores the process-wide thread count on scope exit so tests do not leak
-// their setting into each other.
-class ScopedThreads {
- public:
-  explicit ScopedThreads(std::size_t n) : saved_(NumThreads()) {
-    SetNumThreads(n);
-  }
-  ~ScopedThreads() { SetNumThreads(saved_); }
-
- private:
-  std::size_t saved_;
-};
 
 // ---------------------------------------------------------------------------
 // ThreadPool

@@ -23,6 +23,7 @@
 #include "linalg/topk.h"
 #include "retrieval/scorer.h"
 #include "whitening/compression_report.h"
+#include "scoped_knobs.h"
 
 namespace whitenrec {
 namespace {
@@ -35,29 +36,6 @@ using linalg::ScoredItem;
 using linalg::TopKSelector;
 
 const std::vector<std::size_t> kThreadCounts = {1, 4, 16};
-
-class ScopedThreads {
- public:
-  explicit ScopedThreads(std::size_t n) : saved_(core::NumThreads()) {
-    core::SetNumThreads(n);
-  }
-  ~ScopedThreads() { core::SetNumThreads(saved_); }
-
- private:
-  std::size_t saved_;
-};
-
-class ScopedItemQuantKind {
- public:
-  explicit ScopedItemQuantKind(ItemQuantKind kind)
-      : saved_(linalg::CurrentItemQuantKind()) {
-    linalg::SetItemQuantKind(kind);
-  }
-  ~ScopedItemQuantKind() { linalg::SetItemQuantKind(saved_); }
-
- private:
-  ItemQuantKind saved_;
-};
 
 // Item table with interesting structure for the quantizer: per-block
 // magnitude swings (so per-block scales differ), exact zeros, and sign

@@ -5,8 +5,8 @@
 //  * IVF search: recall@K-vs-exact is monotone non-decreasing in nprobe and
 //    exactly 1.0 at nprobe == clusters (exact-parity fallback), including
 //    under exclusions — lists then match exact search bitwise;
-//  * the Scorer seam: WHITENREC_SCORER/WHITENREC_IVF_* knobs parse strictly,
-//    the exact scorer reproduces the inline streamed scoring, and eval
+//  * the Scorer seam: the exact scorer reproduces the inline streamed
+//    scoring, and eval
 //    TopKRecommendations with an injected IVF scorer at full probe equals
 //    the exact lists;
 //  * IVF serving: responses bitwise reproducible across thread counts,
@@ -18,7 +18,6 @@
 //    GenerateItemFeatures (block-size invariance) unit contracts.
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -42,6 +41,7 @@
 #include "seqrec/baselines.h"
 #include "seqrec/trainer.h"
 #include "serve/service.h"
+#include "scoped_knobs.h"
 
 namespace whitenrec {
 namespace retrieval {
@@ -62,33 +62,6 @@ bool BitwiseEqual(const Matrix& a, const Matrix& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-// Restores an env var on scope exit; sets it when value != nullptr.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
-
 // ---------------------------------------------------------------------------
 // k-means determinism and degenerate shapes.
 // ---------------------------------------------------------------------------
@@ -100,11 +73,10 @@ TEST(KMeans, BitwiseIdenticalAcrossThreadCountsAndRuns) {
   config.iterations = 6;
   config.seed = 5;
 
-  const std::size_t saved = core::NumThreads();
   KMeansResult reference;
   bool have_reference = false;
   for (std::size_t threads : kThreadCounts) {
-    core::SetNumThreads(threads);
+    ScopedThreads guard(threads);
     const KMeansResult run = FitKMeans(points, config);
     const KMeansResult rerun = FitKMeans(points, config);
     EXPECT_TRUE(BitwiseEqual(run.centroids, rerun.centroids))
@@ -119,7 +91,6 @@ TEST(KMeans, BitwiseIdenticalAcrossThreadCountsAndRuns) {
       EXPECT_EQ(reference.assignment, run.assignment);
     }
   }
-  core::SetNumThreads(saved);
 }
 
 TEST(KMeans, TrainingSampleKeepsFullAssignmentComplete) {
@@ -298,7 +269,6 @@ TEST(KMeansDifferential, BitwiseEqualToScalarReference) {
       {257, 33, 257, 0, 0}, {257, 1, 71, 0, 0},    {257, 3, 71, 0, 5},
       {257, 33, 71, 100, 0}, {257, 300, 4, 9, 0},  {5000, 32, 71, 0, 0},
       {5000, 3, 4, 1000, 0}, {5000, 32, 71, 0, 40}};
-  const std::size_t saved = core::NumThreads();
   for (std::size_t s = 0; s < shapes.size(); ++s) {
     const KMeansShape& shape = shapes[s];
     const Matrix points = ShapePoints(shape, 100 + s);
@@ -308,7 +278,7 @@ TEST(KMeansDifferential, BitwiseEqualToScalarReference) {
     config.seed = 7 + s;
     const KMeansResult reference = ReferenceKMeans(points, config);
     for (std::size_t threads : {1u, 2u, 4u}) {
-      core::SetNumThreads(threads);
+      ScopedThreads guard(threads);
       const KMeansResult fit = FitKMeans(points, config);
       EXPECT_TRUE(BitwiseEqual(fit.centroids, reference.centroids))
           << "centroids differ: n=" << shape.n << " d=" << shape.d
@@ -318,7 +288,6 @@ TEST(KMeansDifferential, BitwiseEqualToScalarReference) {
           << " clusters=" << shape.clusters << " threads=" << threads;
     }
   }
-  core::SetNumThreads(saved);
 }
 
 TEST(KMeansDifferential, PackedLabelsMatchNearestCentroid) {
@@ -513,10 +482,9 @@ TEST(IvfIndex, SearchIsThreadCountInvariant) {
   std::unique_ptr<Scorer> scorer = MakeScorer(config);
   scorer->Rebuild(c.items);
 
-  const std::size_t saved = core::NumThreads();
   std::vector<std::vector<ScoredItem>> reference;
   for (std::size_t threads : kThreadCounts) {
-    core::SetNumThreads(threads);
+    ScopedThreads guard(threads);
     std::vector<linalg::TopKSelector> selectors;
     for (std::size_t r = 0; r < c.queries.rows(); ++r) {
       selectors.emplace_back(10);
@@ -541,32 +509,17 @@ TEST(IvfIndex, SearchIsThreadCountInvariant) {
       }
     }
   }
-  core::SetNumThreads(saved);
 }
 
 // ---------------------------------------------------------------------------
-// Scorer seam: env knobs, exact backend parity.
+// Scorer seam: exact backend parity.
 // ---------------------------------------------------------------------------
 
-TEST(ScorerConfig, FromEnvParsesAndDefaults) {
-  {
-    ScopedEnv kind("WHITENREC_SCORER", nullptr);
-    ScopedEnv clusters("WHITENREC_IVF_CLUSTERS", nullptr);
-    ScopedEnv nprobe("WHITENREC_IVF_NPROBE", nullptr);
-    const ScorerConfig config = ScorerConfig::FromEnv();
-    EXPECT_EQ(config.kind, ScorerKind::kExact);
-    EXPECT_EQ(config.clusters, 0u);
-    EXPECT_EQ(config.nprobe, 8u);
-  }
-  {
-    ScopedEnv kind("WHITENREC_SCORER", "ivf");
-    ScopedEnv clusters("WHITENREC_IVF_CLUSTERS", "64");
-    ScopedEnv nprobe("WHITENREC_IVF_NPROBE", "4");
-    const ScorerConfig config = ScorerConfig::FromEnv();
-    EXPECT_EQ(config.kind, ScorerKind::kIvf);
-    EXPECT_EQ(config.clusters, 64u);
-    EXPECT_EQ(config.nprobe, 4u);
-  }
+TEST(ScorerDeathTest, IvfRejectsZeroNprobe) {
+  ScorerConfig config;
+  config.kind = ScorerKind::kIvf;
+  config.nprobe = 0;
+  EXPECT_DEATH(MakeScorer(config), "nprobe >= 1");
 }
 
 TEST(Scorer, ExactBackendMatchesBruteForce) {
@@ -681,11 +634,10 @@ TEST(IvfServing, ReproducibleAcrossThreadsBatchingAndRuns) {
   ServingFixture& fixture = Fixture();
   const std::vector<serve::ServeRequest> trace = fixture.Trace(60);
 
-  const std::size_t saved = core::NumThreads();
   std::vector<serve::ServeResponse> reference;
   bool have_reference = false;
   for (std::size_t threads : kThreadCounts) {
-    core::SetNumThreads(threads);
+    ScopedThreads guard(threads);
     for (std::size_t slice : {std::size_t{1}, std::size_t{7},
                               std::size_t{60}}) {
       auto rec = fixture.FreshModel();
@@ -710,7 +662,6 @@ TEST(IvfServing, ReproducibleAcrossThreadsBatchingAndRuns) {
       }
     }
   }
-  core::SetNumThreads(saved);
 }
 
 TEST(IvfServing, IngestRebuildKeepsResponsesReproducible) {
@@ -770,24 +721,19 @@ TEST(TopKRecommendationsIvf, FullProbeMatchesExactLists) {
   }
   ASSERT_FALSE(instances.empty());
 
-  std::vector<std::vector<std::size_t>> exact;
-  {
-    ScopedEnv kind("WHITENREC_SCORER", nullptr);
-    exact = seqrec::TopKRecommendations(rec.get(), instances, ds.sequences,
-                                        8, 5);
-  }
-  {
-    // The eval path takes an injected linalg::Scorer; the env knobs choose
-    // the backend at the composition root, not inside seqrec.
-    ScopedEnv kind("WHITENREC_SCORER", "ivf");
-    ScopedEnv clusters("WHITENREC_IVF_CLUSTERS", "6");
-    ScopedEnv nprobe("WHITENREC_IVF_NPROBE", "6");
-    std::unique_ptr<Scorer> ivf_scorer = MakeScorer(ScorerConfig::FromEnv());
-    const std::vector<std::vector<std::size_t>> ivf =
-        seqrec::TopKRecommendations(rec.get(), instances, ds.sequences, 8, 5,
-                                    256, ivf_scorer.get());
-    EXPECT_EQ(exact, ivf);
-  }
+  const std::vector<std::vector<std::size_t>> exact =
+      seqrec::TopKRecommendations(rec.get(), instances, ds.sequences, 8, 5);
+  // The eval path takes an injected linalg::Scorer; the ScorerConfig picks
+  // the backend at the composition root, not inside seqrec.
+  ScorerConfig config;
+  config.kind = ScorerKind::kIvf;
+  config.clusters = 6;
+  config.nprobe = 6;
+  std::unique_ptr<Scorer> ivf_scorer = MakeScorer(config);
+  const std::vector<std::vector<std::size_t>> ivf =
+      seqrec::TopKRecommendations(rec.get(), instances, ds.sequences, 8, 5,
+                                  256, ivf_scorer.get());
+  EXPECT_EQ(exact, ivf);
 }
 
 // ---------------------------------------------------------------------------

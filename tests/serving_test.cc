@@ -8,7 +8,6 @@
 //  * the synthetic traffic generator replays identical traces from a seed;
 //  * the latency histogram reports exact quantiles on hand-computed
 //    distributions in its unit-bucket region and merges associatively;
-//  * the WHITENREC_SERVE_* env knobs parse strictly;
 //  * the ingest path grows the catalog through an online whitening refit
 //    without breaking serving.
 // The *Soak* test doubles as the randomized-traffic TSan workload run by
@@ -17,7 +16,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -26,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/env.h"
 #include "core/parallel.h"
 #include "data/batcher.h"
 #include "data/generator.h"
@@ -41,6 +40,7 @@
 #include "serve/latency_histogram.h"
 #include "serve/service.h"
 #include "serve/traffic.h"
+#include "scoped_knobs.h"
 
 namespace whitenrec {
 namespace serve {
@@ -139,7 +139,7 @@ TEST(IncrementalForward, BitwiseMatchesBatchedForwardAtEveryPrefix) {
   linalg::Rng rng(7);
 
   for (std::size_t threads : kThreadCounts) {
-    core::SetNumThreads(threads);
+    ScopedThreads guard(threads);
     for (std::size_t len = 1; len <= max_len; ++len) {
       std::vector<std::size_t> items(len);
       for (std::size_t t = 0; t < len; ++t) {
@@ -158,7 +158,6 @@ TEST(IncrementalForward, BitwiseMatchesBatchedForwardAtEveryPrefix) {
       }
     }
   }
-  core::SetNumThreads(0);
 }
 
 TEST(IncrementalForward, ReplayAfterClearMatchesUninterruptedSession) {
@@ -213,7 +212,7 @@ TEST(IncrementalForward, InterleavedSessionsLeakNoWorkspaceState) {
   const Matrix full_b =
       model->EncodeSequences(MakeBatch(items_b), v, /*train=*/false);
 
-  core::SetNumThreads(1);
+  ScopedThreads guard(1);
   seqrec::SasRecModel::SessionStepState state_a;
   seqrec::SasRecModel::SessionStepState state_b;
   Matrix h_a;
@@ -231,7 +230,6 @@ TEST(IncrementalForward, InterleavedSessionsLeakNoWorkspaceState) {
           << "session a after b, t=" << t;
     }
   }
-  core::SetNumThreads(0);
 }
 
 TEST(IncrementalForward, TruncationShiftMatchesBatchedWindow) {
@@ -331,7 +329,7 @@ TEST(MicroBatching, CoalescedBitwiseEqualsSingleAtEveryWindowAndThreadCount) {
   config.top_k = 10;
 
   // Reference: every request served alone, single thread.
-  core::SetNumThreads(1);
+  ScopedThreads guard(1);
   const std::vector<ServeResponse> reference =
       ServeTrace(model, trace, config, /*window_ns=*/0);
   ASSERT_EQ(reference.size(), trace.size());
@@ -350,7 +348,6 @@ TEST(MicroBatching, CoalescedBitwiseEqualsSingleAtEveryWindowAndThreadCount) {
           << "window_ns=" << window_ns << " threads=" << threads;
     }
   }
-  core::SetNumThreads(0);
 }
 
 TEST(MicroBatching, EvictionIsCostNotCorrectness) {
@@ -574,47 +571,6 @@ TEST(LatencyHistogram, QuantilesAreMonotone) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 4 support: env knob parsing.
-// ---------------------------------------------------------------------------
-
-TEST(ServeConfig, FromEnvOverlaysKnobs) {
-  ASSERT_EQ(setenv("WHITENREC_SERVE_TOPK", "25", 1), 0);
-  ASSERT_EQ(setenv("WHITENREC_SERVE_WINDOW_NS", "777", 1), 0);
-  ASSERT_EQ(setenv("WHITENREC_SERVE_MAX_BATCH", "33", 1), 0);
-  ASSERT_EQ(setenv("WHITENREC_SERVE_CACHE_SESSIONS", "99", 1), 0);
-  ASSERT_EQ(setenv("WHITENREC_SERVE_REFIT_EVERY", "5", 1), 0);
-  ASSERT_EQ(setenv("WHITENREC_SERVE_DEADLINE_NS", "123456", 1), 0);
-  ASSERT_EQ(setenv("WHITENREC_SERVE_QUEUE_MAX", "77", 1), 0);
-  ASSERT_EQ(setenv("WHITENREC_DEGRADE_LADDER", "exact,ivf:3,popularity", 1), 0);
-  const ServeConfig config = ServeConfig::FromEnv();
-  EXPECT_EQ(config.top_k, 25u);
-  EXPECT_EQ(config.batch_window_ns, 777u);
-  EXPECT_EQ(config.max_batch, 33u);
-  EXPECT_EQ(config.max_cached_sessions, 99u);
-  EXPECT_EQ(config.refit_every, 5u);
-  EXPECT_EQ(config.deadline_ns, 123456u);
-  EXPECT_EQ(config.queue_max, 77u);
-  ASSERT_EQ(config.ladder.rungs.size(), 3u);
-  EXPECT_EQ(config.ladder.rungs[0].kind, RungKind::kExact);
-  EXPECT_EQ(config.ladder.rungs[1].kind, RungKind::kIvf);
-  EXPECT_EQ(config.ladder.rungs[1].nprobe, 3u);
-  EXPECT_EQ(config.ladder.rungs[2].kind, RungKind::kPopularity);
-  for (const char* name :
-       {"WHITENREC_SERVE_TOPK", "WHITENREC_SERVE_WINDOW_NS",
-        "WHITENREC_SERVE_MAX_BATCH", "WHITENREC_SERVE_CACHE_SESSIONS",
-        "WHITENREC_SERVE_REFIT_EVERY", "WHITENREC_SERVE_DEADLINE_NS",
-        "WHITENREC_SERVE_QUEUE_MAX", "WHITENREC_DEGRADE_LADDER"}) {
-    unsetenv(name);
-  }
-  const ServeConfig defaults = ServeConfig::FromEnv();
-  EXPECT_EQ(defaults.top_k, ServeConfig().top_k);
-  EXPECT_EQ(defaults.batch_window_ns, ServeConfig().batch_window_ns);
-  EXPECT_EQ(defaults.deadline_ns, ServeConfig().deadline_ns);
-  EXPECT_EQ(defaults.queue_max, ServeConfig().queue_max);
-  EXPECT_TRUE(defaults.ladder.rungs.empty());
-}
-
-// ---------------------------------------------------------------------------
 // Ingest path: online whitening refit.
 // ---------------------------------------------------------------------------
 
@@ -749,9 +705,7 @@ TEST(Harness, SchemaCheckerRejectsMalformedDocuments) {
 TEST(Soak, RandomizedTrafficWithIngestStaysWellFormed) {
   auto rec = FreshModel();
   seqrec::SasRecModel* model = rec->model();
-  const char* soak = std::getenv("WHITENREC_SERVE_SOAK");
-  const std::size_t multiplier =
-      soak != nullptr ? static_cast<std::size_t>(std::atoi(soak)) : 1;
+  const std::size_t multiplier = core::EnvSize("WHITENREC_SERVE_SOAK", 1);
   ASSERT_GE(multiplier, 1u);
 
   TrafficConfig traffic;
@@ -1117,7 +1071,7 @@ TEST(Resilience, OutcomesShedSetsAndRungsBitwiseIdenticalAcrossThreadCounts) {
   const std::vector<TraceRequest> trace = OverloadTrace(400, 909);
   const ServeConfig config = OverloadConfig();
 
-  core::SetNumThreads(1);
+  ScopedThreads guard(1);
   const QueuedRun reference =
       DriveQueued(model, trace, config, /*serve_every=*/20,
                   /*batch_cost_ns=*/800000, /*stall_at=*/10,
@@ -1145,7 +1099,6 @@ TEST(Resilience, OutcomesShedSetsAndRungsBitwiseIdenticalAcrossThreadCounts) {
     EXPECT_EQ(reference.stats.queue_sheds, got.stats.queue_sheds);
     EXPECT_EQ(reference.stats.deadline_sheds, got.stats.deadline_sheds);
   }
-  core::SetNumThreads(0);
 }
 
 TEST(Resilience, DeadlineShedLeavesSessionStateUntouched) {

@@ -33,6 +33,7 @@
 #include "linalg/topk.h"
 #include "seqrec/baselines.h"
 #include "seqrec/trainer.h"
+#include "scoped_knobs.h"
 
 namespace whitenrec {
 namespace seqrec {
@@ -46,17 +47,6 @@ using linalg::SelectTopK;
 using linalg::TopKSelector;
 
 const std::vector<std::size_t> kThreadCounts = {1, 2, 4};
-
-class ScopedThreads {
- public:
-  explicit ScopedThreads(std::size_t n) : saved_(core::NumThreads()) {
-    core::SetNumThreads(n);
-  }
-  ~ScopedThreads() { core::SetNumThreads(saved_); }
-
- private:
-  std::size_t saved_;
-};
 
 class ScopedScoreTile {
  public:
@@ -181,18 +171,6 @@ std::vector<std::vector<std::size_t>> MixedExclusions(std::size_t rows,
   }
   return excl;
 }
-
-class ScopedItemQuant {
- public:
-  explicit ScopedItemQuant(linalg::ItemQuantKind kind)
-      : saved_(linalg::CurrentItemQuantKind()) {
-    linalg::SetItemQuantKind(kind);
-  }
-  ~ScopedItemQuant() { linalg::SetItemQuantKind(saved_); }
-
- private:
-  linalg::ItemQuantKind saved_;
-};
 
 void ExpectSameLists(const std::vector<std::vector<ScoredItem>>& got,
                      const std::vector<std::vector<ScoredItem>>& want,
@@ -468,7 +446,7 @@ TEST(PackedScorerTest, MatchesOracleAcrossShapesExclusionsAndThreads) {
   // 67 end in a one- or two-row group, and 67 spans two 64-row blocks; n
   // straddles the 8-item strip edges and the 256-item tile; d = 300 spans
   // two k-panels.
-  ScopedItemQuant fp32(linalg::ItemQuantKind::kFp32);
+  ScopedItemQuantKind fp32(linalg::ItemQuantKind::kFp32);
   Rng rng(23);
   for (const std::size_t d : {1u, 32u, 300u}) {
     for (const std::size_t n : {1u, 7u, 8u, 9u, 255u, 257u, 6000u}) {
@@ -502,7 +480,7 @@ TEST(PackedScorerTest, MatchesOracleAcrossShapesExclusionsAndThreads) {
 TEST(PackedScorerTest, TileWidthIsInvisible) {
   // Packed tiles round the score tile up to whole 8-item strips; every width
   // must give the same lists.
-  ScopedItemQuant fp32(linalg::ItemQuantKind::kFp32);
+  ScopedItemQuantKind fp32(linalg::ItemQuantKind::kFp32);
   Rng rng(29);
   const Matrix items = TableWithTies(1001, 24, &rng);
   const std::unique_ptr<linalg::Scorer> scorer = linalg::MakeExactScorer();
@@ -522,7 +500,7 @@ TEST(PackedScorerTest, TileWidthIsInvisible) {
 TEST(PackedScorerTest, RebuildRepacksTheNewTable) {
   // A refit installs a new table through Rebuild: the scorer must then equal
   // a freshly built one, never the stale pack.
-  ScopedItemQuant fp32(linalg::ItemQuantKind::kFp32);
+  ScopedItemQuantKind fp32(linalg::ItemQuantKind::kFp32);
   Rng rng(31);
   const Matrix first = TableWithTies(300, 16, &rng);
   const Matrix second = TableWithTies(517, 16, &rng);

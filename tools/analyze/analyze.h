@@ -20,10 +20,11 @@
 //               rules: upward-include, include-cycle
 //   knobs     every WHITENREC_* env knob read in src/ bench/ tests/ must be
 //             declared in tools/analyze/knobs.def, documented in README.md,
-//             actually read somewhere, and parsed strictly (a set-but-
-//             malformed value must abort loudly, never silently fall back).
+//             and actually read somewhere; the only getenv that may read a
+//             WHITENREC_* name is src/core/env.cc's strict parser, and no
+//             other src/ file includes core/env.h (only mains read knobs).
 //               rules: unregistered-knob, dead-knob, undocumented-knob,
-//                      lax-knob-parse
+//                      bare-getenv, library-env
 //   hotalloc  no Matrix / std::vector construction inside ParallelFor /
 //             Stream(Quant)MatMulTransB* lambdas or RowBlockHook /
 //             ScoreRowsFn / ScorePanelFn bodies — per-iteration allocation in the hot

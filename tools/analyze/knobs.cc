@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <map>
 #include <regex>
 #include <set>
@@ -12,36 +11,29 @@
 
 // Env-knob registry pass. Every WHITENREC_* environment variable the tree
 // reads must be (a) declared in tools/analyze/knobs.def, (b) documented in
-// README.md, (c) actually read somewhere, and (d) parsed strictly: the
-// repo-wide contract (README "Environment knobs") is that a SET but
-// MALFORMED value aborts loudly instead of silently running with a default —
-// a reproducibility tool that quietly ignores WHITENREC_THREADS=abc has
-// already lied about its configuration.
+// README.md, and (c) actually read somewhere. Reads go through one strict
+// parser: (d) the only getenv that may read a WHITENREC_* name is the one
+// in src/core/env.cc (rule bare-getenv), and (e) no library file includes
+// core/env.h (rule library-env), so the library takes its configuration by
+// value and only mains read the environment — a set but malformed knob
+// exits naming it instead of silently running with a default.
 //
 // A "read site" is a string literal matching ^WHITENREC_[A-Z0-9_]+$ passed
-// as the first argument of a read accessor: std::getenv or one of the strict
-// helper wrappers (EnvSize / EnvU64 / EnvSizeOr / EnvDouble / EnvFlag). The
-// helpers embody the strict contract; a bare getenv of a numeric or enum
-// knob must show its own strtoX-plus-abort handling within the site's
-// vicinity (kParseWindow lines) or use a *OrDie parser. type=string knobs
-// accept any value, and type=cmake entries are build options (-DWHITENREC_*)
-// that never appear as getenv sites; both are exempt from (d), cmake also
-// from (c).
+// as the first argument of a read accessor: std::getenv or one of the
+// core/env readers (EnvText / EnvSize / EnvU64 / EnvDouble). type=cmake
+// entries are build options (-DWHITENREC_*) that never appear as read
+// sites and are exempt from (c).
 
 namespace whitenrec {
 namespace analyze {
 namespace {
 
-constexpr std::size_t kParseWindow = 14;  // lines scanned after a bare getenv
+constexpr char kEnvSource[] = "src/core/env.cc";
 
 const std::set<std::string>& ReadAccessors() {
   static const std::set<std::string> kAccessors = {
-      "getenv", "EnvSize", "EnvU64", "EnvSizeOr", "EnvDouble", "EnvFlag"};
+      "getenv", "EnvText", "EnvSize", "EnvU64", "EnvDouble"};
   return kAccessors;
-}
-
-bool IsNumericType(const std::string& type) {
-  return type == "size" || type == "u64" || type == "double";
 }
 
 struct KnobSite {
@@ -61,9 +53,9 @@ bool IsKnobName(const std::string& value) {
 // Literals in error messages or comparisons don't match the pattern (they
 // follow a comma or operator) and exact-name matching drops embedded
 // mentions like "invalid WHITENREC_ITEM_QUANT value '%s'".
-std::vector<KnobSite> ExtractSites(const SourceFile& file) {
+std::vector<KnobSite> ExtractSites(const std::vector<Token>& tokens,
+                                   const std::string& path) {
   std::vector<KnobSite> sites;
-  const std::vector<Token> tokens = Tokenize(file.contents);
   for (std::size_t i = 2; i < tokens.size(); ++i) {
     if (tokens[i].kind != TokKind::kString) continue;
     const std::string value = StringValue(tokens[i]);
@@ -72,31 +64,43 @@ std::vector<KnobSite> ExtractSites(const SourceFile& file) {
       continue;
     }
     if (tokens[i - 2].kind != TokKind::kIdent) continue;
-    sites.push_back(
-        KnobSite{file.path, tokens[i].line, value, tokens[i - 2].text});
+    sites.push_back(KnobSite{path, tokens[i].line, value, tokens[i - 2].text});
   }
   return sites;
 }
 
-// True when the scrubbed lines [site_line, site_line + kParseWindow] show
-// strict handling: either delegation to an abort-on-malformed parser
-// (...OrDie) or an explicit strtoX parse paired with a loud rejection.
-bool StrictParseNearby(const std::vector<std::string>& scrubbed,
-                       std::size_t site_line, bool numeric) {
-  std::string window;
-  const std::size_t last =
-      std::min(scrubbed.size(), site_line + kParseWindow);
-  for (std::size_t l = site_line; l <= last && l >= 1; ++l) {
-    window += scrubbed[l - 1];
-    window.push_back('\n');
+// Rules (d) and (e) over one file's tokens. A getenv whose argument is not a
+// string literal may read any name, so only a literal non-WHITENREC_*
+// argument is exempt from bare-getenv.
+void CheckEnvReads(const SourceFile& file, const std::vector<Token>& tokens,
+                   std::vector<Finding>* findings) {
+  if (file.path == kEnvSource) return;
+  const std::vector<std::string> raw = SplitLines(file.contents);
+  const bool library = file.path.rfind("src/", 0) == 0 &&
+                       file.path != "src/core/env.h";
+  for (std::size_t i = 0; i + 2 < tokens.size(); ++i) {
+    const Token& t = tokens[i];
+    const Token& next = tokens[i + 1];
+    const Token& arg = tokens[i + 2];
+    if (t.kind == TokKind::kIdent && t.text == "getenv" &&
+        next.kind == TokKind::kPunct && next.text == "(" &&
+        !(arg.kind == TokKind::kString && !IsKnobName(StringValue(arg)))) {
+      ReportFinding(raw, file.path, t.line, "knobs", "bare-getenv",
+                    "getenv outside " + std::string(kEnvSource) +
+                        "; read WHITENREC_* knobs in a main through "
+                        "core/env.h (EnvText/EnvSize/EnvU64/EnvDouble)",
+                    findings);
+    }
+    if (library && t.kind == TokKind::kPunct && t.text == "#" &&
+        next.kind == TokKind::kIdent && next.text == "include" &&
+        arg.kind == TokKind::kString && StringValue(arg) == "core/env.h") {
+      ReportFinding(raw, file.path, t.line, "knobs", "library-env",
+                    "library file includes core/env.h; take the value as a "
+                    "config field or setter argument and read the knob in "
+                    "the main",
+                    findings);
+    }
   }
-  if (window.find("OrDie") != std::string::npos) return true;
-  const bool rejects_loudly = window.find("abort") != std::string::npos ||
-                              window.find("exit") != std::string::npos ||
-                              window.find("WR_CHECK") != std::string::npos;
-  if (!numeric) return rejects_loudly;  // enum: string compare + abort
-  const bool real_parse = window.find("strto") != std::string::npos;
-  return real_parse && rejects_loudly;
 }
 
 }  // namespace
@@ -169,42 +173,24 @@ std::vector<Finding> CheckKnobs(const SourceTree& tree,
     registry[decl.name] = &decl;
   }
 
-  // Pass over the tree: collect read sites, check registration and strict
-  // parsing as we go.
+  // Pass over the tree: collect read sites, check registration and the
+  // env-read rules as we go.
   std::set<std::string> knobs_read;
   for (const SourceFile& file : tree.files) {
-    const std::vector<KnobSite> sites = ExtractSites(file);
+    const std::vector<Token> tokens = Tokenize(file.contents);
+    CheckEnvReads(file, tokens, &findings);
+    const std::vector<KnobSite> sites = ExtractSites(tokens, file.path);
     if (sites.empty()) continue;
     const std::vector<std::string> raw = SplitLines(file.contents);
-    const std::vector<std::string> scrubbed =
-        SplitLines(ScrubSource(file.contents));
-    const bool strict_scope = file.path.rfind("src/", 0) == 0 ||
-                              file.path.rfind("bench/", 0) == 0;
     for (const KnobSite& site : sites) {
-      if (!ReadAccessors().count(site.accessor)) continue;  // e.g. ScopedEnv
+      if (!ReadAccessors().count(site.accessor)) continue;  // e.g. setenv
       knobs_read.insert(site.name);
-      const auto it = registry.find(site.name);
-      if (it == registry.end()) {
-        ReportFinding(raw, site.file, site.line, "knobs", "unregistered-knob",
-                      site.name + " is read here but not declared in " +
-                          def_path + "; add `knob " + site.name +
-                          " type=... owner=" + site.file + "`",
-                      &findings);
-        continue;
-      }
-      const std::string& type = it->second->type;
-      if (strict_scope && site.accessor == "getenv" && type != "string" &&
-          type != "flag" && type != "cmake" &&
-          !StrictParseNearby(scrubbed, site.line, IsNumericType(type))) {
-        ReportFinding(
-            raw, site.file, site.line, "knobs", "lax-knob-parse",
-            site.name + " (type=" + type + ") is read via bare getenv " +
-                "without visible strict parsing; a set-but-malformed value "
-                "must abort loudly — use the EnvSize/EnvU64 helper pattern "
-                "(strtoX + end-pointer check + abort), not atoi/atol "
-                "fallbacks",
-            &findings);
-      }
+      if (registry.count(site.name)) continue;
+      ReportFinding(raw, site.file, site.line, "knobs", "unregistered-knob",
+                    site.name + " is read here but not declared in " +
+                        def_path + "; add `knob " + site.name +
+                        " type=... owner=" + site.file + "`",
+                    &findings);
     }
   }
 

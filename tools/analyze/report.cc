@@ -28,8 +28,8 @@ const std::set<std::string>& KnownPasses() {
 const std::set<std::string>& KnownRules() {
   static const std::set<std::string> kRules = {
       "upward-include", "include-cycle",     "unregistered-knob",
-      "dead-knob",      "undocumented-knob", "lax-knob-parse",
-      "knob-registry-syntax", "hot-alloc"};
+      "dead-knob",      "undocumented-knob", "bare-getenv",
+      "library-env",    "knob-registry-syntax", "hot-alloc"};
   return kRules;
 }
 
