@@ -1,5 +1,5 @@
-#ifndef WHITENREC_RETRIEVAL_ANN_REPORT_H_
-#define WHITENREC_RETRIEVAL_ANN_REPORT_H_
+#ifndef WHITENREC_BENCH_ANN_REPORT_H_
+#define WHITENREC_BENCH_ANN_REPORT_H_
 
 #include <cstddef>
 #include <string>
@@ -8,14 +8,14 @@
 #include "core/status.h"
 
 namespace whitenrec {
-namespace retrieval {
+namespace bench {
 
 // Result schema for bench_ann (out/BENCH_ann.json): an outer sweep over
 // catalog sizes, each with one deterministic index build, an exact-scoring
 // baseline, and an inner sweep over nprobe. Recall is measured against the
 // exact top-K under the canonical total order (eval::RecallVsReference), so
-// the validator can require it to be monotone in nprobe — the index
-// guarantees it (ivf_index.h).
+// CheckAnnBench can require it to be monotone in nprobe — the index
+// guarantees it (retrieval/ivf_index.h).
 struct AnnProbePoint {
   std::size_t nprobe = 0;
   double recall_at_k = 0.0;      // mean over queries, in [0, 1]
@@ -39,14 +39,16 @@ struct AnnBenchResult {
   std::vector<AnnCatalogSweep> sweep;
 };
 
-// Serializes the result to the BENCH_ann.json document.
+// Renders the result as the out/BENCH_ann.json document: the schema's one
+// definition.
 std::string AnnBenchJson(const AnnBenchResult& result);
 
-// Validates a BENCH_ann.json document: required keys, recall in [0, 1],
-// strictly increasing nprobe with non-decreasing recall per catalog entry.
-Status ValidateAnnBenchJson(const std::string& text);
+// The rules a sweep must meet before its report is trusted: a non-empty
+// sweep, each entry with non-empty points, recall in [0, 1], and strictly
+// increasing nprobe with non-decreasing recall per entry.
+Status CheckAnnBench(const AnnBenchResult& result);
 
-}  // namespace retrieval
+}  // namespace bench
 }  // namespace whitenrec
 
-#endif  // WHITENREC_RETRIEVAL_ANN_REPORT_H_
+#endif  // WHITENREC_BENCH_ANN_REPORT_H_

@@ -1,18 +1,15 @@
 // ANN retrieval benchmark (ISSUE 7): builds the deterministic IVF index
 // over a whitened synthetic catalog and sweeps nprobe x catalog size against
 // the exact fused-scoring baseline, reporting recall@K-vs-exact, queries/s,
-// end-to-end speedup, and index build time. Writes out/BENCH_ann.json and
-// schema-checks the artifact on disk (retrieval::ValidateAnnBenchJson)
-// before exiting 0.
+// end-to-end speedup, and index build time. Writes out/BENCH_ann.json
+// (read back and parsed by bench::WriteArtifact) and exits 0 only if the
+// sweep passes bench::CheckAnnBench.
 //
 // Knobs: --threads, WHITENREC_THREADS, WHITENREC_OUT_DIR, and
 //   WHITENREC_ANN_ITEMS    full catalog size      (default 1000000)
 //   WHITENREC_ANN_QUERIES  query batch size       (default 256)
-//   WHITENREC_ANN_DIM      whitened embedding dim (default 32)
-//   WHITENREC_ANN_TOPK     K                      (default 10)
-//   WHITENREC_IVF_CLUSTERS clusters for the FULL catalog; smaller sweep
-//                          entries scale it down (default 0 = ~sqrt(n))
-// nprobe is swept in code, not read from the environment.
+// The whitened dimension (32), K (10) and nprobe are fixed in code; every
+// index picks its own cluster count (~sqrt(n), retrieval::IvfBuildConfig).
 //
 // The catalog comes from data::GenerateItemFeatures (blocked, arena-backed,
 // bitwise independent of the block size) run through a ZCA whitening fit —
@@ -28,45 +25,21 @@
 #include <string>
 #include <vector>
 
+#include "bench/ann_report.h"
+#include "bench/artifact.h"
 #include "bench_common.h"
-#include "bench_json.h"
-#include "core/faultfs.h"
-#include "whitening/whitening.h"
 #include "eval/metrics.h"
 #include "linalg/gemm.h"
 #include "linalg/rng.h"
 #include "linalg/topk.h"
-#include "retrieval/ann_report.h"
 #include "retrieval/ivf_index.h"
 #include "retrieval/scorer.h"
+#include "whitening/whitening.h"
 
 namespace whitenrec {
 namespace {
 
 using linalg::Matrix;
-
-double Seconds(std::chrono::steady_clock::time_point t0,
-               std::chrono::steady_clock::time_point t1) {
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-// Top-K lists for every query row through a Scorer backend; returns seconds.
-double TimedTopK(retrieval::Scorer* scorer, const Matrix& queries,
-                 std::size_t k,
-                 std::vector<std::vector<linalg::ScoredItem>>* lists) {
-  std::vector<linalg::TopKSelector> selectors;
-  selectors.reserve(queries.rows());
-  for (std::size_t r = 0; r < queries.rows(); ++r) selectors.emplace_back(k);
-  const auto t0 = std::chrono::steady_clock::now();
-  scorer->TopKBatch(queries, {}, &selectors);
-  const auto t1 = std::chrono::steady_clock::now();
-  lists->clear();
-  lists->reserve(selectors.size());
-  for (const linalg::TopKSelector& sel : selectors) {
-    lists->push_back(sel.SortedDescending());
-  }
-  return Seconds(t0, t1);
-}
 
 // Gathered-candidate count for one query at one nprobe (probe selection
 // replayed outside the timed region; O(clusters) per query).
@@ -90,9 +63,8 @@ int Run(int argc, char** argv) {
   const std::size_t threads = bench::ApplyThreadsFlag(argc, argv);
   const std::size_t full_items = core::EnvSize("WHITENREC_ANN_ITEMS", 1000000);
   const std::size_t num_queries = core::EnvSize("WHITENREC_ANN_QUERIES", 256);
-  const std::size_t dim = core::EnvSize("WHITENREC_ANN_DIM", 32);
-  const std::size_t top_k = core::EnvSize("WHITENREC_ANN_TOPK", 10);
-  const std::size_t full_clusters = core::EnvSize("WHITENREC_IVF_CLUSTERS", 0);
+  constexpr std::size_t dim = 32;
+  constexpr std::size_t top_k = 10;
 
   std::printf("[ann] catalog=%zu queries=%zu dim=%zu k=%zu threads=%zu\n",
               full_items, num_queries, dim, top_k, threads);
@@ -127,7 +99,7 @@ int Run(int argc, char** argv) {
   Matrix whitened = ApplyWhitening(fitted.value(), features);
   features = Matrix();  // release the raw catalog
 
-  retrieval::AnnBenchResult result;
+  bench::AnnBenchResult result;
   result.top_k = top_k;
   result.dim = dim;
   result.queries = num_queries;
@@ -164,23 +136,19 @@ int Run(int argc, char** argv) {
         retrieval::MakeScorer(retrieval::ScorerConfig());
     exact->Rebuild(items);
     std::vector<std::vector<linalg::ScoredItem>> exact_lists;
-    const double exact_seconds = TimedTopK(exact.get(), queries, top_k,
-                                           &exact_lists);
+    const double exact_seconds =
+        bench::TimedTopK(exact.get(), queries, top_k, &exact_lists);
 
-    // Deterministic IVF build, scaled clusters for sub-catalogs.
-    retrieval::IvfBuildConfig build;
-    if (full_clusters > 0) {
-      build.clusters = std::max<std::size_t>(
-          1, full_clusters * catalog / full_items);
-    }
+    // Deterministic IVF build, ~sqrt(catalog) clusters.
     const auto b0 = std::chrono::steady_clock::now();
-    const retrieval::IvfIndex index = retrieval::IvfIndex::Build(items, build);
+    const retrieval::IvfIndex index =
+        retrieval::IvfIndex::Build(items, retrieval::IvfBuildConfig());
     const auto b1 = std::chrono::steady_clock::now();
 
-    retrieval::AnnCatalogSweep sweep;
+    bench::AnnCatalogSweep sweep;
     sweep.catalog_items = catalog;
     sweep.clusters = index.clusters();
-    sweep.build_seconds = Seconds(b0, b1);
+    sweep.build_seconds = bench::Seconds(b0, b1);
     sweep.exact_qps =
         exact_seconds > 0.0
             ? static_cast<double>(num_queries) / exact_seconds
@@ -193,9 +161,6 @@ int Run(int argc, char** argv) {
                                std::size_t{8}, std::size_t{16},
                                std::size_t{32}, std::size_t{64}}) {
       if (nprobe > index.clusters()) break;
-      retrieval::ScorerConfig ivf_config;
-      ivf_config.kind = retrieval::ScorerKind::kIvf;
-      ivf_config.nprobe = nprobe;
       // Search through the already-built index (the IvfScorer would refit
       // k-means per nprobe point): same per-row fan-out as the serving path.
       std::vector<linalg::TopKSelector> selectors;
@@ -211,7 +176,7 @@ int Run(int argc, char** argv) {
                           }
                         });
       const auto q1 = std::chrono::steady_clock::now();
-      const double ivf_seconds = Seconds(q0, q1);
+      const double ivf_seconds = bench::Seconds(q0, q1);
 
       double recall_sum = 0.0;
       for (std::size_t r = 0; r < num_queries; ++r) {
@@ -219,7 +184,7 @@ int Run(int argc, char** argv) {
                                               exact_lists[r]);
       }
 
-      retrieval::AnnProbePoint point;
+      bench::AnnProbePoint point;
       point.nprobe = nprobe;
       point.recall_at_k = recall_sum / static_cast<double>(num_queries);
       point.ivf_qps = ivf_seconds > 0.0
@@ -240,10 +205,10 @@ int Run(int argc, char** argv) {
 
   // Acceptance summary at the largest catalog: the best speedup among points
   // meeting the recall bar.
-  const retrieval::AnnCatalogSweep& last = result.sweep.back();
+  const bench::AnnCatalogSweep& last = result.sweep.back();
   double best_speedup = 0.0;
   std::size_t best_nprobe = 0;
-  for (const retrieval::AnnProbePoint& p : last.points) {
+  for (const bench::AnnProbePoint& p : last.points) {
     if (p.recall_at_k >= 0.95 && p.speedup_vs_exact > best_speedup) {
       best_speedup = p.speedup_vs_exact;
       best_nprobe = p.nprobe;
@@ -261,31 +226,10 @@ int Run(int argc, char** argv) {
         top_k, last.catalog_items);
   }
 
-  const std::string json = retrieval::AnnBenchJson(result);
-  const std::string path = bench::OutPath("BENCH_ann.json");
-  Status wrote = core::AtomicWriteFile(path, json);
-  if (!wrote.ok()) {
-    std::fprintf(stderr, "write %s: %s\n", path.c_str(),
-                 wrote.message().c_str());
-    return 1;
-  }
-  std::printf("[out] %s\n", path.c_str());
-
-  // Schema-check the artifact actually on disk, not the in-memory string.
-  Result<std::string> readback = core::ReadFileToString(path);
-  if (!readback.ok()) {
-    std::fprintf(stderr, "readback %s: %s\n", path.c_str(),
-                 readback.status().message().c_str());
-    return 1;
-  }
-  Status valid = retrieval::ValidateAnnBenchJson(readback.value());
-  if (!valid.ok()) {
-    std::fprintf(stderr, "BENCH_ann.json schema check failed: %s\n",
-                 valid.message().c_str());
-    return 1;
-  }
-  std::printf("[ann] BENCH_ann.json schema check passed\n");
-  return 0;
+  Status s = bench::WriteArtifact(bench::OutPath("BENCH_ann.json"),
+                                  bench::AnnBenchJson(result));
+  if (s.ok()) s = bench::CheckAnnBench(result);
+  return bench::ExitCode("BENCH_ann.json", s);
 }
 
 }  // namespace

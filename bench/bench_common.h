@@ -1,6 +1,7 @@
 #ifndef WHITENREC_BENCH_BENCH_COMMON_H_
 #define WHITENREC_BENCH_BENCH_COMMON_H_
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -9,6 +10,8 @@
 #include "core/parallel.h"
 #include "data/generator.h"
 #include "data/split.h"
+#include "linalg/scorer.h"
+#include "linalg/topk.h"
 #include "seqrec/model.h"
 #include "seqrec/trainer.h"
 
@@ -85,6 +88,30 @@ inline seqrec::EvalResult FitAndEvaluate(seqrec::SasRecRecommender* rec,
                                          std::size_t max_len) {
   rec->Fit(split, config);
   return seqrec::EvaluateRanking(rec, split.test, split.train, max_len);
+}
+
+inline double Seconds(std::chrono::steady_clock::time_point t0,
+                      std::chrono::steady_clock::time_point t1) {
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+// Top-K lists for every query row through a Scorer backend; returns the
+// seconds the scoring took.
+inline double TimedTopK(linalg::Scorer* scorer, const linalg::Matrix& queries,
+                        std::size_t k,
+                        std::vector<std::vector<linalg::ScoredItem>>* lists) {
+  std::vector<linalg::TopKSelector> selectors;
+  selectors.reserve(queries.rows());
+  for (std::size_t r = 0; r < queries.rows(); ++r) selectors.emplace_back(k);
+  const auto t0 = std::chrono::steady_clock::now();
+  scorer->TopKBatch(queries, {}, &selectors);
+  const auto t1 = std::chrono::steady_clock::now();
+  lists->clear();
+  lists->reserve(selectors.size());
+  for (const linalg::TopKSelector& sel : selectors) {
+    lists->push_back(sel.SortedDescending());
+  }
+  return Seconds(t0, t1);
 }
 
 // Table formatting helpers (plain fixed-width text, like the paper rows).

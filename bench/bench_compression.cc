@@ -4,10 +4,10 @@
 // behind the Scorer seam) and measures, per cell, the packed table bytes,
 // fused-scoring throughput, NDCG@K against the known per-query target, and
 // recall@K of the cell's top-K lists vs the fp32 full-rank reference lists.
-// Writes out/BENCH_compression.json and schema-checks the artifact on disk
-// (ValidateCompressionBenchJson) before exiting 0 — the validator also
-// enforces the acceptance floor: some cell must reach >= 4x memory
-// reduction at <= 1% NDCG@K loss.
+// Writes out/BENCH_compression.json (read back and parsed by
+// bench::WriteArtifact) and exits 0 only if the grid passes
+// bench::CheckCompressionBench, which includes the acceptance floor: some
+// cell must reach >= 4x memory reduction at <= 1% NDCG@K loss.
 //
 // Knobs: --threads, WHITENREC_THREADS, WHITENREC_OUT_DIR, and
 //   WHITENREC_COMPRESS_ITEMS   catalog size     (default 200000)
@@ -27,26 +27,20 @@
 #include <string>
 #include <vector>
 
+#include "bench/artifact.h"
+#include "bench/compression_report.h"
 #include "bench_common.h"
-#include "bench_json.h"
-#include "core/faultfs.h"
 #include "eval/metrics.h"
 #include "linalg/quant.h"
 #include "linalg/rng.h"
 #include "linalg/scorer.h"
 #include "linalg/topk.h"
-#include "whitening/compression_report.h"
 #include "whitening/whitening.h"
 
 namespace whitenrec {
 namespace {
 
 using linalg::Matrix;
-
-double Seconds(std::chrono::steady_clock::time_point t0,
-               std::chrono::steady_clock::time_point t1) {
-  return std::chrono::duration<double>(t1 - t0).count();
-}
 
 // Leading `rank` columns of `x` — the rank-truncated whitened space.
 Matrix ColumnPrefix(const Matrix& x, std::size_t rank) {
@@ -55,23 +49,6 @@ Matrix ColumnPrefix(const Matrix& x, std::size_t rank) {
     std::memcpy(out.RowPtr(r), x.RowPtr(r), rank * sizeof(double));
   }
   return out;
-}
-
-// Top-K lists for every query row through a Scorer backend; returns seconds.
-double TimedTopK(linalg::Scorer* scorer, const Matrix& queries, std::size_t k,
-                 std::vector<std::vector<linalg::ScoredItem>>* lists) {
-  std::vector<linalg::TopKSelector> selectors;
-  selectors.reserve(queries.rows());
-  for (std::size_t r = 0; r < queries.rows(); ++r) selectors.emplace_back(k);
-  const auto t0 = std::chrono::steady_clock::now();
-  scorer->TopKBatch(queries, {}, &selectors);
-  const auto t1 = std::chrono::steady_clock::now();
-  lists->clear();
-  lists->reserve(selectors.size());
-  for (const linalg::TopKSelector& sel : selectors) {
-    lists->push_back(sel.SortedDescending());
-  }
-  return Seconds(t0, t1);
 }
 
 // Mean NDCG@K with one known relevant item per query (the catalog row the
@@ -139,7 +116,7 @@ int Run(int argc, char** argv) {
     }
   }
 
-  CompressionBenchResult result;
+  bench::CompressionBenchResult result;
   result.top_k = kTopK;
   result.dim = kDim;
   result.queries = num_queries;
@@ -159,11 +136,11 @@ int Run(int argc, char** argv) {
       std::unique_ptr<linalg::Scorer> scorer = linalg::MakeExactScorer();
       scorer->Rebuild(items);
       std::vector<std::vector<linalg::ScoredItem>> lists;
-      const double seconds = TimedTopK(scorer.get(), q, kTopK, &lists);
+      const double seconds = bench::TimedTopK(scorer.get(), q, kTopK, &lists);
 
-      CompressionCell cell;
+      bench::CompressionCell cell;
       cell.rank = rank;
-      cell.quant = linalg::ItemQuantKindName(kind);
+      cell.quant = kind;
       if (kind == linalg::ItemQuantKind::kFp32) {
         cell.table_bytes = num_items * rank * sizeof(double);
       } else {
@@ -194,7 +171,7 @@ int Run(int argc, char** argv) {
       std::printf(
           "[compress] rank=%2zu quant=%s bytes=%10zu ratio=%5.2fx "
           "qps=%9.1f ndcg@%zu=%.4f recall=%.4f loss=%+.4f\n",
-          cell.rank, cell.quant.c_str(), cell.table_bytes,
+          cell.rank, linalg::ItemQuantKindName(cell.quant), cell.table_bytes,
           cell.compression_ratio, cell.scoring_qps, kTopK, cell.ndcg_at_k,
           cell.recall_vs_reference, cell.ndcg_loss_frac);
       result.cells.push_back(cell);
@@ -203,10 +180,11 @@ int Run(int argc, char** argv) {
   linalg::SetItemQuantKind(ambient);
 
   // Acceptance summary: the best compression among cells within the NDCG
-  // budget (the validator independently enforces the >= 4x / <= 1% floor).
+  // budget (CheckCompressionBench independently enforces the >= 4x / <= 1%
+  // floor).
   double best_ratio = 0.0;
-  const CompressionCell* best = nullptr;
-  for (const CompressionCell& cell : result.cells) {
+  const bench::CompressionCell* best = nullptr;
+  for (const bench::CompressionCell& cell : result.cells) {
     if (cell.ndcg_loss_frac <= 0.01 && cell.compression_ratio > best_ratio) {
       best_ratio = cell.compression_ratio;
       best = &cell;
@@ -216,37 +194,17 @@ int Run(int argc, char** argv) {
     std::printf(
         "[compress] acceptance: rank=%zu quant=%s -> %.2fx smaller at "
         "%.2f%% NDCG@%zu loss\n",
-        best->rank, best->quant.c_str(), best->compression_ratio,
+        best->rank, linalg::ItemQuantKindName(best->quant),
+        best->compression_ratio,
         100.0 * best->ndcg_loss_frac, kTopK);
   } else {
     std::printf("[compress] acceptance: no cell within the 1%% NDCG budget\n");
   }
 
-  const std::string json = CompressionBenchJson(result);
-  const std::string path = bench::OutPath("BENCH_compression.json");
-  Status wrote = core::AtomicWriteFile(path, json);
-  if (!wrote.ok()) {
-    std::fprintf(stderr, "write %s: %s\n", path.c_str(),
-                 wrote.message().c_str());
-    return 1;
-  }
-  std::printf("[out] %s\n", path.c_str());
-
-  // Schema-check the artifact actually on disk, not the in-memory string.
-  Result<std::string> readback = core::ReadFileToString(path);
-  if (!readback.ok()) {
-    std::fprintf(stderr, "readback %s: %s\n", path.c_str(),
-                 readback.status().message().c_str());
-    return 1;
-  }
-  Status valid = ValidateCompressionBenchJson(readback.value());
-  if (!valid.ok()) {
-    std::fprintf(stderr, "BENCH_compression.json schema check failed: %s\n",
-                 valid.message().c_str());
-    return 1;
-  }
-  std::printf("[compress] BENCH_compression.json schema check passed\n");
-  return 0;
+  Status s = bench::WriteArtifact(bench::OutPath("BENCH_compression.json"),
+                                  bench::CompressionBenchJson(result));
+  if (s.ok()) s = bench::CheckCompressionBench(result);
+  return bench::ExitCode("BENCH_compression.json", s);
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 // overload-resilient serving path (admission queue + degradation ladder +
 // poisoned-ingest fault stream) across load multipliers on the virtual
 // clock, with the chaos plane injecting latency spikes, corrupted ingest
-// rows, and refit failures. Writes out/BENCH_degrade.json (schema-checked
-// against the written artifact, including the availability floor at every
-// load point).
+// rows, and refit failures. Writes out/BENCH_degrade.json (read back and
+// parsed by bench::WriteArtifact); the sweep must pass
+// bench::CheckDegradeBench, including the availability floor at every load
+// point.
 //
 // Knobs: --threads, WHITENREC_THREADS, WHITENREC_SCALE, WHITENREC_EPOCHS,
 // WHITENREC_OUT_DIR, WHITENREC_DEGRADE_REQUESTS (trace length, default
@@ -15,12 +16,11 @@
 #include <cstdlib>
 #include <string>
 
+#include "bench/artifact.h"
+#include "bench/degrade_harness.h"
 #include "bench_common.h"
-#include "bench_json.h"
-#include "core/faultfs.h"
 #include "seqrec/baselines.h"
 #include "serve/chaos.h"
-#include "serve/degrade_harness.h"
 
 namespace whitenrec {
 namespace {
@@ -46,7 +46,7 @@ int Run(int argc, char** argv) {
       core::EnvU64("WHITENREC_CHAOS_SEED", 42),
       core::EnvDouble("WHITENREC_CHAOS_RATE", 0.25, 0.0, 1.0));
 
-  serve::DegradeConfig config;
+  bench::DegradeConfig config;
   config.traffic.num_sessions = data.dataset.sequences.size();
   config.traffic.num_requests = core::EnvSize(
       "WHITENREC_DEGRADE_REQUESTS", static_cast<std::size_t>(2048 * scale));
@@ -76,10 +76,10 @@ int Run(int argc, char** argv) {
               "(chaos rate %.2f) ...\n",
               config.load_multipliers.size(), config.traffic.num_requests,
               serve::ChaosInjector::Global().rate());
-  serve::DegradeBenchResult result = serve::RunDegradeHarness(
+  const bench::DegradeBenchResult result = bench::RunDegradeHarness(
       model, data.dataset.sequences, &data.dataset.text_embeddings, config);
 
-  for (const serve::DegradePoint& p : result.points) {
+  for (const bench::DegradePoint& p : result.points) {
     std::printf(
         "[degrade] load=%.1fx offered=%zu served=%zu shed=%zu+%zu "
         "avail=%.4f miss=%.4f p99=%lluns quarantined=%zu rollbacks=%zu\n",
@@ -89,37 +89,16 @@ int Run(int argc, char** argv) {
     for (std::size_t r = 0; r < p.rung_served.size(); ++r) {
       std::printf("[degrade]   rung %zu (%s): served=%zu ndcg@%zu=%.4f\n", r,
                   serve::RungKindName(config.serve.ladder.rungs[r].kind),
-                  p.rung_served[r], config.ndcg_k, p.rung_ndcg[r]);
+                  p.rung_served[r], bench::kDegradeNdcgK, p.rung_ndcg[r]);
     }
   }
 
-  const std::string json = serve::DegradeBenchJson(result);
-  const std::string path = bench::OutPath("BENCH_degrade.json");
-  Status wrote = core::AtomicWriteFile(path, json);
-  if (!wrote.ok()) {
-    std::fprintf(stderr, "write %s: %s\n", path.c_str(),
-                 wrote.message().c_str());
-    return 1;
-  }
-  std::printf("[out] %s\n", path.c_str());
-
-  // Schema-check the artifact actually on disk, with the acceptance floor:
-  // >= 99% availability at every load point, the 4x overload one included.
-  Result<std::string> readback = core::ReadFileToString(path);
-  if (!readback.ok()) {
-    std::fprintf(stderr, "readback %s: %s\n", path.c_str(),
-                 readback.status().message().c_str());
-    return 1;
-  }
-  Status valid = serve::ValidateDegradeBenchJson(readback.value(),
-                                                 /*min_availability=*/0.99);
-  if (!valid.ok()) {
-    std::fprintf(stderr, "BENCH_degrade.json schema check failed: %s\n",
-                 valid.message().c_str());
-    return 1;
-  }
-  std::printf("[degrade] BENCH_degrade.json schema check passed\n");
-  return 0;
+  // The acceptance floor: >= 99% availability at every load point, the 4x
+  // overload one included.
+  Status s = bench::WriteArtifact(bench::OutPath("BENCH_degrade.json"),
+                                  bench::DegradeBenchJson(result));
+  if (s.ok()) s = bench::CheckDegradeBench(result, /*min_availability=*/0.99);
+  return bench::ExitCode("BENCH_degrade.json", s);
 }
 
 }  // namespace

@@ -8,11 +8,11 @@
 // uniform spread).
 
 #include <cmath>
-#include <fstream>
+#include <sstream>
 
 #include "analysis/tsne.h"
+#include "bench/artifact.h"
 #include "bench_common.h"
-#include "bench_json.h"
 #include "whitening/whitening.h"
 
 namespace whitenrec {
@@ -61,13 +61,14 @@ ClusterStats Summarize(const linalg::Matrix& y,
   return s;
 }
 
-void WriteCsv(const std::string& path, const linalg::Matrix& y,
-              const std::vector<std::size_t>& categories) {
-  std::ofstream out(path);
+std::string Csv(const linalg::Matrix& y,
+                const std::vector<std::size_t>& categories) {
+  std::ostringstream out;
   out << "x,y,category\n";
   for (std::size_t i = 0; i < y.rows(); ++i) {
     out << y(i, 0) << ',' << y(i, 1) << ',' << categories[i] << '\n';
   }
+  return out.str();
 }
 
 }  // namespace
@@ -103,8 +104,10 @@ int main(int argc, char** argv) {
     const ClusterStats stats = Summarize(y, categories);
     std::printf("%-10s%18.4f%14.4f\n", s.name, stats.intra_over_inter,
                 stats.dispersion);
-    WriteCsv(bench::OutPath(std::string("fig3_") + s.name + ".csv"), y,
-             categories);
+    const std::string file = std::string("fig3_") + s.name + ".csv";
+    const Status wrote =
+        bench::WriteArtifact(bench::OutPath(file), Csv(y, categories));
+    if (!wrote.ok()) return bench::ExitCode(file, wrote);
   }
   std::printf(
       "\ncoordinates written to %s/fig3_*.csv.\n", bench::OutDir().c_str());

@@ -15,10 +15,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_json.h"
-#include "whitening/flow_whitening.h"
+#include "bench/artifact.h"
+#include "core/json.h"
 #include "core/parallel.h"
-#include "whitening/whitening.h"
 #include "data/generator.h"
 #include "data/split.h"
 #include "linalg/eigen.h"
@@ -30,6 +29,8 @@
 #include "linalg/workspace.h"
 #include "retrieval/kmeans.h"
 #include "seqrec/baselines.h"
+#include "whitening/flow_whitening.h"
+#include "whitening/whitening.h"
 
 namespace whitenrec {
 namespace {
@@ -307,38 +308,40 @@ BENCHMARK(BM_KMeansFit)->Unit(benchmark::kMillisecond);
 class KernelJsonReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
+    using core::Json;
     ConsoleReporter::ReportRuns(runs);
     for (const Run& run : runs) {
-      bench::Json rec = bench::Json::Obj();
-      rec.Set("name", bench::Json::Str(run.benchmark_name()));
-      rec.Set("real_time", bench::Json::Num(run.GetAdjustedRealTime()));
+      Json rec = Json::Obj();
+      rec.Set("name", Json::Str(run.benchmark_name()));
+      rec.Set("real_time", Json::Num(run.GetAdjustedRealTime()));
       rec.Set("time_unit",
-              bench::Json::Str(benchmark::GetTimeUnitString(run.time_unit)));
-      rec.Set("iterations", bench::Json::Int(run.iterations));
+              Json::Str(benchmark::GetTimeUnitString(run.time_unit)));
+      rec.Set("iterations", Json::Int(run.iterations));
       if (!run.report_label.empty()) {
-        rec.Set("label", bench::Json::Str(run.report_label));
+        rec.Set("label", Json::Str(run.report_label));
       }
       for (const auto& [name, counter] : run.counters) {
-        rec.Set(name, bench::Json::Num(counter.value));
+        rec.Set(name, Json::Num(counter.value));
         if (name == "items_per_second") {
-          rec.Set("gflops", bench::Json::Num(2.0 * counter.value / 1e9));
+          rec.Set("gflops", Json::Num(2.0 * counter.value / 1e9));
         }
       }
       records_.Push(std::move(rec));
     }
   }
 
-  void WriteJson() {
-    bench::Json doc = bench::Json::Obj();
-    doc.Set("bench", bench::Json::Str("micro_kernels"));
-    doc.Set("default_threads",
-            bench::Json::Int(static_cast<long long>(core::NumThreads())));
+  Status WriteJson() {
+    using core::Json;
+    Json doc = Json::Obj();
+    doc.Set("bench", Json::Str("micro_kernels"));
+    doc.Set("default_threads", Json::Uint(core::NumThreads()));
     doc.Set("runs", std::move(records_));
-    bench::WriteJsonFile("BENCH_kernels.json", doc);
+    return bench::WriteArtifact(bench::OutPath("BENCH_kernels.json"),
+                                doc.Dump() + "\n");
   }
 
  private:
-  bench::Json records_ = bench::Json::Arr();
+  core::Json records_ = core::Json::Arr();
 };
 
 }  // namespace
@@ -349,6 +352,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   whitenrec::KernelJsonReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  reporter.WriteJson();
-  return 0;
+  return whitenrec::bench::ExitCode("BENCH_kernels.json", reporter.WriteJson());
 }

@@ -1,8 +1,8 @@
 // Serving benchmark: trains a WhitenRec model, then drives the online
 // serving core (serve/) with deterministic synthetic traffic across a
 // sweep of micro-batch windows and thread counts, exercises the item-ingest
-// refit path, and writes out/BENCH_serving.json (schema-checked against the
-// written artifact before exiting).
+// refit path, and writes out/BENCH_serving.json (read back and parsed by
+// bench::WriteArtifact; the sweep must pass bench::CheckServingBench).
 //
 // Knobs: --threads, WHITENREC_THREADS, WHITENREC_SCALE, WHITENREC_EPOCHS,
 // WHITENREC_OUT_DIR and WHITENREC_SERVE_REQUESTS (trace length, default
@@ -12,11 +12,10 @@
 #include <cstdlib>
 #include <string>
 
+#include "bench/artifact.h"
+#include "bench/serving_harness.h"
 #include "bench_common.h"
-#include "bench_json.h"
-#include "core/faultfs.h"
 #include "seqrec/baselines.h"
-#include "serve/harness.h"
 
 namespace whitenrec {
 namespace {
@@ -64,10 +63,10 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "[serve] ingest disabled: %s\n",
                  armed.message().c_str());
   }
-  std::printf("[serve] catalog %zu -> %zu items after ingest\n", before_items,
-              ingest_service.num_items());
+  std::printf("[serve] catalog %zu -> %zu items after ingesting %zu\n",
+              before_items, ingest_service.num_items(), ingested);
 
-  serve::HarnessConfig harness;
+  bench::HarnessConfig harness;
   harness.serve = serve_config;
   harness.traffic.num_sessions = data.dataset.sequences.size();
   harness.traffic.num_requests = core::EnvSize(
@@ -80,10 +79,10 @@ int Run(int argc, char** argv) {
               "requests ...\n",
               harness.batch_windows_ns.size(), harness.thread_counts.size(),
               harness.traffic.num_requests);
-  serve::ServingBenchResult result =
-      serve::RunServingHarness(model, data.dataset.sequences, harness);
+  const bench::ServingBenchResult result =
+      bench::RunServingHarness(model, data.dataset.sequences, harness);
 
-  for (const serve::SweepPoint& p : result.points) {
+  for (const bench::SweepPoint& p : result.points) {
     std::printf(
         "[serve] window=%9lluns threads=%zu qps=%10.1f p50=%8lluns "
         "p99=%8lluns p999=%8lluns hit=%.3f batch=%.1f\n",
@@ -94,32 +93,10 @@ int Run(int argc, char** argv) {
         p.mean_batch_size);
   }
 
-  const std::string json = serve::ServingBenchJson(result);
-  const std::string path = bench::OutPath("BENCH_serving.json");
-  Status wrote = core::AtomicWriteFile(path, json);
-  if (!wrote.ok()) {
-    std::fprintf(stderr, "write %s: %s\n", path.c_str(),
-                 wrote.message().c_str());
-    return 1;
-  }
-  std::printf("[out] %s\n", path.c_str());
-
-  // Schema-check the artifact actually on disk, not the in-memory string.
-  Result<std::string> readback = core::ReadFileToString(path);
-  if (!readback.ok()) {
-    std::fprintf(stderr, "readback %s: %s\n", path.c_str(),
-                 readback.status().message().c_str());
-    return 1;
-  }
-  Status valid = serve::ValidateServingBenchJson(readback.value());
-  if (!valid.ok()) {
-    std::fprintf(stderr, "BENCH_serving.json schema check failed: %s\n",
-                 valid.message().c_str());
-    return 1;
-  }
-  std::printf("[serve] BENCH_serving.json schema check passed (%zu ingested)\n",
-              ingested);
-  return 0;
+  Status s = bench::WriteArtifact(bench::OutPath("BENCH_serving.json"),
+                                  bench::ServingBenchJson(result));
+  if (s.ok()) s = bench::CheckServingBench(result);
+  return bench::ExitCode("BENCH_serving.json", s);
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 // (`--threads N`, default WHITENREC_THREADS), so the table doubles as a
 // thread-scaling report for the training hot path.
 
+#include "bench/artifact.h"
 #include "bench_common.h"
-#include "bench_json.h"
+#include "core/json.h"
 #include "core/parallel.h"
 #include "seqrec/baselines.h"
 #include "seqrec/trainer.h"
@@ -28,26 +29,24 @@ int main(int argc, char** argv) {
   std::printf("%-22s%12s%14s%14s%10s\n", "model", "#params", "s/epoch(1T)",
               "s/epoch(NT)", "speedup");
   WhitenRecConfig wc;
-  bench::Json rows = bench::Json::Arr();
+  using core::Json;
+  Json rows = Json::Arr();
+  // Each model is fitted fresh at one thread, then at `threads`; the pool
+  // ends each call back at `threads`, the setting the flag asked for.
   auto run = [&](auto factory) {
-    seqrec::TrainConfig serial = tc;
-    serial.num_threads = 1;
-    seqrec::TrainConfig parallel = tc;
-    parallel.num_threads = threads;
-    auto rec1 = factory();
-    const double s1 = rec1->Fit(split, serial).avg_epoch_seconds;
+    core::SetNumThreads(1);
+    const double s1 = factory()->Fit(split, tc).avg_epoch_seconds;
+    core::SetNumThreads(threads);
     auto recn = factory();
-    const double sn = recn->Fit(split, parallel).avg_epoch_seconds;
+    const double sn = recn->Fit(split, tc).avg_epoch_seconds;
     std::printf("%-22s%12zu%14.3f%14.3f%9.2fx\n", recn->name().c_str(),
                 recn->NumParameters(), s1, sn, sn > 0.0 ? s1 / sn : 0.0);
-    rows.Push(bench::Json::Obj()
-                  .Set("model", bench::Json::Str(recn->name()))
-                  .Set("params",
-                       bench::Json::Int(
-                           static_cast<long long>(recn->NumParameters())))
-                  .Set("sec_per_epoch_1t", bench::Json::Num(s1))
-                  .Set("sec_per_epoch_nt", bench::Json::Num(sn))
-                  .Set("speedup", bench::Json::Num(sn > 0.0 ? s1 / sn : 0.0)));
+    rows.Push(Json::Obj()
+                  .Set("model", Json::Str(recn->name()))
+                  .Set("params", Json::Uint(recn->NumParameters()))
+                  .Set("sec_per_epoch_1t", Json::Num(s1))
+                  .Set("sec_per_epoch_nt", Json::Num(sn))
+                  .Set("speedup", Json::Num(sn > 0.0 ? s1 / sn : 0.0)));
   };
   run([&] { return seqrec::MakeUniSRec(ds, mc, /*with_id=*/false); });
   run([&] { return seqrec::MakeUniSRec(ds, mc, /*with_id=*/true); });
@@ -56,13 +55,15 @@ int main(int argc, char** argv) {
   run([&] { return seqrec::MakeWhitenRecPlus(ds, mc, wc, /*with_id=*/false); });
   run([&] { return seqrec::MakeWhitenRecPlus(ds, mc, wc, /*with_id=*/true); });
 
-  bench::Json doc = bench::Json::Obj();
-  doc.Set("bench", bench::Json::Str("table9_efficiency"));
-  doc.Set("dataset", bench::Json::Str("Tools"));
-  doc.Set("scale", bench::Json::Num(bench::EnvScale()));
-  doc.Set("epochs", bench::Json::Int(static_cast<long long>(tc.epochs)));
-  doc.Set("threads", bench::Json::Int(static_cast<long long>(threads)));
+  Json doc = Json::Obj();
+  doc.Set("bench", Json::Str("table9_efficiency"));
+  doc.Set("dataset", Json::Str("Tools"));
+  doc.Set("scale", Json::Num(bench::EnvScale()));
+  doc.Set("epochs", Json::Uint(tc.epochs));
+  doc.Set("threads", Json::Uint(threads));
   doc.Set("rows", std::move(rows));
-  bench::WriteJsonFile("BENCH_efficiency.json", doc);
-  return 0;
+  return bench::ExitCode(
+      "BENCH_efficiency.json",
+      bench::WriteArtifact(bench::OutPath("BENCH_efficiency.json"),
+                           doc.Dump() + "\n"));
 }

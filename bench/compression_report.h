@@ -1,24 +1,26 @@
-#ifndef WHITENREC_WHITENING_COMPRESSION_REPORT_H_
-#define WHITENREC_WHITENING_COMPRESSION_REPORT_H_
+#ifndef WHITENREC_BENCH_COMPRESSION_REPORT_H_
+#define WHITENREC_BENCH_COMPRESSION_REPORT_H_
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
 #include "core/status.h"
+#include "linalg/quant.h"
 
 namespace whitenrec {
+namespace bench {
 
 // Result schema for bench_compression (out/BENCH_compression.json): a grid
 // of (whitening rank x item-table representation) cells, each measured
 // against the fp32 full-rank reference — item-table bytes, scoring
 // throughput, NDCG@K against the known target, and recall@K of the cell's
-// top-K lists vs the reference lists. The validator enforces the structural
-// schema AND the PR's acceptance floor: at least one cell must reach >= 4x
-// memory reduction at <= 1% NDCG@K loss.
+// top-K lists vs the reference lists. CheckCompressionBench enforces the
+// acceptance floor: at least one cell must reach >= 4x memory reduction at
+// <= 1% NDCG@K loss.
 struct CompressionCell {
   std::size_t rank = 0;           // whitened dims kept (<= dim)
-  std::string quant;              // "fp32" | "int8" | "bf16"
+  linalg::ItemQuantKind quant = linalg::ItemQuantKind::kFp32;
   std::size_t table_bytes = 0;    // packed item-table footprint
   double compression_ratio = 0.0; // baseline_bytes / table_bytes
   double scoring_qps = 0.0;
@@ -37,15 +39,18 @@ struct CompressionBenchResult {
   std::vector<CompressionCell> cells;
 };
 
-// Serializes the result to the BENCH_compression.json document.
+// Renders the result as the out/BENCH_compression.json document: the
+// schema's one definition.
 std::string CompressionBenchJson(const CompressionBenchResult& result);
 
-// Validates a BENCH_compression.json document: required keys, metrics in
-// range, ranks within [1, dim], known quant names, the fp32 full-rank
-// reference cell present at ratio 1, and the acceptance floor (some cell
-// with compression_ratio >= 4 and ndcg_loss_frac <= 0.01).
-Status ValidateCompressionBenchJson(const std::string& text);
+// The rules a grid must meet before its report is trusted: non-empty cells,
+// each with rank in [1, dim], positive table bytes and ratio, NDCG@K and
+// recall in [0, 1]; the fp32 full-rank reference cell present at ratio 1
+// and zero loss; and the acceptance floor (some cell with
+// compression_ratio >= 4 and ndcg_loss_frac <= 0.01).
+Status CheckCompressionBench(const CompressionBenchResult& result);
 
+}  // namespace bench
 }  // namespace whitenrec
 
-#endif  // WHITENREC_WHITENING_COMPRESSION_REPORT_H_
+#endif  // WHITENREC_BENCH_COMPRESSION_REPORT_H_

@@ -1,9 +1,7 @@
-#include "serve/degrade_harness.h"
+#include "bench/degrade_harness.h"
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
@@ -15,19 +13,24 @@
 #include "whitening/whiten_encoder.h"
 
 namespace whitenrec {
-namespace serve {
+namespace bench {
+
+using serve::ChaosInjector;
+using serve::ChaosKind;
+using serve::ServeOutcomeKind;
+using serve::ServeRequest;
+using serve::TrafficConfig;
+
 namespace {
 
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out->append(buf);
-}
+// Virtual service-cost model, in virtual ns: serving a batch of n requests
+// costs (base + per_request * n) * rung_cost_factor, plus kChaosSpikeNs when
+// ChaosKind::kLatencySpike fires for the batch.
+constexpr std::uint64_t kBaseBatchCostNs = 50000;
+constexpr std::uint64_t kPerRequestCostNs = 40000;
+constexpr std::uint64_t kChaosSpikeNs = 2000000;
 
-double RungCostFactor(const LadderConfig& ladder, std::size_t rung) {
+double RungCostFactor(const serve::LadderConfig& ladder, std::size_t rung) {
   if (ladder.rungs.empty()) return 1.0;
   WR_CHECK_LT(rung, ladder.rungs.size());
   return ladder.rungs[rung].cost_factor;
@@ -75,9 +78,10 @@ DegradeBenchResult RunDegradeHarness(
 
     TrafficConfig traffic = config.traffic;
     traffic.mean_interarrival_ns = config.traffic.mean_interarrival_ns / mult;
-    const std::vector<TraceRequest> trace = GenerateTrace(sequences, traffic);
+    const std::vector<serve::TraceRequest> trace =
+        serve::GenerateTrace(sequences, traffic);
 
-    RecommendService service(model, config.serve);
+    serve::RecommendService service(model, config.serve);
     result.catalog_items = service.num_items();
     bool ingest_armed = false;
     if (config.ingest_every > 0) {
@@ -91,9 +95,9 @@ DegradeBenchResult RunDegradeHarness(
     // arrival at or before `now`, serve one ServeQueued round, advance the
     // clock by the modeled batch cost, repeat. All control decisions read
     // the virtual clock only.
-    std::vector<ServeOutcome> outcomes;
+    std::vector<serve::ServeOutcome> outcomes;
     std::vector<std::vector<linalg::ScoredItem>> refs;
-    LatencyHistogram hist;
+    serve::LatencyHistogram hist;
     std::vector<double> ndcg_sum(num_rungs, 0.0);
     std::vector<std::size_t> ndcg_count(num_rungs, 0);
     std::uint64_t now_ns = 0;
@@ -132,12 +136,12 @@ DegradeBenchResult RunDegradeHarness(
       ++batches;
 
       std::uint64_t cost_ns = static_cast<std::uint64_t>(
-          static_cast<double>(config.base_batch_cost_ns +
-                              config.per_request_cost_ns * n_served) *
+          static_cast<double>(kBaseBatchCostNs +
+                              kPerRequestCostNs * n_served) *
           RungCostFactor(config.serve.ladder, rung));
       if (cost_ns < 1) cost_ns = 1;
       if (chaos.Next({ChaosKind::kLatencySpike}) == ChaosKind::kLatencySpike) {
-        cost_ns += config.chaos_spike_ns;
+        cost_ns += kChaosSpikeNs;
       }
       const std::uint64_t completion_ns = now_ns + cost_ns;
       for (std::size_t o = before; o < outcomes.size(); ++o) {
@@ -151,7 +155,7 @@ DegradeBenchResult RunDegradeHarness(
         }
         WR_CHECK_LT(ref_cursor, refs.size());
         ndcg_sum[rung] += eval::NdcgVsReference(
-            outcomes[o].response.topk, refs[ref_cursor], config.ndcg_k);
+            outcomes[o].response.topk, refs[ref_cursor], kDegradeNdcgK);
         ++ndcg_count[rung];
         ++ref_cursor;
       }
@@ -181,7 +185,7 @@ DegradeBenchResult RunDegradeHarness(
     point.load_multiplier = mult;
     point.offered = trace.size();
     point.served = served;
-    const ServeStats& stats = service.stats();
+    const serve::ServeStats& stats = service.stats();
     point.shed_overflow = stats.queue_sheds;
     point.shed_deadline = stats.deadline_sheds;
     for (std::size_t s = 0; s < point.shed_overflow + point.shed_deadline;
@@ -225,161 +229,85 @@ DegradeBenchResult RunDegradeHarness(
 }
 
 std::string DegradeBenchJson(const DegradeBenchResult& result) {
-  std::string out;
-  out += "{\n";
-  out += "  \"bench\": \"degrade\",\n";
-  AppendF(&out, "  \"catalog_items\": %zu,\n", result.catalog_items);
-  AppendF(&out, "  \"ndcg_k\": %zu,\n", result.config.ndcg_k);
-  AppendF(&out,
-          "  \"chaos\": {\"seed\": %llu, \"rate\": %.6g},\n",
-          static_cast<unsigned long long>(result.chaos_seed),
-          result.chaos_rate);
-  AppendF(&out,
-          "  \"cost_model\": {\"base_batch_cost_ns\": %llu, "
-          "\"per_request_cost_ns\": %llu, \"chaos_spike_ns\": %llu},\n",
-          static_cast<unsigned long long>(result.config.base_batch_cost_ns),
-          static_cast<unsigned long long>(result.config.per_request_cost_ns),
-          static_cast<unsigned long long>(result.config.chaos_spike_ns));
+  using core::Json;
   const TrafficConfig& t = result.config.traffic;
-  AppendF(&out,
-          "  \"traffic\": {\"num_sessions\": %zu, \"num_requests\": %zu, "
-          "\"zipf_exponent\": %.6g, \"mean_interarrival_ns\": %.6g, "
-          "\"deadline_ns\": %llu, \"seed\": %llu},\n",
-          t.num_sessions, t.num_requests, t.zipf_exponent,
-          t.mean_interarrival_ns,
-          static_cast<unsigned long long>(t.deadline_ns),
-          static_cast<unsigned long long>(t.seed));
-  out += "  \"sweep\": [\n";
-  for (std::size_t i = 0; i < result.points.size(); ++i) {
-    const DegradePoint& p = result.points[i];
-    AppendF(&out,
-            "    {\"load_multiplier\": %.6g, \"offered\": %zu, "
-            "\"served\": %zu, \"shed_overflow\": %zu, \"shed_deadline\": %zu, "
-            "\"availability\": %.8g, \"deadline_miss_rate\": %.8g, "
-            "\"p50_ns\": %llu, \"p99_ns\": %llu, \"quarantined\": %zu, "
-            "\"refit_failures\": %zu, \"rollbacks\": %zu, ",
-            p.load_multiplier, p.offered, p.served, p.shed_overflow,
-            p.shed_deadline, p.availability, p.deadline_miss_rate,
-            static_cast<unsigned long long>(p.p50_ns),
-            static_cast<unsigned long long>(p.p99_ns), p.quarantined,
-            p.refit_failures, p.rollbacks);
-    out += "\"rung_served\": [";
-    for (std::size_t r = 0; r < p.rung_served.size(); ++r) {
-      AppendF(&out, "%s%zu", r == 0 ? "" : ", ", p.rung_served[r]);
-    }
-    out += "], \"rung_ndcg\": [";
-    for (std::size_t r = 0; r < p.rung_ndcg.size(); ++r) {
-      AppendF(&out, "%s%.8g", r == 0 ? "" : ", ", p.rung_ndcg[r]);
-    }
-    AppendF(&out, "]}%s\n", i + 1 < result.points.size() ? "," : "");
+  Json sweep = Json::Arr();
+  for (const DegradePoint& p : result.points) {
+    Json rung_served = Json::Arr();
+    for (std::size_t n : p.rung_served) rung_served.Push(Json::Uint(n));
+    Json rung_ndcg = Json::Arr();
+    for (double v : p.rung_ndcg) rung_ndcg.Push(Json::Num(v));
+    sweep.Push(Json::Obj()
+                   .Set("load_multiplier", Json::Num(p.load_multiplier))
+                   .Set("offered", Json::Uint(p.offered))
+                   .Set("served", Json::Uint(p.served))
+                   .Set("shed_overflow", Json::Uint(p.shed_overflow))
+                   .Set("shed_deadline", Json::Uint(p.shed_deadline))
+                   .Set("availability", Json::Num(p.availability))
+                   .Set("deadline_miss_rate", Json::Num(p.deadline_miss_rate))
+                   .Set("p50_ns", Json::Uint(p.p50_ns))
+                   .Set("p99_ns", Json::Uint(p.p99_ns))
+                   .Set("quarantined", Json::Uint(p.quarantined))
+                   .Set("refit_failures", Json::Uint(p.refit_failures))
+                   .Set("rollbacks", Json::Uint(p.rollbacks))
+                   .Set("rung_served", std::move(rung_served))
+                   .Set("rung_ndcg", std::move(rung_ndcg)));
   }
-  out += "  ]\n";
-  out += "}\n";
-  return out;
+  return Json::Obj()
+             .Set("bench", Json::Str("degrade"))
+             .Set("catalog_items", Json::Uint(result.catalog_items))
+             .Set("ndcg_k", Json::Uint(kDegradeNdcgK))
+             .Set("chaos", Json::Obj()
+                               .Set("seed", Json::Uint(result.chaos_seed))
+                               .Set("rate", Json::Num(result.chaos_rate)))
+             .Set("cost_model",
+                  Json::Obj()
+                      .Set("base_batch_cost_ns", Json::Uint(kBaseBatchCostNs))
+                      .Set("per_request_cost_ns", Json::Uint(kPerRequestCostNs))
+                      .Set("chaos_spike_ns", Json::Uint(kChaosSpikeNs)))
+             .Set("traffic",
+                  Json::Obj()
+                      .Set("num_sessions", Json::Uint(t.num_sessions))
+                      .Set("num_requests", Json::Uint(t.num_requests))
+                      .Set("zipf_exponent", Json::Num(t.zipf_exponent))
+                      .Set("mean_interarrival_ns",
+                           Json::Num(t.mean_interarrival_ns))
+                      .Set("deadline_ns", Json::Uint(t.deadline_ns))
+                      .Set("seed", Json::Uint(t.seed)))
+             .Set("sweep", std::move(sweep))
+             .Dump() +
+         "\n";
 }
 
-Status ValidateDegradeBenchJson(const std::string& text,
-                                double min_availability) {
-  using core::JsonValue;
-  using core::RequireJsonNumber;
-  JsonValue root;
-  Status parsed = core::ParseJson(text, &root);
-  if (!parsed.ok()) return parsed;
-  if (root.kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument("top level must be an object");
+Status CheckDegradeBench(const DegradeBenchResult& result,
+                         double min_availability) {
+  if (result.points.empty()) {
+    return Status::InvalidArgument("degrade sweep must be non-empty");
   }
-  const auto bench = root.object.find("bench");
-  if (bench == root.object.end() ||
-      bench->second.kind != JsonValue::Kind::kString ||
-      bench->second.str != "degrade") {
-    return Status::InvalidArgument("\"bench\" must be the string \"degrade\"");
-  }
-  for (const char* key : {"catalog_items", "ndcg_k"}) {
-    Status s = RequireJsonNumber(root, key, nullptr);
-    if (!s.ok()) return s;
-  }
-  const auto chaos = root.object.find("chaos");
-  if (chaos == root.object.end() ||
-      chaos->second.kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument("missing \"chaos\" object");
-  }
-  for (const char* key : {"seed", "rate"}) {
-    Status s = RequireJsonNumber(chaos->second, key, nullptr);
-    if (!s.ok()) return s;
-  }
-  const auto traffic = root.object.find("traffic");
-  if (traffic == root.object.end() ||
-      traffic->second.kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument("missing \"traffic\" object");
-  }
-  const auto sweep = root.object.find("sweep");
-  if (sweep == root.object.end() ||
-      sweep->second.kind != JsonValue::Kind::kArray) {
-    return Status::InvalidArgument("missing \"sweep\" array");
-  }
-  if (sweep->second.array.empty()) {
-    return Status::InvalidArgument("\"sweep\" must be non-empty");
-  }
-  for (const JsonValue& point : sweep->second.array) {
-    if (point.kind != JsonValue::Kind::kObject) {
-      return Status::InvalidArgument("sweep entries must be objects");
-    }
-    double offered = 0.0;
-    double point_served = 0.0;
-    double shed_overflow = 0.0;
-    double shed_deadline = 0.0;
-    double availability = 0.0;
-    double miss_rate = 0.0;
-    double p50 = 0.0;
-    double p99 = 0.0;
-    Status s = RequireJsonNumber(point, "load_multiplier", nullptr);
-    if (s.ok()) s = RequireJsonNumber(point, "offered", &offered);
-    if (s.ok()) s = RequireJsonNumber(point, "served", &point_served);
-    if (s.ok()) s = RequireJsonNumber(point, "shed_overflow", &shed_overflow);
-    if (s.ok()) s = RequireJsonNumber(point, "shed_deadline", &shed_deadline);
-    if (s.ok()) s = RequireJsonNumber(point, "availability", &availability);
-    if (s.ok()) s = RequireJsonNumber(point, "deadline_miss_rate", &miss_rate);
-    if (s.ok()) s = RequireJsonNumber(point, "p50_ns", &p50);
-    if (s.ok()) s = RequireJsonNumber(point, "p99_ns", &p99);
-    if (s.ok()) s = RequireJsonNumber(point, "quarantined", nullptr);
-    if (s.ok()) s = RequireJsonNumber(point, "refit_failures", nullptr);
-    if (s.ok()) s = RequireJsonNumber(point, "rollbacks", nullptr);
-    if (!s.ok()) return s;
-    if (availability < 0.0 || availability > 1.0 || miss_rate < 0.0 ||
-        miss_rate > 1.0) {
+  // Negated range tests (!(lo <= x && x <= hi)) so a NaN fails them too.
+  for (const DegradePoint& p : result.points) {
+    if (!(p.availability >= 0.0 && p.availability <= 1.0) ||
+        !(p.deadline_miss_rate >= 0.0 && p.deadline_miss_rate <= 1.0)) {
       return Status::InvalidArgument(
           "availability and deadline_miss_rate must lie in [0, 1]");
     }
-    if (offered != point_served + shed_overflow + shed_deadline) {
+    if (p.offered != p.served + p.shed_overflow + p.shed_deadline) {
       return Status::InvalidArgument(
           "offered must equal served + shed_overflow + shed_deadline");
     }
-    if (p50 > p99) {
+    if (p.p50_ns > p.p99_ns) {
       return Status::InvalidArgument("p50_ns must be <= p99_ns");
     }
-    if (min_availability > 0.0 && availability < min_availability) {
+    if (min_availability > 0.0 && p.availability < min_availability) {
       return Status::InvalidArgument(
           "availability below the required floor");
     }
-    const auto rung_served = point.object.find("rung_served");
-    const auto rung_ndcg = point.object.find("rung_ndcg");
-    if (rung_served == point.object.end() ||
-        rung_served->second.kind != JsonValue::Kind::kArray ||
-        rung_ndcg == point.object.end() ||
-        rung_ndcg->second.kind != JsonValue::Kind::kArray) {
-      return Status::InvalidArgument(
-          "missing \"rung_served\" / \"rung_ndcg\" arrays");
-    }
-    if (rung_served->second.array.size() != rung_ndcg->second.array.size() ||
-        rung_served->second.array.empty()) {
+    if (p.rung_served.empty() || p.rung_served.size() != p.rung_ndcg.size()) {
       return Status::InvalidArgument(
           "rung arrays must be non-empty and of equal length");
     }
-    for (const JsonValue& v : rung_ndcg->second.array) {
-      if (v.kind != JsonValue::Kind::kNumber) {
-        return Status::InvalidArgument("rung_ndcg entries must be numbers");
-      }
-      if (v.number != -1.0 && (v.number < 0.0 || v.number > 1.0)) {
+    for (double v : p.rung_ndcg) {
+      if (v != -1.0 && !(v >= 0.0 && v <= 1.0)) {
         return Status::InvalidArgument(
             "rung_ndcg entries must be -1 (unused) or in [0, 1]");
       }
@@ -388,5 +316,5 @@ Status ValidateDegradeBenchJson(const std::string& text,
   return Status::OK();
 }
 
-}  // namespace serve
+}  // namespace bench
 }  // namespace whitenrec

@@ -1,5 +1,5 @@
-#ifndef WHITENREC_SERVE_DEGRADE_HARNESS_H_
-#define WHITENREC_SERVE_DEGRADE_HARNESS_H_
+#ifndef WHITENREC_BENCH_DEGRADE_HARNESS_H_
+#define WHITENREC_BENCH_DEGRADE_HARNESS_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -13,34 +13,28 @@
 #include "whitening/whitening.h"
 
 namespace whitenrec {
-namespace serve {
+namespace bench {
 
 // Overload / chaos sweep configuration (bench_degrade, check-degrade).
 //
-// Unlike the latency harness (serve/harness.h), which times real batches,
-// this harness runs ENTIRELY on the virtual clock: batch cost is a model
-// (base + per-request, scaled by the serving rung's cost factor, plus
-// injected latency spikes), so availability, deadline misses, ladder
+// Unlike the latency harness (bench/serving_harness.h), which times real
+// batches, this harness runs ENTIRELY on the virtual clock: batch cost is a
+// model (base + per-request, scaled by the serving rung's cost factor, plus
+// injected latency spikes; the constants live in degrade_harness.cc and are
+// reported under "cost_model"), so availability, deadline misses, ladder
 // transitions, and per-rung quality are bitwise reproducible on any machine
 // at any thread count — chaos included, because the fault plane draws from
 // the seeded serve::ChaosInjector.
 struct DegradeConfig {
   // Offered load at multiplier 1.0; deadline_ns should be set so requests
   // carry deadlines into the admission queue.
-  TrafficConfig traffic;
+  serve::TrafficConfig traffic;
   // Must usually carry a ladder + queue bound; serve.max_batch caps the
   // per-round service batch.
-  ServeConfig serve;
+  serve::ServeConfig serve;
   // Each sweep point divides the mean interarrival gap by its multiplier
   // (4.0 = 4x overload) and replays a freshly generated trace.
   std::vector<double> load_multipliers = {1.0, 2.0, 4.0};
-
-  // Virtual service-cost model, in virtual ns: serving a batch of n requests
-  // costs (base + per_request * n) * rung_cost_factor, plus chaos_spike_ns
-  // when ChaosKind::kLatencySpike fires for the batch.
-  std::uint64_t base_batch_cost_ns = 50000;
-  std::uint64_t per_request_cost_ns = 40000;
-  std::uint64_t chaos_spike_ns = 2000000;
 
   // Poisoned-ingest fault stream: every `ingest_every` served requests,
   // offer one synthetic raw feature row to IngestItem;
@@ -50,9 +44,11 @@ struct DegradeConfig {
   std::size_t ingest_every = 0;
   WhiteningKind ingest_kind = WhiteningKind::kZca;
   double ingest_epsilon = 1e-5;
-
-  std::size_t ndcg_k = 10;
 };
+
+// Depth of the per-rung quality measure: NDCG@kDegradeNdcgK of each rung's
+// top-K against the undegraded rung-0 top-K.
+inline constexpr std::size_t kDegradeNdcgK = 10;
 
 // One load-multiplier sweep point.
 struct DegradePoint {
@@ -96,19 +92,20 @@ DegradeBenchResult RunDegradeHarness(
     const std::vector<std::vector<std::size_t>>& sequences,
     const linalg::Matrix* raw_features, const DegradeConfig& config);
 
-// Renders the result as the out/BENCH_degrade.json document.
+// Renders the result as the out/BENCH_degrade.json document: the schema's
+// one definition.
 std::string DegradeBenchJson(const DegradeBenchResult& result);
 
-// Schema check for BENCH_degrade.json: required keys and types, non-empty
-// sweep, availability/miss rates in [0, 1], per-point accounting identity
-// offered == served + shed_overflow + shed_deadline, aligned rung arrays
-// with NDCG in [0, 1] (or -1 for unused rungs), and p50 <= p99. When
-// min_availability > 0, additionally requires every point to meet it (the
-// check-degrade floor).
-Status ValidateDegradeBenchJson(const std::string& text,
-                                double min_availability = 0.0);
+// The rules a sweep must meet before its report is trusted: a non-empty
+// sweep; per point, availability and deadline-miss rate in [0, 1], offered
+// == served + shed_overflow + shed_deadline, p50 <= p99, non-empty rung
+// arrays of equal length with each NDCG -1 (rung unused) or in [0, 1]; and,
+// when min_availability > 0, availability >= min_availability at every
+// point (the check-degrade floor).
+Status CheckDegradeBench(const DegradeBenchResult& result,
+                         double min_availability = 0.0);
 
-}  // namespace serve
+}  // namespace bench
 }  // namespace whitenrec
 
-#endif  // WHITENREC_SERVE_DEGRADE_HARNESS_H_
+#endif  // WHITENREC_BENCH_DEGRADE_HARNESS_H_

@@ -1,17 +1,21 @@
-#include "serve/harness.h"
+#include "bench/serving_harness.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdarg>
-#include <cstdio>
 #include <utility>
 
 #include "core/check.h"
 #include "core/json.h"
 #include "core/parallel.h"
+#include "serve/latency_histogram.h"
 
 namespace whitenrec {
-namespace serve {
+namespace bench {
+
+using serve::LatencyHistogram;
+using serve::ServeRequest;
+using serve::TraceRequest;
+
 namespace {
 
 std::uint64_t NowNs() {
@@ -62,15 +66,6 @@ std::vector<PlannedBatch> PlanBatches(const std::vector<TraceRequest>& trace,
   return batches;
 }
 
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out->append(buf);
-}
-
 }  // namespace
 
 ServingBenchResult RunServingHarness(
@@ -82,7 +77,7 @@ ServingBenchResult RunServingHarness(
   WR_CHECK(!config.thread_counts.empty());
 
   const std::vector<TraceRequest> trace =
-      GenerateTrace(sequences, config.traffic);
+      serve::GenerateTrace(sequences, config.traffic);
 
   ServingBenchResult result;
   result.config = config;
@@ -92,9 +87,9 @@ ServingBenchResult RunServingHarness(
   for (std::size_t threads : config.thread_counts) {
     core::SetNumThreads(threads);
     for (std::uint64_t window_ns : config.batch_windows_ns) {
-      ServeConfig serve_config = config.serve;
+      serve::ServeConfig serve_config = config.serve;
       serve_config.batch_window_ns = window_ns;
-      RecommendService service(model, serve_config);
+      serve::RecommendService service(model, serve_config);
       result.catalog_items = service.num_items();
 
       const std::vector<PlannedBatch> batches =
@@ -105,7 +100,7 @@ ServingBenchResult RunServingHarness(
       std::uint64_t server_free_ns = 0;
       for (const PlannedBatch& batch : batches) {
         const std::uint64_t t0 = NowNs();
-        const std::vector<ServeResponse> responses =
+        const std::vector<serve::ServeResponse> responses =
             service.HandleBatch(batch.requests);
         const std::uint64_t duration_ns = NowNs() - t0;
         busy_ns += duration_ns;
@@ -142,7 +137,7 @@ ServingBenchResult RunServingHarness(
           batches.empty() ? 0.0
                           : static_cast<double>(trace.size()) /
                                 static_cast<double>(batches.size());
-      const ServeStats& stats = service.stats();
+      const serve::ServeStats& stats = service.stats();
       point.cache_hit_rate =
           stats.requests == 0
               ? 0.0
@@ -156,104 +151,47 @@ ServingBenchResult RunServingHarness(
 }
 
 std::string ServingBenchJson(const ServingBenchResult& result) {
-  std::string out;
-  out += "{\n";
-  out += "  \"bench\": \"serving\",\n";
-  AppendF(&out, "  \"catalog_items\": %zu,\n", result.catalog_items);
-  AppendF(&out, "  \"hidden_dim\": %zu,\n", result.hidden_dim);
-  AppendF(&out, "  \"top_k\": %zu,\n", result.config.serve.top_k);
-  const TrafficConfig& t = result.config.traffic;
-  AppendF(&out,
-          "  \"traffic\": {\"num_sessions\": %zu, \"num_requests\": %zu, "
-          "\"zipf_exponent\": %.6g, \"mean_interarrival_ns\": %.6g, "
-          "\"seed\": %llu},\n",
-          t.num_sessions, t.num_requests, t.zipf_exponent,
-          t.mean_interarrival_ns,
-          static_cast<unsigned long long>(t.seed));
-  out += "  \"sweep\": [\n";
-  for (std::size_t i = 0; i < result.points.size(); ++i) {
-    const SweepPoint& p = result.points[i];
-    AppendF(&out,
-            "    {\"batch_window_ns\": %llu, \"threads\": %zu, "
-            "\"qps\": %.6g, \"p50_ns\": %llu, \"p99_ns\": %llu, "
-            "\"p999_ns\": %llu, \"mean_ns\": %.6g, \"num_batches\": %zu, "
-            "\"mean_batch_size\": %.6g, \"cache_hit_rate\": %.6g, "
-            "\"service_seconds\": %.6g}%s\n",
-            static_cast<unsigned long long>(p.batch_window_ns), p.threads,
-            p.qps, static_cast<unsigned long long>(p.p50_ns),
-            static_cast<unsigned long long>(p.p99_ns),
-            static_cast<unsigned long long>(p.p999_ns), p.mean_ns,
-            p.num_batches, p.mean_batch_size, p.cache_hit_rate,
-            p.service_seconds, i + 1 < result.points.size() ? "," : "");
+  using core::Json;
+  const serve::TrafficConfig& t = result.config.traffic;
+  Json sweep = Json::Arr();
+  for (const SweepPoint& p : result.points) {
+    sweep.Push(Json::Obj()
+                   .Set("batch_window_ns", Json::Uint(p.batch_window_ns))
+                   .Set("threads", Json::Uint(p.threads))
+                   .Set("qps", Json::Num(p.qps))
+                   .Set("p50_ns", Json::Uint(p.p50_ns))
+                   .Set("p99_ns", Json::Uint(p.p99_ns))
+                   .Set("p999_ns", Json::Uint(p.p999_ns))
+                   .Set("mean_ns", Json::Num(p.mean_ns))
+                   .Set("num_batches", Json::Uint(p.num_batches))
+                   .Set("mean_batch_size", Json::Num(p.mean_batch_size))
+                   .Set("cache_hit_rate", Json::Num(p.cache_hit_rate))
+                   .Set("service_seconds", Json::Num(p.service_seconds)));
   }
-  out += "  ]\n";
-  out += "}\n";
-  return out;
+  return Json::Obj()
+             .Set("bench", Json::Str("serving"))
+             .Set("catalog_items", Json::Uint(result.catalog_items))
+             .Set("hidden_dim", Json::Uint(result.hidden_dim))
+             .Set("top_k", Json::Uint(result.config.serve.top_k))
+             .Set("traffic",
+                  Json::Obj()
+                      .Set("num_sessions", Json::Uint(t.num_sessions))
+                      .Set("num_requests", Json::Uint(t.num_requests))
+                      .Set("zipf_exponent", Json::Num(t.zipf_exponent))
+                      .Set("mean_interarrival_ns",
+                           Json::Num(t.mean_interarrival_ns))
+                      .Set("seed", Json::Uint(t.seed)))
+             .Set("sweep", std::move(sweep))
+             .Dump() +
+         "\n";
 }
 
-// ---------------------------------------------------------------------------
-// Schema validation: the shared core/json reader plus the BENCH_serving.json
-// shape checks.
-// ---------------------------------------------------------------------------
-
-Status ValidateServingBenchJson(const std::string& text) {
-  using core::JsonValue;
-  using core::RequireJsonNumber;
-  auto RequireNumber = [](const JsonValue& obj, const char* key, double* out) {
-    return RequireJsonNumber(obj, key, out);
-  };
-  JsonValue root;
-  Status parsed = core::ParseJson(text, &root);
-  if (!parsed.ok()) return parsed;
-  if (root.kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument("top level must be an object");
+Status CheckServingBench(const ServingBenchResult& result) {
+  if (result.points.empty()) {
+    return Status::InvalidArgument("serving sweep must be non-empty");
   }
-  const auto bench = root.object.find("bench");
-  if (bench == root.object.end() ||
-      bench->second.kind != JsonValue::Kind::kString ||
-      bench->second.str != "serving") {
-    return Status::InvalidArgument("\"bench\" must be the string \"serving\"");
-  }
-  for (const char* key : {"catalog_items", "hidden_dim", "top_k"}) {
-    Status s = RequireNumber(root, key, nullptr);
-    if (!s.ok()) return s;
-  }
-  const auto traffic = root.object.find("traffic");
-  if (traffic == root.object.end() ||
-      traffic->second.kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument("missing \"traffic\" object");
-  }
-  for (const char* key : {"num_sessions", "num_requests", "zipf_exponent",
-                          "mean_interarrival_ns", "seed"}) {
-    Status s = RequireNumber(traffic->second, key, nullptr);
-    if (!s.ok()) return s;
-  }
-  const auto sweep = root.object.find("sweep");
-  if (sweep == root.object.end() ||
-      sweep->second.kind != JsonValue::Kind::kArray) {
-    return Status::InvalidArgument("missing \"sweep\" array");
-  }
-  if (sweep->second.array.empty()) {
-    return Status::InvalidArgument("\"sweep\" must be non-empty");
-  }
-  for (const JsonValue& point : sweep->second.array) {
-    if (point.kind != JsonValue::Kind::kObject) {
-      return Status::InvalidArgument("sweep entries must be objects");
-    }
-    for (const char* key :
-         {"batch_window_ns", "threads", "qps", "mean_ns", "num_batches",
-          "mean_batch_size", "cache_hit_rate", "service_seconds"}) {
-      Status s = RequireNumber(point, key, nullptr);
-      if (!s.ok()) return s;
-    }
-    double p50 = 0.0;
-    double p99 = 0.0;
-    double p999 = 0.0;
-    Status s = RequireNumber(point, "p50_ns", &p50);
-    if (s.ok()) s = RequireNumber(point, "p99_ns", &p99);
-    if (s.ok()) s = RequireNumber(point, "p999_ns", &p999);
-    if (!s.ok()) return s;
-    if (!(p50 <= p99 && p99 <= p999)) {
+  for (const SweepPoint& p : result.points) {
+    if (!(p.p50_ns <= p.p99_ns && p.p99_ns <= p.p999_ns)) {
       return Status::InvalidArgument(
           "latency percentiles must be non-decreasing (p50 <= p99 <= p999)");
     }
@@ -261,5 +199,5 @@ Status ValidateServingBenchJson(const std::string& text) {
   return Status::OK();
 }
 
-}  // namespace serve
+}  // namespace bench
 }  // namespace whitenrec

@@ -1,5 +1,5 @@
-#ifndef WHITENREC_SERVE_HARNESS_H_
-#define WHITENREC_SERVE_HARNESS_H_
+#ifndef WHITENREC_BENCH_SERVING_HARNESS_H_
+#define WHITENREC_BENCH_SERVING_HARNESS_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -8,12 +8,11 @@
 
 #include "core/status.h"
 #include "seqrec/model.h"
-#include "serve/latency_histogram.h"
 #include "serve/service.h"
 #include "serve/traffic.h"
 
 namespace whitenrec {
-namespace serve {
+namespace bench {
 
 // One (batch window, thread count) sweep point of the serving benchmark.
 struct SweepPoint {
@@ -31,8 +30,8 @@ struct SweepPoint {
 };
 
 struct HarnessConfig {
-  TrafficConfig traffic;
-  ServeConfig serve;  // batch_window_ns is overridden per sweep point
+  serve::TrafficConfig traffic;
+  serve::ServeConfig serve;  // batch_window_ns is overridden per sweep point
   std::vector<std::uint64_t> batch_windows_ns = {0, 100000, 1000000};
   std::vector<std::size_t> thread_counts = {1};
 };
@@ -61,16 +60,15 @@ ServingBenchResult RunServingHarness(
     const std::vector<std::vector<std::size_t>>& sequences,
     const HarnessConfig& config);
 
-// Renders the result as the out/BENCH_serving.json document.
+// Renders the result as the out/BENCH_serving.json document: the schema's
+// one definition.
 std::string ServingBenchJson(const ServingBenchResult& result);
 
-// Minimal schema check for BENCH_serving.json: parses the JSON (full
-// tokenizer, no external deps) and verifies the required keys, types, a
-// non-empty sweep array, and p50 <= p99 <= p999 on every point. Used by the
-// bench binary on the written artifact and by check-serve.
-Status ValidateServingBenchJson(const std::string& text);
+// The rules a sweep must meet before its report is trusted: a non-empty
+// sweep, and p50 <= p99 <= p999 at every point.
+Status CheckServingBench(const ServingBenchResult& result);
 
-}  // namespace serve
+}  // namespace bench
 }  // namespace whitenrec
 
-#endif  // WHITENREC_SERVE_HARNESS_H_
+#endif  // WHITENREC_BENCH_SERVING_HARNESS_H_

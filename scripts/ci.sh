@@ -14,20 +14,22 @@
 #      AddressSanitizer/UBSan
 #   8. check-tsan   — parallel (x20) + determinism suites under ThreadSanitizer
 #   9. check-serve  — serving suite, randomized-traffic soak under TSan,
-#      and a schema-checked out/BENCH_serving.json from bench_serving
+#      and a bench_serving run whose sweep must pass CheckServingBench
+#      (out/BENCH_serving.json, read back by bench::WriteArtifact)
 #  10. check-ann    — retrieval suite (deterministic k-means + IVF), the same
-#      suite under TSan, and a schema-checked out/BENCH_ann.json from a
-#      small-catalog bench_ann run
+#      suite under TSan, and a small-catalog bench_ann run whose sweep must
+#      pass CheckAnnBench (out/BENCH_ann.json)
 #  11. check-analyze — cross-TU analyzer (include-graph layering, env-knob
 #      registry, hot-path allocation) over the whole tree; writes a
 #      schema-validated out/ANALYZE.json
 #  12. check-compress — quantization suite, retrieval + serving suites
-#      re-run under WHITENREC_ITEM_QUANT=int8, and a schema-checked
-#      out/BENCH_compression.json from a small bench_compression sweep
+#      re-run under WHITENREC_ITEM_QUANT=int8, and a small bench_compression
+#      sweep whose grid must pass CheckCompressionBench, >= 4x at <= 1%
+#      NDCG loss included (out/BENCH_compression.json)
 #  13. check-degrade — overload-resilience suite (admission, ladder,
 #      quarantine, rollback), chaos soak + resilience tests under TSan,
-#      and a schema-checked out/BENCH_degrade.json (>= 99% availability
-#      at every load point) from a small bench_degrade sweep
+#      and a small bench_degrade sweep that must pass CheckDegradeBench,
+#      >= 99% availability at every load point (out/BENCH_degrade.json)
 #
 # Usage: scripts/ci.sh [build-dir]   (default: build-ci)
 #

@@ -3,7 +3,10 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <utility>
+
+#include "core/check.h"
 
 namespace whitenrec {
 namespace core {
@@ -14,6 +17,44 @@ namespace {
 // this tree writes nests a handful of levels; anything past the cap is
 // rejected as InvalidArgument.
 constexpr std::size_t kMaxJsonDepth = 256;
+
+int HexDigit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+std::string Quote(const std::string& s) {
+  std::string out = "\"";
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
 
 class JsonReader {
  public:
@@ -87,22 +128,32 @@ class JsonReader {
     ++pos_;  // opening quote
     out->clear();
     while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return Fail("bad escape");
-        // Only the escapes the writers emit; \u is out of scope.
-        const char e = text_[pos_];
-        if (e == 'n') {
-          out->push_back('\n');
-        } else if (e == 't') {
-          out->push_back('\t');
-        } else {
-          out->push_back(e);
-        }
-      } else {
-        out->push_back(text_[pos_]);
+      if (text_[pos_] != '\\') {
+        out->push_back(text_[pos_++]);
+        continue;
       }
       ++pos_;
+      if (pos_ >= text_.size()) return Fail("bad escape");
+      const char e = text_[pos_++];
+      // JSON's single-character escapes, then \u0000-\u007f: one byte per
+      // escape, the range Quote emits in.
+      static const char kEscaped[] = "\"\\/bfnrt";
+      static const char kDecoded[] = "\"\\/\b\f\n\r\t";
+      const char* hit = e == '\0' ? nullptr : std::strchr(kEscaped, e);
+      if (hit != nullptr) {
+        out->push_back(kDecoded[hit - kEscaped]);
+        continue;
+      }
+      if (e != 'u') return Fail("bad escape");
+      if (text_.size() - pos_ < 4) return Fail("truncated \\u escape");
+      unsigned code = 0;
+      for (int i = 0; i < 4; ++i) {
+        const int digit = HexDigit(text_[pos_++]);
+        if (digit < 0) return Fail("bad hex digit in \\u escape");
+        code = code * 16 + static_cast<unsigned>(digit);
+      }
+      if (code > 0x7f) return Fail("\\u escape above \\u007f");
+      out->push_back(static_cast<char>(code));
     }
     if (pos_ >= text_.size()) return Fail("unterminated string");
     ++pos_;  // closing quote
@@ -199,14 +250,60 @@ Status ParseJson(const std::string& text, JsonValue* out) {
   return JsonReader(text).Parse(out);
 }
 
-Status RequireJsonNumber(const JsonValue& obj, const char* key, double* out) {
-  const auto it = obj.object.find(key);
-  if (it == obj.object.end() ||
-      it->second.kind != JsonValue::Kind::kNumber) {
-    return Status::InvalidArgument(std::string("missing numeric key: ") + key);
+Json::Json(Shape shape, std::string rendered)
+    : shape_(shape), rendered_(std::move(rendered)) {}
+
+Json Json::Str(const std::string& s) { return Json(Shape::kScalar, Quote(s)); }
+
+Json Json::Num(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return Json(Shape::kScalar, buf);
+}
+
+Json Json::Int(long long v) { return Json(Shape::kScalar, std::to_string(v)); }
+
+Json Json::Uint(unsigned long long v) {
+  return Json(Shape::kScalar, std::to_string(v));
+}
+
+Json Json::Bool(bool v) { return Json(Shape::kScalar, v ? "true" : "false"); }
+
+Json Json::Obj() { return Json(Shape::kObject, ""); }
+
+Json Json::Arr() { return Json(Shape::kArray, ""); }
+
+Json& Json::Set(const std::string& key, Json value) {
+  WR_CHECK(shape_ == Shape::kObject);
+  members_.emplace_back(key, std::move(value));
+  return *this;
+}
+
+Json& Json::Push(Json value) {
+  WR_CHECK(shape_ == Shape::kArray);
+  members_.emplace_back(std::string(), std::move(value));
+  return *this;
+}
+
+std::string Json::Dump(int indent) const {
+  if (shape_ == Shape::kScalar) return rendered_;
+  const bool is_obj = shape_ == Shape::kObject;
+  const std::string pad(static_cast<std::size_t>(indent) + 2, ' ');
+  std::string s(1, is_obj ? '{' : '[');
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    s += i == 0 ? "\n" : ",\n";
+    s += pad;
+    if (is_obj) s += Quote(members_[i].first) + ": ";
+    s += members_[i].second.Dump(indent + 2);
   }
-  if (out != nullptr) *out = it->second.number;
-  return Status::OK();
+  if (!members_.empty()) {
+    // Two appends, not `"\n" + string(...)`: GCC 12's -Wrestrict
+    // false-positives on operator+(const char*, string&&).
+    s += '\n';
+    s.append(static_cast<std::size_t>(indent), ' ');
+  }
+  s += is_obj ? '}' : ']';
+  return s;
 }
 
 }  // namespace core

@@ -1,6 +1,7 @@
 #include "data/io.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <vector>
@@ -63,9 +64,12 @@ std::vector<std::string> SplitLines(const std::string& blob) {
   return lines;
 }
 
+// A damaged file is DataLoss; a well-formed line holding a value the
+// loader refuses (a non-finite embedding) is InvalidArgument.
 Status MalformedLine(const std::string& file, std::size_t line_no,
-                     const std::string& what) {
-  return Status::DataLoss("LoadDataset: " + file + " line " +
+                     const std::string& what,
+                     StatusCode code = StatusCode::kDataLoss) {
+  return Status(code, "LoadDataset: " + file + " line " +
                           std::to_string(line_no) + ": " + what);
 }
 
@@ -223,6 +227,14 @@ Result<Dataset> LoadDataset(const std::string& prefix) {
               prefix + ".items", ln + 1,
               "embedding row too short or malformed at column " +
                   std::to_string(c));
+        }
+        // strtod reads "nan" and "inf"; such a value would flow unchecked
+        // into whitening and training.
+        if (!std::isfinite(v)) {
+          return MalformedLine(prefix + ".items", ln + 1,
+                               "non-finite embedding value '" + value_tok +
+                                   "' at column " + std::to_string(c),
+                               StatusCode::kInvalidArgument);
         }
         dataset.text_embeddings(id, c) = v;
       }

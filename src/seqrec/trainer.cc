@@ -174,7 +174,6 @@ TrainResult TrainSasRec(SasRecModel* model, nn::Adam* optimizer,
                         StepFn step) {
   TrainResult result;
   result.num_parameters = optimizer->NumParameters();
-  if (config.num_threads > 0) core::SetNumThreads(config.num_threads);
   linalg::Rng shuffle_rng(config.seed);
   linalg::Rng analysis_rng(config.seed + 17);
 

@@ -28,10 +28,6 @@ struct TrainConfig {
   bool record_analysis = false;
   std::uint64_t seed = 7;
   bool verbose = false;
-  // Worker threads for the parallel kernels (0 = keep the process-wide
-  // setting, see core/parallel.h). Results are bitwise identical at any
-  // value; this only trades wall-clock time.
-  std::size_t num_threads = 0;
   // Crash-safe checkpointing (seqrec/checkpoint.h, DESIGN.md §8). When
   // `checkpoint_dir` is non-empty, a full-state generation is written every
   // `checkpoint_every` epochs (and at the final/early-stop epoch), and with

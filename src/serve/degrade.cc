@@ -1,6 +1,7 @@
 #include "serve/degrade.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 #include "core/check.h"
@@ -44,14 +45,16 @@ Result<std::vector<LadderRung>> ParseLadderSpec(const std::string& spec) {
       rung.kind = RungKind::kPopularity;
       rung.cost_factor = 0.02;
     } else if (token.rfind("ivf:", 0) == 0) {
+      // Decimal digits only: strtoull alone would take a sign, and "-1"
+      // wraps to 2^64 - 1.
       const std::string num = token.substr(4);
-      if (num.empty()) {
-        return Status::InvalidArgument("ladder rung \"" + token +
-                                       "\": ivf needs a positive nprobe");
-      }
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(num.c_str(), &end, 10);
-      if (end == num.c_str() || *end != '\0' || v == 0) {
+      const bool digits =
+          !num.empty() && num.find_first_not_of("0123456789") ==
+                              std::string::npos;
+      errno = 0;
+      const unsigned long long v =
+          digits ? std::strtoull(num.c_str(), nullptr, 10) : 0;
+      if (!digits || errno != 0 || v == 0) {
         return Status::InvalidArgument("ladder rung \"" + token +
                                        "\": ivf needs a positive nprobe");
       }

@@ -171,37 +171,5 @@ TEST(ThreadDeterminismTest, TrainEvalBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-// The TrainConfig::num_threads override must behave exactly like the global
-// setter: same bits out, regardless of the ambient configuration.
-TEST(ThreadDeterminismTest, TrainConfigThreadOverrideMatchesGlobal) {
-  const RunOutcome base = RunTraining(1);
-
-  ScopedThreads guard(1);
-  seqrec::SasRecConfig mc;
-  mc.hidden_dim = 16;
-  mc.num_blocks = 1;
-  mc.num_heads = 2;
-  mc.ffn_hidden = 32;
-  mc.dropout = 0.1;
-  mc.max_len = 8;
-  mc.seed = 21;
-  WhitenRecConfig wc;
-  wc.out_dim = 16;
-  auto rec = seqrec::MakeWhitenRec(TinyData().dataset, mc, wc);
-  const data::Split split = data::LeaveOneOutSplit(TinyData().dataset);
-  seqrec::TrainConfig tc;
-  tc.epochs = 3;
-  tc.batch_size = 64;
-  tc.learning_rate = 2e-3;
-  tc.patience = 100;
-  tc.restore_best = false;
-  tc.num_threads = 4;  // raises the global setting for the run
-  const seqrec::TrainResult& result = rec->Fit(split, tc);
-  ASSERT_EQ(result.epochs.size(), base.losses.size());
-  for (std::size_t e = 0; e < base.losses.size(); ++e) {
-    EXPECT_EQ(result.epochs[e].train_loss, base.losses[e]);
-  }
-}
-
 }  // namespace
 }  // namespace whitenrec

@@ -199,6 +199,23 @@ TEST(DatasetIoMalformedTest, NonNumericEmbeddingValueFails) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
 }
 
+// strtod reads "nan" and "inf" cleanly; the loader must refuse them rather
+// than hand a non-finite embedding to whitening and training.
+TEST(DatasetIoMalformedTest, NonFiniteEmbeddingValueFails) {
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    SavedDataset ds(std::string("nonfinite_") + value);
+    OverwriteFile(ds.prefix + ".items",
+                  std::string("0\t0\t1.5 -2.25\n1\t1\t0.0 ") + value +
+                      "\n2\t1\t7 8\n");
+    auto loaded = data::LoadDataset(ds.prefix);
+    ASSERT_FALSE(loaded.ok()) << value;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << value;
+    EXPECT_NE(loaded.status().message().find(".items line 2"),
+              std::string::npos)
+        << loaded.status().message();
+  }
+}
+
 TEST(DatasetIoMalformedTest, DuplicateItemRowFails) {
   SavedDataset ds("dupitem");
   OverwriteFile(ds.prefix + ".items",

@@ -110,6 +110,62 @@ TEST(JsonDepthTest, NestingAtTheCapStillParses) {
 }
 
 // ---------------------------------------------------------------------------
+// JSON writer and reader agree
+// ---------------------------------------------------------------------------
+
+// Every ASCII byte, control bytes included, must come back from
+// ParseJson(Json::Dump()) as itself, in keys and in values: the writer's
+// \u00XX escapes must decode to the byte, not to the text "u00XX".
+TEST(JsonRoundTripTest, EveryAsciiByteSurvivesInKeysAndValues) {
+  for (int b = 0; b < 0x80; ++b) {
+    const std::string s = std::string("a") + static_cast<char>(b) + "b";
+    const std::string text = core::Json::Obj()
+                                 .Set(s, core::Json::Str(s))
+                                 .Set("list", core::Json::Arr().Push(
+                                                  core::Json::Str(s)))
+                                 .Dump();
+    core::JsonValue doc;
+    const Status parsed = core::ParseJson(text, &doc);
+    ASSERT_TRUE(parsed.ok()) << "byte " << b << ": " << parsed.message();
+    const auto it = doc.object.find(s);
+    ASSERT_NE(it, doc.object.end()) << "byte " << b;
+    EXPECT_EQ(it->second.str, s) << "byte " << b;
+    ASSERT_EQ(doc.object.at("list").array.size(), 1u);
+    EXPECT_EQ(doc.object.at("list").array[0].str, s) << "byte " << b;
+  }
+}
+
+TEST(JsonRoundTripTest, ScalarsRenderAsTheReaderExpects) {
+  using core::Json;
+  core::JsonValue doc;
+  ASSERT_TRUE(core::ParseJson(Json::Arr()
+                                  .Push(Json::Num(0.1))
+                                  .Push(Json::Int(-7))
+                                  .Push(Json::Uint(18446744073709551615ull))
+                                  .Dump(),
+                              &doc)
+                  .ok());
+  EXPECT_EQ(doc.array.at(0).number, 0.1);  // %.17g round-trips every double
+  EXPECT_EQ(doc.array.at(1).number, -7.0);
+  EXPECT_EQ(doc.array.at(2).number, 18446744073709551615.0);
+  // A non-finite number renders as text the reader refuses.
+  EXPECT_FALSE(core::ParseJson(Json::Num(std::nan("")).Dump(), &doc).ok());
+}
+
+TEST(JsonRoundTripTest, ReaderDecodesEscapesAndRejectsUnknownOnes) {
+  core::JsonValue doc;
+  ASSERT_TRUE(
+      core::ParseJson(R"("\"\\\/\b\f\n\r\tA\u007F\u001f")", &doc).ok());
+  EXPECT_EQ(doc.str, "\"\\/\b\f\n\r\tA\x7f\x1f");
+  for (const char* bad : {R"("\u0080")", R"("\u00e9")", R"("\ud83d")",
+                          R"("\u12")", R"("\u00g1")", R"("\x41")",
+                          R"("\q")"}) {
+    const Status s = core::ParseJson(bad, &doc);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Equivalences and invariances
 // ---------------------------------------------------------------------------
 

@@ -10,11 +10,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench/compression_report.h"
 #include "core/parallel.h"
 #include "linalg/gemm.h"
 #include "linalg/quant.h"
@@ -22,7 +24,7 @@
 #include "linalg/scorer.h"
 #include "linalg/topk.h"
 #include "retrieval/scorer.h"
-#include "whitening/compression_report.h"
+#include "json_paths.h"
 #include "scoped_knobs.h"
 
 namespace whitenrec {
@@ -304,25 +306,25 @@ TEST(QuantScorerTest, Fp32KindIsBitwiseUnchanged) {
   }
 }
 
-TEST(CompressionReportTest, EmitterOutputValidates) {
-  CompressionBenchResult result;
+bench::CompressionBenchResult ValidCompressionResult() {
+  bench::CompressionBenchResult result;
   result.top_k = 10;
   result.dim = 64;
   result.queries = 8;
   result.catalog_items = 100;
   result.baseline_bytes = 100 * 64 * sizeof(double);
   result.baseline_ndcg = 0.8;
-  CompressionCell reference;
+  bench::CompressionCell reference;
   reference.rank = 64;
-  reference.quant = "fp32";
+  reference.quant = ItemQuantKind::kFp32;
   reference.table_bytes = result.baseline_bytes;
   reference.compression_ratio = 1.0;
   reference.scoring_qps = 1000.0;
   reference.ndcg_at_k = 0.8;
   reference.recall_vs_reference = 1.0;
   reference.ndcg_loss_frac = 0.0;
-  CompressionCell int8 = reference;
-  int8.quant = "int8";
+  bench::CompressionCell int8 = reference;
+  int8.quant = ItemQuantKind::kInt8;
   int8.table_bytes = 100 * (64 + sizeof(double));
   int8.compression_ratio = static_cast<double>(result.baseline_bytes) /
                            static_cast<double>(int8.table_bytes);
@@ -330,23 +332,59 @@ TEST(CompressionReportTest, EmitterOutputValidates) {
   int8.recall_vs_reference = 0.99;
   int8.ndcg_loss_frac = 0.005;
   result.cells = {reference, int8};
-  const std::string json = CompressionBenchJson(result);
-  EXPECT_TRUE(ValidateCompressionBenchJson(json).ok())
-      << ValidateCompressionBenchJson(json).message();
+  return result;
+}
 
-  // Tampering fails: acceptance floor violated when the compressed cell's
-  // loss exceeds 1%.
-  result.cells[1].ndcg_loss_frac = 0.02;
-  EXPECT_FALSE(ValidateCompressionBenchJson(CompressionBenchJson(result)).ok());
-  result.cells[1].ndcg_loss_frac = 0.005;
-  // Missing reference cell fails.
-  result.cells[0].rank = 32;
-  EXPECT_FALSE(ValidateCompressionBenchJson(CompressionBenchJson(result)).ok());
-  result.cells[0].rank = 64;
-  // Unknown quant name and garbage both fail.
-  result.cells[1].quant = "int4";
-  EXPECT_FALSE(ValidateCompressionBenchJson(CompressionBenchJson(result)).ok());
-  EXPECT_FALSE(ValidateCompressionBenchJson("{not json").ok());
+// One case per rule CheckCompressionBench enforces (cell 0 is the fp32
+// full-rank reference, cell 1 the int8 cell that meets the floor).
+TEST(CompressionReportTest, CheckRejectsEachBrokenRule) {
+  ASSERT_TRUE(bench::CheckCompressionBench(ValidCompressionResult()).ok());
+  using Grid = bench::CompressionBenchResult;
+  struct Case {
+    const char* rule;
+    void (*mutate)(Grid*);
+  };
+  const Case cases[] = {
+      {"non-empty cells", [](Grid* r) { r->cells.clear(); }},
+      {"rank >= 1", [](Grid* r) { r->cells[1].rank = 0; }},
+      {"rank <= dim", [](Grid* r) { r->cells[1].rank = 65; }},
+      {"positive bytes", [](Grid* r) { r->cells[1].table_bytes = 0; }},
+      {"positive ratio", [](Grid* r) { r->cells[1].compression_ratio = 0; }},
+      {"NDCG in [0, 1]", [](Grid* r) { r->cells[1].ndcg_at_k = 1.2; }},
+      {"recall in [0, 1]",
+       [](Grid* r) { r->cells[1].recall_vs_reference = -0.1; }},
+      {"reference present", [](Grid* r) { r->cells[0].rank = 32; }},
+      {"reference at ratio 1",
+       [](Grid* r) { r->cells[0].compression_ratio = 1.5; }},
+      {"reference at zero loss",
+       [](Grid* r) { r->cells[0].ndcg_loss_frac = 0.001; }},
+      {">= 4x at <= 1% loss",
+       [](Grid* r) { r->cells[1].ndcg_loss_frac = 0.02; }},
+  };
+  for (const Case& c : cases) {
+    Grid result = ValidCompressionResult();
+    c.mutate(&result);
+    EXPECT_FALSE(bench::CheckCompressionBench(result).ok()) << c.rule;
+  }
+}
+
+// The key paths and JSON kinds readers of BENCH_compression.json depend
+// on; the writer must emit exactly these, with quant written by name.
+TEST(CompressionReportTest, JsonKeepsTheCompressionSchema) {
+  const std::set<std::string> want = PathSet(
+      "$:object $.baseline_bytes:number $.baseline_ndcg:number "
+      "$.bench:string $.catalog_items:number $.cells:array "
+      "$.cells[]:object $.cells[].compression_ratio:number "
+      "$.cells[].ndcg_at_k:number $.cells[].ndcg_loss_frac:number "
+      "$.cells[].quant:string $.cells[].rank:number "
+      "$.cells[].recall_vs_reference:number "
+      "$.cells[].scoring_qps:number $.cells[].table_bytes:number "
+      "$.dim:number $.queries:number $.top_k:number");
+  const std::string json =
+      bench::CompressionBenchJson(ValidCompressionResult());
+  EXPECT_EQ(JsonPaths(json), want);
+  EXPECT_NE(json.find("\"bench\": \"compression\""), std::string::npos);
+  EXPECT_NE(json.find("\"quant\": \"int8\""), std::string::npos);
 }
 
 }  // namespace

@@ -21,11 +21,13 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench/ann_report.h"
 #include "core/parallel.h"
 #include "data/generator.h"
 #include "data/split.h"
@@ -34,13 +36,13 @@
 #include "linalg/quant.h"
 #include "linalg/rng.h"
 #include "linalg/topk.h"
-#include "retrieval/ann_report.h"
 #include "retrieval/ivf_index.h"
 #include "retrieval/kmeans.h"
 #include "retrieval/scorer.h"
 #include "seqrec/baselines.h"
 #include "seqrec/trainer.h"
 #include "serve/service.h"
+#include "json_paths.h"
 #include "scoped_knobs.h"
 
 namespace whitenrec {
@@ -770,15 +772,15 @@ TEST(RecallVsReference, ScoredItemOverloadIgnoresScores) {
 }
 
 // ---------------------------------------------------------------------------
-// BENCH_ann.json schema.
+// BENCH_ann.json (bench/ann_report.h).
 // ---------------------------------------------------------------------------
 
-AnnBenchResult SmallResult() {
-  AnnBenchResult result;
+bench::AnnBenchResult SmallResult() {
+  bench::AnnBenchResult result;
   result.top_k = 10;
   result.dim = 16;
   result.queries = 32;
-  AnnCatalogSweep sweep;
+  bench::AnnCatalogSweep sweep;
   sweep.catalog_items = 1000;
   sweep.clusters = 32;
   sweep.build_seconds = 0.01;
@@ -790,31 +792,55 @@ AnnBenchResult SmallResult() {
   return result;
 }
 
-TEST(AnnBenchJson, WriterOutputValidates) {
-  const std::string json = AnnBenchJson(SmallResult());
-  const Status status = ValidateAnnBenchJson(json);
-  EXPECT_TRUE(status.ok()) << status.message();
+// One case per rule CheckAnnBench enforces.
+TEST(AnnBenchJson, CheckRejectsEachBrokenRule) {
+  ASSERT_TRUE(bench::CheckAnnBench(SmallResult()).ok());
+  struct Case {
+    const char* rule;
+    void (*mutate)(bench::AnnBenchResult*);
+  };
+  const Case cases[] = {
+      {"non-empty sweep", [](bench::AnnBenchResult* r) { r->sweep.clear(); }},
+      {"non-empty points",
+       [](bench::AnnBenchResult* r) { r->sweep[0].points.clear(); }},
+      {"recall <= 1",
+       [](bench::AnnBenchResult* r) {
+         r->sweep[0].points[1].recall_at_k = 1.5;
+       }},
+      {"recall >= 0",
+       [](bench::AnnBenchResult* r) {
+         r->sweep[0].points[0].recall_at_k = -0.1;
+       }},
+      {"nprobe strictly increasing",
+       [](bench::AnnBenchResult* r) { r->sweep[0].points[1].nprobe = 1; }},
+      {"recall non-decreasing",
+       [](bench::AnnBenchResult* r) {
+         r->sweep[0].points[2].recall_at_k = 0.5;
+       }},
+  };
+  for (const Case& c : cases) {
+    bench::AnnBenchResult result = SmallResult();
+    c.mutate(&result);
+    EXPECT_FALSE(bench::CheckAnnBench(result).ok()) << c.rule;
+  }
 }
 
-TEST(AnnBenchJson, RejectsShapeAndRangeViolations) {
-  EXPECT_FALSE(ValidateAnnBenchJson("{}").ok());
-  EXPECT_FALSE(ValidateAnnBenchJson("not json").ok());
-
-  AnnBenchResult bad_recall = SmallResult();
-  bad_recall.sweep[0].points[1].recall_at_k = 1.5;
-  EXPECT_FALSE(ValidateAnnBenchJson(AnnBenchJson(bad_recall)).ok());
-
-  AnnBenchResult dip = SmallResult();
-  dip.sweep[0].points[2].recall_at_k = 0.5;  // below the nprobe=4 point
-  EXPECT_FALSE(ValidateAnnBenchJson(AnnBenchJson(dip)).ok());
-
-  AnnBenchResult unordered = SmallResult();
-  std::swap(unordered.sweep[0].points[0], unordered.sweep[0].points[1]);
-  EXPECT_FALSE(ValidateAnnBenchJson(AnnBenchJson(unordered)).ok());
-
-  AnnBenchResult empty_points = SmallResult();
-  empty_points.sweep[0].points.clear();
-  EXPECT_FALSE(ValidateAnnBenchJson(AnnBenchJson(empty_points)).ok());
+// The key paths and JSON kinds readers of BENCH_ann.json depend on; the
+// writer must emit exactly these.
+TEST(AnnBenchJson, JsonKeepsTheAnnSchema) {
+  const std::set<std::string> want = PathSet(
+      "$:object $.bench:string $.dim:number $.queries:number "
+      "$.sweep:array $.sweep[]:object $.sweep[].build_seconds:number "
+      "$.sweep[].catalog_items:number $.sweep[].clusters:number "
+      "$.sweep[].exact_qps:number $.sweep[].points:array "
+      "$.sweep[].points[]:object $.sweep[].points[].ivf_qps:number "
+      "$.sweep[].points[].mean_candidates:number "
+      "$.sweep[].points[].nprobe:number "
+      "$.sweep[].points[].recall_at_k:number "
+      "$.sweep[].points[].speedup_vs_exact:number $.top_k:number");
+  const std::string json = bench::AnnBenchJson(SmallResult());
+  EXPECT_EQ(JsonPaths(json), want);
+  EXPECT_NE(json.find("\"bench\": \"ann\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,11 +19,14 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench/degrade_harness.h"
+#include "bench/serving_harness.h"
 #include "core/env.h"
 #include "core/parallel.h"
 #include "data/batcher.h"
@@ -35,11 +38,10 @@
 #include "serve/admission.h"
 #include "serve/chaos.h"
 #include "serve/degrade.h"
-#include "serve/degrade_harness.h"
-#include "serve/harness.h"
 #include "serve/latency_histogram.h"
 #include "serve/service.h"
 #include "serve/traffic.h"
+#include "json_paths.h"
 #include "scoped_knobs.h"
 
 namespace whitenrec {
@@ -638,62 +640,84 @@ TEST(Ingest, RequiresTextFeatureEncoder) {
 }
 
 // ---------------------------------------------------------------------------
-// Harness + BENCH_serving.json schema.
+// Serving harness (bench/serving_harness.h) + BENCH_serving.json.
 // ---------------------------------------------------------------------------
 
-TEST(Harness, SweepProducesValidSchemaCheckedJson) {
+TEST(Harness, SweepPassesTheServingChecks) {
   seqrec::SasRecModel* model = Fixture().model();
-  HarnessConfig config;
+  bench::HarnessConfig config;
   config.traffic.num_sessions = 12;
   config.traffic.num_requests = 120;
   config.batch_windows_ns = {0, 500000};
   config.thread_counts = {1, 2};
-  const ServingBenchResult result = RunServingHarness(
+  const bench::ServingBenchResult result = bench::RunServingHarness(
       model, Fixture().data.dataset.sequences, config);
   ASSERT_EQ(result.points.size(), 4u);
-  for (const SweepPoint& point : result.points) {
+  for (const bench::SweepPoint& point : result.points) {
     EXPECT_GT(point.qps, 0.0);
-    EXPECT_LE(point.p50_ns, point.p99_ns);
-    EXPECT_LE(point.p99_ns, point.p999_ns);
-    EXPECT_EQ(point.num_batches > 0, true);
+    EXPECT_GT(point.num_batches, 0u);
   }
   // Coalescing windows can only grow the mean batch size.
   EXPECT_GE(result.points[1].mean_batch_size, result.points[0].mean_batch_size);
 
-  const std::string json = ServingBenchJson(result);
-  EXPECT_TRUE(ValidateServingBenchJson(json).ok())
-      << ValidateServingBenchJson(json).message();
+  const Status checked = bench::CheckServingBench(result);
+  EXPECT_TRUE(checked.ok()) << checked.message();
 }
 
-TEST(Harness, SchemaCheckerRejectsMalformedDocuments) {
-  EXPECT_FALSE(ValidateServingBenchJson("").ok());
-  EXPECT_FALSE(ValidateServingBenchJson("not json at all").ok());
-  EXPECT_FALSE(ValidateServingBenchJson("[1, 2, 3]").ok());
-  EXPECT_FALSE(ValidateServingBenchJson("{\"bench\": \"serving\"}").ok());
-  // Wrong bench tag.
-  EXPECT_FALSE(
-      ValidateServingBenchJson(
-          "{\"bench\": \"other\", \"catalog_items\": 1, \"hidden_dim\": 1, "
-          "\"top_k\": 1, \"traffic\": {}, \"sweep\": []}")
-          .ok());
-  // Complete but with inverted percentiles: must be rejected.
-  const std::string inverted =
-      "{\"bench\": \"serving\", \"catalog_items\": 10, \"hidden_dim\": 4, "
-      "\"top_k\": 2, \"traffic\": {\"num_sessions\": 1, \"num_requests\": 1, "
-      "\"zipf_exponent\": 1, \"mean_interarrival_ns\": 1, \"seed\": 1}, "
-      "\"sweep\": [{\"batch_window_ns\": 0, \"threads\": 1, \"qps\": 1, "
-      "\"p50_ns\": 100, \"p99_ns\": 50, \"p999_ns\": 60, \"mean_ns\": 1, "
-      "\"num_batches\": 1, \"mean_batch_size\": 1, \"cache_hit_rate\": 0, "
-      "\"service_seconds\": 1}]}";
-  const Status status = ValidateServingBenchJson(inverted);
-  EXPECT_FALSE(status.ok());
-  // An empty sweep is also invalid.
-  const std::string empty_sweep =
-      "{\"bench\": \"serving\", \"catalog_items\": 10, \"hidden_dim\": 4, "
-      "\"top_k\": 2, \"traffic\": {\"num_sessions\": 1, \"num_requests\": 1, "
-      "\"zipf_exponent\": 1, \"mean_interarrival_ns\": 1, \"seed\": 1}, "
-      "\"sweep\": []}";
-  EXPECT_FALSE(ValidateServingBenchJson(empty_sweep).ok());
+bench::ServingBenchResult ValidServingResult() {
+  bench::ServingBenchResult result;
+  result.catalog_items = 10;
+  result.hidden_dim = 4;
+  bench::SweepPoint point;
+  point.threads = 1;
+  point.qps = 1.0;
+  point.p50_ns = 100;
+  point.p99_ns = 200;
+  point.p999_ns = 300;
+  result.points = {point, point};
+  return result;
+}
+
+// One case per rule CheckServingBench enforces.
+TEST(Harness, CheckRejectsEachBrokenRule) {
+  ASSERT_TRUE(bench::CheckServingBench(ValidServingResult()).ok());
+  struct Case {
+    const char* rule;
+    void (*mutate)(bench::ServingBenchResult*);
+  };
+  const Case cases[] = {
+      {"non-empty sweep",
+       [](bench::ServingBenchResult* r) { r->points.clear(); }},
+      {"p50 <= p99",
+       [](bench::ServingBenchResult* r) { r->points[1].p50_ns = 250; }},
+      {"p99 <= p999",
+       [](bench::ServingBenchResult* r) { r->points[1].p99_ns = 350; }},
+  };
+  for (const Case& c : cases) {
+    bench::ServingBenchResult result = ValidServingResult();
+    c.mutate(&result);
+    EXPECT_FALSE(bench::CheckServingBench(result).ok()) << c.rule;
+  }
+}
+
+// The key paths and JSON kinds readers of BENCH_serving.json depend on; the
+// writer must emit exactly these.
+TEST(Harness, JsonKeepsTheServingSchema) {
+  const std::set<std::string> want = PathSet(
+      "$:object $.bench:string $.catalog_items:number "
+      "$.hidden_dim:number $.sweep:array $.sweep[]:object "
+      "$.sweep[].batch_window_ns:number $.sweep[].cache_hit_rate:number "
+      "$.sweep[].mean_batch_size:number $.sweep[].mean_ns:number "
+      "$.sweep[].num_batches:number $.sweep[].p50_ns:number "
+      "$.sweep[].p999_ns:number $.sweep[].p99_ns:number "
+      "$.sweep[].qps:number $.sweep[].service_seconds:number "
+      "$.sweep[].threads:number $.top_k:number $.traffic:object "
+      "$.traffic.mean_interarrival_ns:number "
+      "$.traffic.num_requests:number $.traffic.num_sessions:number "
+      "$.traffic.seed:number $.traffic.zipf_exponent:number");
+  const std::string json = bench::ServingBenchJson(ValidServingResult());
+  EXPECT_EQ(JsonPaths(json), want);
+  EXPECT_NE(json.find("\"bench\": \"serving\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -843,6 +867,23 @@ TEST(Admission, ShedSetIsPureFunctionOfTheOfferSequence) {
   const auto b = run();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+}
+
+TEST(DegradationLadder, ParseLadderSpecRejectsMalformedRungs) {
+  const Result<std::vector<LadderRung>> ok =
+      ParseLadderSpec("exact,ivf:8,ivf:2,popularity");
+  ASSERT_TRUE(ok.ok()) << ok.status().message();
+  EXPECT_EQ(ok.value()[1].nprobe, 8u);
+  // strtoull alone accepts a sign: "ivf:-1" would wrap to nprobe 2^64 - 1.
+  for (const char* spec :
+       {"", "exact,", "bogus", "ivf", "ivf:", "ivf:0", "ivf:x", "ivf:4x",
+        "ivf: 4", "exact,ivf:-1", "ivf:+3", "ivf:99999999999999999999"}) {
+    const Result<std::vector<LadderRung>> parsed = ParseLadderSpec(spec);
+    EXPECT_FALSE(parsed.ok()) << '"' << spec << '"';
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << spec;
+    }
+  }
 }
 
 TEST(DegradationLadder, HysteresisDegradesFastAndRecoversSlow) {
@@ -1467,11 +1508,11 @@ TEST(LatencyHistogram, OverflowBucketAndResilienceCounters) {
   EXPECT_EQ(a.sum(), 5u);
 }
 
-TEST(DegradeHarness, SweepProducesValidSchemaCheckedJson) {
+TEST(DegradeHarness, SweepPassesTheDegradeChecks) {
   // Tiny, ingest-free sweep on the shared fixture model (ingest would mutate
   // it). The harness itself re-seeds the chaos injector per point.
   ScopedChaosConfig chaos(/*seed=*/5, /*rate=*/0.25);
-  DegradeConfig config;
+  bench::DegradeConfig config;
   config.traffic.num_sessions = 12;
   config.traffic.num_requests = 150;
   config.traffic.mean_interarrival_ns = 100000;
@@ -1479,88 +1520,116 @@ TEST(DegradeHarness, SweepProducesValidSchemaCheckedJson) {
   config.serve = OverloadConfig();
   config.serve.queue_max = 64;
   config.load_multipliers = {1.0, 4.0};
-  const DegradeBenchResult result = RunDegradeHarness(
+  const bench::DegradeBenchResult result = bench::RunDegradeHarness(
       Fixture().model(), Fixture().data.dataset.sequences,
       /*raw_features=*/nullptr, config);
   ASSERT_EQ(result.points.size(), 2u);
-  for (const DegradePoint& point : result.points) {
-    EXPECT_EQ(point.offered,
-              point.served + point.shed_overflow + point.shed_deadline);
-    EXPECT_GE(point.availability, 0.0);
-    EXPECT_LE(point.availability, 1.0);
+  // CheckDegradeBench below covers the accounting and range rules; the
+  // rung arrays must also follow the ladder, -1 exactly where nothing served.
+  for (const bench::DegradePoint& point : result.points) {
     ASSERT_EQ(point.rung_served.size(), config.serve.ladder.rungs.size());
-    ASSERT_EQ(point.rung_ndcg.size(), point.rung_served.size());
     for (std::size_t r = 0; r < point.rung_served.size(); ++r) {
-      if (point.rung_served[r] == 0) {
-        EXPECT_EQ(point.rung_ndcg[r], -1.0);
-      } else {
-        EXPECT_GE(point.rung_ndcg[r], 0.0);
-        EXPECT_LE(point.rung_ndcg[r], 1.0);
-      }
+      EXPECT_EQ(point.rung_served[r] == 0, point.rung_ndcg[r] == -1.0);
     }
   }
   // Rung 0 serves against itself: where it served, quality is exactly 1.
   ASSERT_GT(result.points[0].rung_served[0], 0u);
   EXPECT_DOUBLE_EQ(result.points[0].rung_ndcg[0], 1.0);
 
-  const std::string json = DegradeBenchJson(result);
-  EXPECT_TRUE(ValidateDegradeBenchJson(json).ok())
-      << ValidateDegradeBenchJson(json).message();
+  const Status checked = bench::CheckDegradeBench(result);
+  EXPECT_TRUE(checked.ok()) << checked.message();
   // Availability can never exceed 1, so a floor above 1 must always reject:
   // the check-degrade gate's floor is actually enforced per point.
-  EXPECT_FALSE(ValidateDegradeBenchJson(json, /*min_availability=*/1.01).ok());
+  EXPECT_FALSE(
+      bench::CheckDegradeBench(result, /*min_availability=*/1.01).ok());
 }
 
-TEST(DegradeHarness, SchemaCheckerRejectsMalformedDocuments) {
-  EXPECT_FALSE(ValidateDegradeBenchJson("").ok());
-  EXPECT_FALSE(ValidateDegradeBenchJson("[3]").ok());
-  EXPECT_FALSE(ValidateDegradeBenchJson("{\"bench\": \"serving\"}").ok());
+bench::DegradeBenchResult ValidDegradeResult() {
+  bench::DegradeBenchResult result;
+  result.catalog_items = 10;
+  result.chaos_seed = 1;
+  result.chaos_rate = 0.25;
+  bench::DegradePoint point;
+  point.load_multiplier = 1.0;
+  point.offered = 10;
+  point.served = 9;
+  point.shed_overflow = 1;
+  point.availability = 0.9;
+  point.p50_ns = 10;
+  point.p99_ns = 20;
+  point.rung_served = {9, 0};
+  point.rung_ndcg = {1.0, -1.0};
+  result.points = {point};
+  return result;
+}
 
-  const std::string valid =
-      "{\"bench\": \"degrade\", \"catalog_items\": 10, \"ndcg_k\": 10, "
-      "\"chaos\": {\"seed\": 1, \"rate\": 0.25}, \"traffic\": {}, "
-      "\"sweep\": [{\"load_multiplier\": 1, \"offered\": 10, \"served\": 9, "
-      "\"shed_overflow\": 1, \"shed_deadline\": 0, \"availability\": 0.9, "
-      "\"deadline_miss_rate\": 0, \"p50_ns\": 10, \"p99_ns\": 20, "
-      "\"quarantined\": 0, \"refit_failures\": 0, \"rollbacks\": 0, "
-      "\"rung_served\": [9, 0], \"rung_ndcg\": [1, -1]}]}";
-  ASSERT_TRUE(ValidateDegradeBenchJson(valid).ok())
-      << ValidateDegradeBenchJson(valid).message();
-  // The hand-built point has availability 0.9: the floor must reject it.
-  EXPECT_FALSE(ValidateDegradeBenchJson(valid, /*min_availability=*/0.99).ok());
-
-  auto mutate = [&valid](const std::string& from, const std::string& to) {
-    std::string doc = valid;
-    const std::size_t at = doc.find(from);
-    EXPECT_NE(at, std::string::npos) << from;
-    doc.replace(at, from.size(), to);
-    return doc;
+// One case per rule CheckDegradeBench enforces.
+TEST(DegradeHarness, CheckRejectsEachBrokenRule) {
+  ASSERT_TRUE(bench::CheckDegradeBench(ValidDegradeResult()).ok());
+  using Point = bench::DegradePoint;
+  struct Case {
+    const char* rule;
+    void (*mutate)(Point*);
   };
-  // Accounting identity: offered != served + sheds.
-  EXPECT_FALSE(
-      ValidateDegradeBenchJson(mutate("\"served\": 9", "\"served\": 8")).ok());
-  // Inverted percentiles.
-  EXPECT_FALSE(
-      ValidateDegradeBenchJson(mutate("\"p50_ns\": 10", "\"p50_ns\": 30"))
-          .ok());
-  // Out-of-range availability.
-  EXPECT_FALSE(ValidateDegradeBenchJson(
-                   mutate("\"availability\": 0.9", "\"availability\": 1.5"))
-                   .ok());
-  // Rung arrays of unequal length.
-  EXPECT_FALSE(ValidateDegradeBenchJson(
-                   mutate("\"rung_served\": [9, 0]", "\"rung_served\": [9]"))
-                   .ok());
-  // NDCG outside [0, 1] and not the -1 sentinel.
-  EXPECT_FALSE(ValidateDegradeBenchJson(
-                   mutate("\"rung_ndcg\": [1, -1]", "\"rung_ndcg\": [1, 2]"))
-                   .ok());
-  // Empty sweep.
-  const std::string empty_sweep =
-      "{\"bench\": \"degrade\", \"catalog_items\": 10, \"ndcg_k\": 10, "
-      "\"chaos\": {\"seed\": 1, \"rate\": 0}, \"traffic\": {}, "
-      "\"sweep\": []}";
-  EXPECT_FALSE(ValidateDegradeBenchJson(empty_sweep).ok());
+  const Case cases[] = {
+      {"availability <= 1", [](Point* p) { p->availability = 1.5; }},
+      {"availability >= 0", [](Point* p) { p->availability = -0.1; }},
+      {"availability is a number",
+       [](Point* p) { p->availability = std::nan(""); }},
+      {"deadline_miss_rate <= 1",
+       [](Point* p) { p->deadline_miss_rate = 2.0; }},
+      {"deadline_miss_rate >= 0",
+       [](Point* p) { p->deadline_miss_rate = -0.5; }},
+      {"offered == served + sheds", [](Point* p) { p->served = 8; }},
+      {"p50 <= p99", [](Point* p) { p->p50_ns = 30; }},
+      {"rung arrays non-empty",
+       [](Point* p) {
+         p->rung_served.clear();
+         p->rung_ndcg.clear();
+       }},
+      {"rung arrays of equal length", [](Point* p) { p->rung_served = {9}; }},
+      {"rung NDCG <= 1", [](Point* p) { p->rung_ndcg[0] = 2.0; }},
+      {"rung NDCG -1 or >= 0", [](Point* p) { p->rung_ndcg[1] = -0.5; }},
+  };
+  for (const Case& c : cases) {
+    bench::DegradeBenchResult result = ValidDegradeResult();
+    c.mutate(&result.points[0]);
+    EXPECT_FALSE(bench::CheckDegradeBench(result).ok()) << c.rule;
+  }
+  bench::DegradeBenchResult empty = ValidDegradeResult();
+  empty.points.clear();
+  EXPECT_FALSE(bench::CheckDegradeBench(empty).ok()) << "non-empty sweep";
+  // The availability floor: the valid point serves 90%.
+  EXPECT_TRUE(bench::CheckDegradeBench(ValidDegradeResult(), 0.9).ok());
+  EXPECT_FALSE(bench::CheckDegradeBench(ValidDegradeResult(), 0.99).ok())
+      << "availability floor";
+}
+
+// The key paths and JSON kinds readers of BENCH_degrade.json depend on; the
+// writer must emit exactly these.
+TEST(DegradeHarness, JsonKeepsTheDegradeSchema) {
+  const std::set<std::string> want = PathSet(
+      "$:object $.bench:string $.catalog_items:number $.chaos:object "
+      "$.chaos.rate:number $.chaos.seed:number $.cost_model:object "
+      "$.cost_model.base_batch_cost_ns:number "
+      "$.cost_model.chaos_spike_ns:number "
+      "$.cost_model.per_request_cost_ns:number $.ndcg_k:number "
+      "$.sweep:array $.sweep[]:object $.sweep[].availability:number "
+      "$.sweep[].deadline_miss_rate:number "
+      "$.sweep[].load_multiplier:number $.sweep[].offered:number "
+      "$.sweep[].p50_ns:number $.sweep[].p99_ns:number "
+      "$.sweep[].quarantined:number $.sweep[].refit_failures:number "
+      "$.sweep[].rollbacks:number $.sweep[].rung_ndcg:array "
+      "$.sweep[].rung_ndcg[]:number $.sweep[].rung_served:array "
+      "$.sweep[].rung_served[]:number $.sweep[].served:number "
+      "$.sweep[].shed_deadline:number $.sweep[].shed_overflow:number "
+      "$.traffic:object $.traffic.deadline_ns:number "
+      "$.traffic.mean_interarrival_ns:number "
+      "$.traffic.num_requests:number $.traffic.num_sessions:number "
+      "$.traffic.seed:number $.traffic.zipf_exponent:number");
+  const std::string json = bench::DegradeBenchJson(ValidDegradeResult());
+  EXPECT_EQ(JsonPaths(json), want);
+  EXPECT_NE(json.find("\"bench\": \"degrade\""), std::string::npos);
 }
 
 }  // namespace

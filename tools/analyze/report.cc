@@ -1,17 +1,15 @@
 #include <cmath>
-#include <cstdio>
 #include <set>
-#include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/json.h"
 #include "tools/analyze/analyze.h"
 
-// ANALYZE.json writer + schema validator. The writer is string building (no
-// dependencies beyond the standard library); the validator round-trips the
-// document through core::ParseJson — the same reader that gates the bench
-// artifacts — so the analyze binary can refuse to emit a report it could
-// not itself parse.
+// ANALYZE.json writer + schema validator. The writer builds the document
+// with core::Json and the validator reads it back through core::ParseJson —
+// the writer and reader every JSON artifact in the tree uses — so the
+// analyze binary can refuse to emit a report it could not itself parse.
 
 namespace whitenrec {
 namespace analyze {
@@ -33,33 +31,6 @@ const std::set<std::string>& KnownRules() {
   return kRules;
 }
 
-void AppendEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
 Status Invalid(const std::string& what) {
   return Status::InvalidArgument("ANALYZE.json: " + what);
 }
@@ -67,33 +38,28 @@ Status Invalid(const std::string& what) {
 }  // namespace
 
 std::string ReportJson(const AnalyzeResult& result) {
-  std::string out;
-  out += "{\n";
-  out += "  \"schema\": \"";
-  out += kSchema;
-  out += "\",\n";
-  out += "  \"files_scanned\": " + std::to_string(result.files_scanned) +
-         ",\n";
-  out += "  \"passes\": [\"layering\", \"knobs\", \"hotalloc\"],\n";
-  out += "  \"findings\": [";
-  for (std::size_t i = 0; i < result.findings.size(); ++i) {
-    const Finding& f = result.findings[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"file\": \"";
-    AppendEscaped(f.file, &out);
-    out += "\", \"line\": " + std::to_string(f.line) + ", \"pass\": \"";
-    AppendEscaped(f.pass, &out);
-    out += "\", \"rule\": \"";
-    AppendEscaped(f.rule, &out);
-    out += "\", \"message\": \"";
-    AppendEscaped(f.message, &out);
-    out += "\"}";
+  using core::Json;
+  Json passes = Json::Arr();
+  for (const char* pass : {"layering", "knobs", "hotalloc"}) {
+    passes.Push(Json::Str(pass));
   }
-  out += result.findings.empty() ? "],\n" : "\n  ],\n";
-  out += std::string("  \"clean\": ") +
-         (result.findings.empty() ? "true" : "false") + "\n";
-  out += "}\n";
-  return out;
+  Json findings = Json::Arr();
+  for (const Finding& f : result.findings) {
+    findings.Push(Json::Obj()
+                      .Set("file", Json::Str(f.file))
+                      .Set("line", Json::Uint(f.line))
+                      .Set("pass", Json::Str(f.pass))
+                      .Set("rule", Json::Str(f.rule))
+                      .Set("message", Json::Str(f.message)));
+  }
+  return Json::Obj()
+             .Set("schema", Json::Str(kSchema))
+             .Set("files_scanned", Json::Uint(result.files_scanned))
+             .Set("passes", std::move(passes))
+             .Set("findings", std::move(findings))
+             .Set("clean", Json::Bool(result.findings.empty()))
+             .Dump() +
+         "\n";
 }
 
 Status ValidateAnalyzeReport(const std::string& json) {
