@@ -20,7 +20,6 @@
 #include "bench/degrade_harness.h"
 #include "bench_common.h"
 #include "seqrec/baselines.h"
-#include "serve/chaos.h"
 
 namespace whitenrec {
 namespace {
@@ -40,13 +39,11 @@ int Run(int argc, char** argv) {
   rec->Fit(split, bench::DefaultTrainConfig());
   seqrec::SasRecModel* model = rec->model();
 
+  bench::DegradeConfig config;
   // The acceptance operating point is seed 42 at 25% chaos; either knob
   // overrides its half.
-  serve::ChaosInjector::Global().Configure(
-      core::EnvU64("WHITENREC_CHAOS_SEED", 42),
-      core::EnvDouble("WHITENREC_CHAOS_RATE", 0.25, 0.0, 1.0));
-
-  bench::DegradeConfig config;
+  config.chaos_seed = core::EnvU64("WHITENREC_CHAOS_SEED", 42);
+  config.chaos_rate = core::EnvDouble("WHITENREC_CHAOS_RATE", 0.25, 0.0, 1.0);
   config.traffic.num_sessions = data.dataset.sequences.size();
   config.traffic.num_requests = core::EnvSize(
       "WHITENREC_DEGRADE_REQUESTS", static_cast<std::size_t>(2048 * scale));
@@ -54,9 +51,9 @@ int Run(int argc, char** argv) {
   config.traffic.deadline_ns = 20000000;         // 20 ms per request
   config.serve.max_batch = 64;
   config.serve.queue_max = 256;
-  // Refit often enough that the sweep also exercises the guarded swap (and,
-  // under chaos, the mid-swap rollback) even at the short check-degrade
-  // trace length, where only ~a dozen rows survive the corrupt-ingest chaos.
+  // Refit often enough that the sweep also exercises the refit guard (and,
+  // under chaos, the refit drop) even at the short check-degrade trace
+  // length, where only ~a dozen rows survive the corrupt-ingest chaos.
   config.serve.refit_every = 8;
   Result<std::vector<serve::LadderRung>> rungs =
       serve::ParseLadderSpec("exact,ivf:8,ivf:2,popularity");
@@ -75,7 +72,7 @@ int Run(int argc, char** argv) {
   std::printf("[degrade] sweeping %zu load multipliers over %zu requests "
               "(chaos rate %.2f) ...\n",
               config.load_multipliers.size(), config.traffic.num_requests,
-              serve::ChaosInjector::Global().rate());
+              config.chaos_rate);
   const bench::DegradeBenchResult result = bench::RunDegradeHarness(
       model, data.dataset.sequences, &data.dataset.text_embeddings, config);
 

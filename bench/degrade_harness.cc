@@ -8,18 +8,15 @@
 #include "core/check.h"
 #include "core/json.h"
 #include "eval/metrics.h"
-#include "serve/chaos.h"
 #include "serve/latency_histogram.h"
 #include "whitening/whiten_encoder.h"
 
 namespace whitenrec {
 namespace bench {
 
-using serve::ChaosInjector;
 using serve::ChaosKind;
 using serve::ServeOutcomeKind;
 using serve::ServeRequest;
-using serve::TrafficConfig;
 
 namespace {
 
@@ -45,10 +42,12 @@ DegradeBenchResult RunDegradeHarness(
   WR_CHECK(model != nullptr);
   WR_CHECK(!config.load_multipliers.empty());
   if (config.ingest_every > 0) WR_CHECK(raw_features != nullptr);
+  WR_CHECK(config.chaos_rate >= 0.0 && config.chaos_rate <= 1.0);
 
-  ChaosInjector& chaos = ChaosInjector::Global();
-  const std::uint64_t chaos_seed = chaos.seed();
-  const double chaos_rate = chaos.rate();
+  // The harness owns the chaos plane: one injector, lent to each point's
+  // service, so the latency spikes and corrupted ingests drawn here and the
+  // refit drops drawn inside the service share one schedule.
+  serve::ChaosInjector chaos;
 
   // The ingest stream's committed refits mutate the shared model's encoder
   // (the catalog grows). Snapshot the feature table once so every sweep
@@ -63,8 +62,6 @@ DegradeBenchResult RunDegradeHarness(
 
   DegradeBenchResult result;
   result.config = config;
-  result.chaos_seed = chaos_seed;
-  result.chaos_rate = chaos_rate;
 
   const std::size_t num_rungs =
       std::max<std::size_t>(1, config.serve.ladder.rungs.size());
@@ -74,14 +71,15 @@ DegradeBenchResult RunDegradeHarness(
     // Each point replays its own chaos schedule from the same seed, so
     // points are independent: reordering or dropping multipliers never
     // changes another point's numbers.
-    chaos.Configure(chaos_seed, chaos_rate);
+    chaos.Configure(config.chaos_seed, config.chaos_rate);
 
     TrafficConfig traffic = config.traffic;
     traffic.mean_interarrival_ns = config.traffic.mean_interarrival_ns / mult;
-    const std::vector<serve::TraceRequest> trace =
-        serve::GenerateTrace(sequences, traffic);
+    const std::vector<TraceRequest> trace = GenerateTrace(sequences, traffic);
 
-    serve::RecommendService service(model, config.serve);
+    serve::ServeConfig serve_config = config.serve;
+    serve_config.chaos = &chaos;
+    serve::RecommendService service(model, serve_config);
     result.catalog_items = service.num_items();
     bool ingest_armed = false;
     if (config.ingest_every > 0) {
@@ -214,17 +212,15 @@ DegradeBenchResult RunDegradeHarness(
     }
     result.points.push_back(std::move(point));
 
-    // Undo any committed refits before the next point reuses the model
-    // (RestoreFeatures allows the catalog to shrink back; this point's
-    // service, the only thing referencing the grown table, is going away).
+    // Undo any committed refits before the next point reuses the model. The
+    // catalog shrinks back, which no service may do; this point's service,
+    // the only thing referencing the grown table, is going away.
     if (config.ingest_every > 0 && encoder != nullptr &&
         service.table_version() > 0) {
-      Status restored = encoder->RestoreFeatures(pristine_features);
+      Status restored = encoder->ReplaceFeatures(pristine_features);
       WR_CHECK(restored.ok());
     }
   }
-  // Leave the global injector as the sweep found it (schedule restarted).
-  chaos.Configure(chaos_seed, chaos_rate);
   return result;
 }
 
@@ -257,9 +253,10 @@ std::string DegradeBenchJson(const DegradeBenchResult& result) {
              .Set("bench", Json::Str("degrade"))
              .Set("catalog_items", Json::Uint(result.catalog_items))
              .Set("ndcg_k", Json::Uint(kDegradeNdcgK))
-             .Set("chaos", Json::Obj()
-                               .Set("seed", Json::Uint(result.chaos_seed))
-                               .Set("rate", Json::Num(result.chaos_rate)))
+             .Set("chaos",
+                  Json::Obj()
+                      .Set("seed", Json::Uint(result.config.chaos_seed))
+                      .Set("rate", Json::Num(result.config.chaos_rate)))
              .Set("cost_model",
                   Json::Obj()
                       .Set("base_batch_cost_ns", Json::Uint(kBaseBatchCostNs))

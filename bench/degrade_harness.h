@@ -6,10 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "bench/traffic.h"
 #include "core/status.h"
 #include "seqrec/model.h"
 #include "serve/service.h"
-#include "serve/traffic.h"
 #include "whitening/whitening.h"
 
 namespace whitenrec {
@@ -24,14 +24,21 @@ namespace bench {
 // reported under "cost_model"), so availability, deadline misses, ladder
 // transitions, and per-rung quality are bitwise reproducible on any machine
 // at any thread count — chaos included, because the fault plane draws from
-// the seeded serve::ChaosInjector.
+// a serve::ChaosInjector the harness owns and seeds from chaos_seed /
+// chaos_rate.
 struct DegradeConfig {
   // Offered load at multiplier 1.0; deadline_ns should be set so requests
   // carry deadlines into the admission queue.
-  serve::TrafficConfig traffic;
+  TrafficConfig traffic;
   // Must usually carry a ladder + queue bound; serve.max_batch caps the
-  // per-round service batch.
+  // per-round service batch. serve.chaos is replaced by the harness's own
+  // injector.
   serve::ServeConfig serve;
+  // The chaos schedule: every decision point faults with probability
+  // chaos_rate in [0, 1] (0 = no chaos), drawn from a stream seeded by
+  // chaos_seed.
+  std::uint64_t chaos_seed = 1;
+  double chaos_rate = 0.0;
   // Each sweep point divides the mean interarrival gap by its multiplier
   // (4.0 = 4x overload) and replays a freshly generated trace.
   std::vector<double> load_multipliers = {1.0, 2.0, 4.0};
@@ -39,8 +46,8 @@ struct DegradeConfig {
   // Poisoned-ingest fault stream: every `ingest_every` served requests,
   // offer one synthetic raw feature row to IngestItem;
   // ChaosKind::kCorruptIngest replaces a value with NaN first, exercising
-  // the validation + quarantine path (and, via refits, the guarded swap +
-  // rollback). 0 disables; needs raw_features at RunDegradeHarness.
+  // the validation + quarantine path (and, via refits, the guard and the
+  // refit drop). 0 disables; needs raw_features at RunDegradeHarness.
   std::size_t ingest_every = 0;
   WhiteningKind ingest_kind = WhiteningKind::kZca;
   double ingest_epsilon = 1e-5;
@@ -75,16 +82,14 @@ struct DegradePoint {
 struct DegradeBenchResult {
   DegradeConfig config;
   std::size_t catalog_items = 0;
-  std::uint64_t chaos_seed = 0;
-  double chaos_rate = 0.0;
   std::vector<DegradePoint> points;
 };
 
 // Runs the sweep: per load multiplier, a fresh RecommendService is driven by
 // a deterministic trace through Enqueue/ServeQueued on a simulated
 // single-server virtual clock (arrivals <= now enqueue; one ServeQueued
-// round serves a batch whose modeled cost advances the clock). The chaos
-// injector is re-seeded at the start of every point, so points are
+// round serves a batch whose modeled cost advances the clock). The harness's
+// chaos injector is re-seeded at the start of every point, so points are
 // independent and individually reproducible. `raw_features` backs the
 // optional ingest fault stream (pass nullptr when ingest_every == 0).
 DegradeBenchResult RunDegradeHarness(

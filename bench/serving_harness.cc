@@ -14,7 +14,6 @@ namespace bench {
 
 using serve::LatencyHistogram;
 using serve::ServeRequest;
-using serve::TraceRequest;
 
 namespace {
 
@@ -77,7 +76,7 @@ ServingBenchResult RunServingHarness(
   WR_CHECK(!config.thread_counts.empty());
 
   const std::vector<TraceRequest> trace =
-      serve::GenerateTrace(sequences, config.traffic);
+      GenerateTrace(sequences, config.traffic);
 
   ServingBenchResult result;
   result.config = config;
@@ -152,7 +151,7 @@ ServingBenchResult RunServingHarness(
 
 std::string ServingBenchJson(const ServingBenchResult& result) {
   using core::Json;
-  const serve::TrafficConfig& t = result.config.traffic;
+  const TrafficConfig& t = result.config.traffic;
   Json sweep = Json::Arr();
   for (const SweepPoint& p : result.points) {
     sweep.Push(Json::Obj()

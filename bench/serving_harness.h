@@ -6,10 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "bench/traffic.h"
 #include "core/status.h"
 #include "seqrec/model.h"
 #include "serve/service.h"
-#include "serve/traffic.h"
 
 namespace whitenrec {
 namespace bench {
@@ -30,7 +30,7 @@ struct SweepPoint {
 };
 
 struct HarnessConfig {
-  serve::TrafficConfig traffic;
+  TrafficConfig traffic;
   serve::ServeConfig serve;  // batch_window_ns is overridden per sweep point
   std::vector<std::uint64_t> batch_windows_ns = {0, 100000, 1000000};
   std::vector<std::size_t> thread_counts = {1};

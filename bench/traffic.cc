@@ -1,4 +1,4 @@
-#include "serve/traffic.h"
+#include "bench/traffic.h"
 
 #include <algorithm>
 #include <cmath>
@@ -7,7 +7,7 @@
 #include "linalg/rng.h"
 
 namespace whitenrec {
-namespace serve {
+namespace bench {
 
 std::vector<TraceRequest> GenerateTrace(
     const std::vector<std::vector<std::size_t>>& sequences,
@@ -64,5 +64,5 @@ std::vector<TraceRequest> GenerateTrace(
   return trace;
 }
 
-}  // namespace serve
+}  // namespace bench
 }  // namespace whitenrec

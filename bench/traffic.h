@@ -1,12 +1,12 @@
-#ifndef WHITENREC_SERVE_TRAFFIC_H_
-#define WHITENREC_SERVE_TRAFFIC_H_
+#ifndef WHITENREC_BENCH_TRAFFIC_H_
+#define WHITENREC_BENCH_TRAFFIC_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace whitenrec {
-namespace serve {
+namespace bench {
 
 // Synthetic serving traffic: sessions hit the service at Zipf-distributed
 // rates (a few hot sessions dominate, matching production skew) with
@@ -41,7 +41,7 @@ std::vector<TraceRequest> GenerateTrace(
     const std::vector<std::vector<std::size_t>>& sequences,
     const TrafficConfig& config);
 
-}  // namespace serve
+}  // namespace bench
 }  // namespace whitenrec
 
-#endif  // WHITENREC_SERVE_TRAFFIC_H_
+#endif  // WHITENREC_BENCH_TRAFFIC_H_

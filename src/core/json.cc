@@ -1,6 +1,7 @@
 #include "core/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -61,6 +62,7 @@ class JsonReader {
   explicit JsonReader(const std::string& text) : text_(text) {}
 
   Status Parse(JsonValue* out) {
+    *out = JsonValue();  // a reused value must not keep an earlier document
     Status s = ParseValue(out);
     if (!s.ok()) return s;
     SkipSpace();
@@ -128,6 +130,9 @@ class JsonReader {
     ++pos_;  // opening quote
     out->clear();
     while (pos_ < text_.size() && text_[pos_] != '"') {
+      if (static_cast<unsigned char>(text_[pos_]) < 0x20) {
+        return Fail("raw control byte in string");
+      }
       if (text_[pos_] != '\\') {
         out->push_back(text_[pos_++]);
         continue;
@@ -160,19 +165,45 @@ class JsonReader {
     return Status::OK();
   }
 
-  Status ParseNumber(JsonValue* out) {
-    const std::size_t start = pos_;
+  bool At(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
+  // Consumes a run of decimal digits and returns its length.
+  std::size_t Digits() {
+    const std::size_t from = pos_;
     while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
-    if (pos_ == start) return Fail("expected a value");
-    char* end = nullptr;
+    return pos_ - from;
+  }
+
+  // RFC 8259's number grammar, exactly:
+  //   -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+  // so "+1", "01", ".5" and "1." are refused, as is a number too large for a
+  // double (it would read back as inf, which no artifact can hold).
+  Status ParseNumber(JsonValue* out) {
+    const std::size_t start = pos_;
+    if (At('-')) ++pos_;
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = Digits();
+    if (int_digits == 0) {
+      return Fail(pos_ == start ? "expected a value" : "malformed number");
+    }
+    if (int_digits > 1 && text_[int_start] == '0') {
+      return Fail("leading zero in number");
+    }
+    if (At('.')) {
+      ++pos_;
+      if (Digits() == 0) return Fail("malformed number");
+    }
+    if (At('e') || At('E')) {
+      ++pos_;
+      if (At('+') || At('-')) ++pos_;
+      if (Digits() == 0) return Fail("malformed number");
+    }
     const std::string token = text_.substr(start, pos_ - start);
-    out->number = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') return Fail("malformed number");
+    out->number = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(out->number)) return Fail("number out of range");
     out->kind = JsonValue::Kind::kNumber;
     return Status::OK();
   }
@@ -199,7 +230,9 @@ class JsonReader {
       JsonValue value;
       s = ParseValue(&value);
       if (!s.ok()) return s;
-      out->object[key] = std::move(value);
+      if (!out->object.emplace(std::move(key), std::move(value)).second) {
+        return Fail("duplicate object key");
+      }
       SkipSpace();
       if (pos_ < text_.size() && text_[pos_] == ',') {
         ++pos_;

@@ -64,7 +64,10 @@ struct JsonValue {
 // truncated or concatenated artifact fails loudly, rejects arrays/objects
 // nested more than 256 deep (InvalidArgument) so hostile input cannot
 // exhaust the stack, and rejects an unknown escape or a \u escape outside
-// \u0000-\u007f instead of guessing.
+// \u0000-\u007f instead of guessing. It is strict where a lax reader would
+// keep going: a number outside RFC 8259's grammar ("+1", "01", ".5", "1.")
+// or too large for a double, a raw byte below 0x20 inside a string, and a
+// duplicate object key are each InvalidArgument.
 Status ParseJson(const std::string& text, JsonValue* out);
 
 }  // namespace core

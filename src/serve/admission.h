@@ -10,11 +10,12 @@
 namespace whitenrec {
 namespace serve {
 
-// A serving request. arrival_ns/deadline_ns live on the virtual trace clock
-// (serve/traffic.h); deadline_ns is absolute and 0 means "no deadline" —
-// such requests sort after every deadlined request and are never dropped as
-// overdue. The first two fields keep their historical order so existing
-// aggregate initializers (ServeRequest{session, item}) stay valid.
+// A serving request. arrival_ns/deadline_ns live on the caller's virtual
+// clock (bench/traffic.h generates traces on one); deadline_ns is absolute
+// and 0 means "no deadline" — such requests sort after every deadlined
+// request and are never dropped as overdue. The first two fields keep their
+// historical order so existing aggregate initializers
+// (ServeRequest{session, item}) stay valid.
 struct ServeRequest {
   std::uint64_t session_id = 0;
   std::size_t item = 0;  // the item the session just consumed

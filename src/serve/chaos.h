@@ -11,13 +11,17 @@ namespace serve {
 // Serving-plane fault injection: the core/faultfs FaultInjector pattern
 // lifted above the filesystem. Where faultfs perturbs durable writes, this
 // injector perturbs the serving loop — latency spikes on the virtual clock,
-// corrupted ingest feature rows, and refit failures injected between the
-// feature swap and the index rebuild (the widest window for a torn update).
+// corrupted ingest feature rows, and refits dropped before commit.
 //
-// The injector starts disabled (seed 1, rate 0). Configure sets the
-// probability in [0, 1] that any single decision point faults; test mains
-// take it from WHITENREC_CHAOS_SEED / WHITENREC_CHAOS_RATE and bench_degrade
-// from the same knobs with its own defaults.
+// There is no process-wide instance. A service consults the injector its
+// ServeConfig::chaos points to, once per refit, after the guard and the fit
+// and before the first write (DESIGN.md §13); null injects nothing. The
+// degrade harness (bench/degrade_harness.h) and the tests own their
+// injectors; bench_degrade takes the schedule from WHITENREC_CHAOS_SEED /
+// WHITENREC_CHAOS_RATE.
+//
+// An injector starts disabled (seed 1, rate 0). Configure sets the
+// probability in [0, 1] that any single decision point faults.
 //
 // Determinism: the decision sequence is a pure function of
 // (seed, rate, decision order). Every consultation site sits on the serial
@@ -29,33 +33,16 @@ enum class ChaosKind {
   kNone = 0,
   kLatencySpike,   // the batch's virtual service time is inflated
   kCorruptIngest,  // an ingest feature row is poisoned before validation
-  kRefitFailure,   // the refit fails mid-swap and must roll back
+  kRefitFailure,   // the refit is dropped before it commits
 };
 
-struct ChaosStats {
-  std::uint64_t decisions = 0;  // injection decisions taken
-  std::uint64_t latency_spikes = 0;
-  std::uint64_t corrupt_ingests = 0;
-  std::uint64_t refit_failures = 0;
-
-  std::uint64_t injected() const {
-    return latency_spikes + corrupt_ingests + refit_failures;
-  }
-};
-
-// Process-global chaos injector; thread-safe, though every call site is on
-// a serial control path by design (see above).
+// Thread-safe, though every call site is on a serial control path by design
+// (see above).
 class ChaosInjector {
  public:
-  static ChaosInjector& Global();
-
   // Sets the schedule: rate must be finite and is clamped to [0, 1];
-  // rate <= 0 disables injection. Resets the schedule and the counters.
+  // rate <= 0 disables injection. Restarts the schedule.
   void Configure(std::uint64_t seed, double rate);
-
-  double rate() const;
-  std::uint64_t seed() const;
-  ChaosStats stats() const;
 
   // Draws the fault decision for the next decision point, restricted to the
   // kinds that point supports. Returns kNone when disabled or when the
@@ -66,28 +53,9 @@ class ChaosInjector {
   std::uint64_t NextBelow(std::uint64_t n);
 
  private:
-  ChaosInjector() = default;
-
-  mutable std::mutex mu_;
-  std::uint64_t seed_ = 1;
+  std::mutex mu_;
   double rate_ = 0.0;
-  std::uint64_t state_ = 0;  // SplitMix64 stream
-  ChaosStats stats_;
-};
-
-// RAII override of the global injector configuration; restores the previous
-// (seed, rate) on destruction. Lets individual tests pin a chaos schedule
-// while the surrounding binary sweeps WHITENREC_CHAOS_RATE.
-class ScopedChaosConfig {
- public:
-  ScopedChaosConfig(std::uint64_t seed, double rate);
-  ~ScopedChaosConfig();
-  ScopedChaosConfig(const ScopedChaosConfig&) = delete;
-  ScopedChaosConfig& operator=(const ScopedChaosConfig&) = delete;
-
- private:
-  std::uint64_t prev_seed_;
-  double prev_rate_;
+  std::uint64_t state_ = 1;  // SplitMix64 stream, seeded by Configure
 };
 
 }  // namespace serve

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -11,7 +10,6 @@
 #include "eval/conditioning.h"
 #include "whitening/whiten_encoder.h"
 #include "linalg/gemm.h"
-#include "serve/chaos.h"
 
 namespace whitenrec {
 namespace serve {
@@ -242,10 +240,8 @@ void RecommendService::HandleSlice(
             std::copy(h_row.RowPtr(0), h_row.RowPtr(0) + hidden,
                       users.RowPtr(out));
             lens[out] = session.window.size();
-            if (config_.exclude_history) {
-              exclusions[out] = session.window;
-              std::sort(exclusions[out].begin(), exclusions[out].end());
-            }
+            exclusions[out] = session.window;
+            std::sort(exclusions[out].begin(), exclusions[out].end());
           }
         }
       });
@@ -424,13 +420,8 @@ Status RecommendService::EnableIngest(const Matrix& raw_features,
     whiten_options_.rank = encoder->features().cols();
   }
   raw_features_ = raw_features;
-  whiten_acc_ = IncrementalWhitening(raw_features.cols());
-  whiten_acc_.Add(raw_features);
-  pending_ingests_ = 0;
-  // The armed state IS the first good snapshot: a refit that fails before
-  // ever committing rolls back to exactly this accumulator and catalog.
-  last_good_acc_ = whiten_acc_;
-  last_good_raw_rows_ = raw_features_.rows();
+  committed_acc_ = IncrementalWhitening(raw_features.cols());
+  committed_acc_.Add(raw_features);
   ingest_enabled_ = true;
   return Status::OK();
 }
@@ -464,19 +455,17 @@ void RecommendService::Quarantine(const std::vector<double>& raw_feature,
   }
 }
 
-Status RecommendService::RollbackPending(Status cause) {
-  // Pending (uncommitted) rows are dropped into quarantine: the guard cannot
-  // tell WHICH ingested row poisoned the moments, so everything since the
-  // last committed refit is suspect.
-  const std::size_t rows = raw_features_.rows();
-  for (std::size_t r = last_good_raw_rows_; r < rows; ++r) {
+Status RecommendService::DropPending(Status cause) {
+  // The guard cannot tell WHICH ingested row poisoned the moments, so every
+  // pending row is suspect: all of them go to quarantine. Nothing else was
+  // written, so truncating the raw catalog back to its committed rows is
+  // the whole of the undo.
+  ++stats_.refit_failures;
+  const std::size_t committed = committed_acc_.count();
+  for (std::size_t r = committed; r < raw_features_.rows(); ++r) {
     Quarantine(raw_features_.Row(r), "dropped by refit rollback");
   }
-  if (rows != last_good_raw_rows_) {
-    raw_features_ = raw_features_.RowSlice(0, last_good_raw_rows_);
-  }
-  whiten_acc_ = last_good_acc_;
-  pending_ingests_ = 0;
+  raw_features_ = raw_features_.RowSlice(0, committed);
   return cause;
 }
 
@@ -484,25 +473,19 @@ Status RecommendService::IngestItem(const std::vector<double>& raw_feature) {
   if (!ingest_enabled_) {
     return Status::InvalidArgument("call EnableIngest first");
   }
-  // Poisoned-ingest defense: validate BEFORE the feature can touch the
-  // whitening moments. A rejected row leaves the accumulator, the catalog,
-  // and the scorer bitwise unchanged — only the quarantine records it.
+  // Poisoned-ingest defense: a rejected row never reaches the raw catalog,
+  // so the whitening moments, the catalog and the scorer are bitwise
+  // unchanged by it; only the quarantine records it.
   Status valid = ValidateIngestFeature(raw_feature);
   if (!valid.ok()) {
     Quarantine(raw_feature, valid.message());
     return valid;
   }
-  // Append the row to the raw catalog (amortized O(d), no catalog copy) and
-  // fold it into the streaming whitening statistics (exact Welford update,
-  // no rescan).
+  // Amortized O(d), no catalog copy. The row reaches the whitening moments
+  // only when a refit folds the pending tail in.
   raw_features_.AppendRow(raw_feature);
-  Matrix row(1, raw_feature.size());
-  std::memcpy(row.RowPtr(0), raw_feature.data(),
-              raw_feature.size() * sizeof(double));
-  whiten_acc_.Add(row);
-  ++pending_ingests_;
   ++stats_.ingested;
-  if (pending_ingests_ >= config_.refit_every) return Refit();
+  if (pending_ingests() >= config_.refit_every) return Refit();
   return Status::OK();
 }
 
@@ -510,84 +493,71 @@ Status RecommendService::RefitNow() {
   if (!ingest_enabled_) {
     return Status::InvalidArgument("call EnableIngest first");
   }
-  if (pending_ingests_ == 0) return Status::OK();
+  if (pending_ingests() == 0) return Status::OK();
   return Refit();
+}
+
+Result<FittedWhitening> RecommendService::GuardedFit(
+    const IncrementalWhitening& acc) const {
+  // Refit guard: a poisoned batch that slipped past the per-row bounds still
+  // shows up as a sick covariance (blown condition number or collapsed
+  // spectrum). Refuse the refit rather than bake a near-singular transform
+  // into the serving path.
+  if (config_.refit_max_condition > 0.0 || config_.refit_eigen_floor > 0.0) {
+    Result<Matrix> cov = acc.CovarianceMatrix();
+    if (!cov.ok()) return cov.status();
+    const eval::CovarianceConditioning cond =
+        eval::AnalyzeCovarianceConditioning(cov.value());
+    if (config_.refit_max_condition > 0.0 &&
+        cond.condition_number > config_.refit_max_condition) {
+      return Status::NumericalError(
+          "refit guard: covariance condition number exceeds bound");
+    }
+    if (config_.refit_eigen_floor > 0.0 &&
+        cond.min_eigenvalue < config_.refit_eigen_floor) {
+      return Status::NumericalError(
+          "refit guard: covariance eigenvalue below floor");
+    }
+  }
+  return acc.Fit(whiten_options_);
 }
 
 Status RecommendService::Refit() {
   auto* encoder = dynamic_cast<TextFeatureEncoder*>(model_->encoder());
   WR_CHECK(encoder != nullptr);  // EnableIngest verified this
 
-  // Refit guard: a poisoned batch that slipped past the per-row bounds still
-  // shows up as a sick covariance (blown condition number or collapsed
-  // spectrum). Refuse the refit and roll the pending rows back rather than
-  // bake a near-singular transform into the serving path.
-  if (config_.refit_max_condition > 0.0 || config_.refit_eigen_floor > 0.0) {
-    Result<Matrix> cov = whiten_acc_.CovarianceMatrix();
-    if (!cov.ok()) {
-      ++stats_.refit_failures;
-      return RollbackPending(cov.status());
-    }
-    const eval::CovarianceConditioning cond =
-        eval::AnalyzeCovarianceConditioning(cov.value());
-    if (config_.refit_max_condition > 0.0 &&
-        cond.condition_number > config_.refit_max_condition) {
-      ++stats_.refit_failures;
-      return RollbackPending(Status::NumericalError(
-          "refit guard: covariance condition number exceeds bound"));
-    }
-    if (config_.refit_eigen_floor > 0.0 &&
-        cond.min_eigenvalue < config_.refit_eigen_floor) {
-      ++stats_.refit_failures;
-      return RollbackPending(Status::NumericalError(
-          "refit guard: covariance eigenvalue below floor"));
-    }
-  }
-
-  Result<FittedWhitening> fitted = whiten_acc_.Fit(whiten_options_);
-  if (!fitted.ok()) {
-    ++stats_.refit_failures;
-    return RollbackPending(fitted.status());
+  // Every step that can fail runs before the first write, so a failed refit
+  // has nothing to undo. The candidate moments are the committed ones plus
+  // the pending tail of the raw catalog; Add is a per-row Welford loop, so
+  // folding the tail in here is bitwise the same as folding each row in as
+  // it arrived.
+  const std::size_t committed = committed_acc_.count();
+  IncrementalWhitening acc = committed_acc_;
+  acc.Add(raw_features_.RowSlice(committed, raw_features_.rows()));
+  Result<FittedWhitening> fitted = GuardedFit(acc);
+  if (!fitted.ok()) return DropPending(fitted.status());
+  if (config_.chaos != nullptr &&
+      config_.chaos->Next({ChaosKind::kRefitFailure}) ==
+          ChaosKind::kRefitFailure) {
+    ++stats_.rollbacks;
+    return DropPending(Status::Unavailable(
+        "refit dropped by injected failure; serving stays on the last "
+        "committed transform"));
   }
   Matrix whitened = ApplyWhitening(fitted.value(), raw_features_);
-
-  // Versioned swap: snapshot the encoder's current (last good) feature table
-  // before replacing it, so an interrupted swap can restore it bitwise.
-  Matrix old_features = encoder->features();
+  // Grow-only: sessions may hold any committed item id, so the new table may
+  // add rows but never drop one.
+  WR_CHECK_GE(whitened.rows(), encoder->num_items());
+  // ReplaceFeatures checks the shape before it assigns: the first write.
   Status replaced = encoder->ReplaceFeatures(std::move(whitened));
-  if (!replaced.ok()) {
-    ++stats_.refit_failures;
-    return RollbackPending(replaced);
-  }
+  if (!replaced.ok()) return DropPending(replaced);
 
-  // Injected failure window (ChaosKind::kRefitFailure): the crash lands at
-  // the worst moment — features swapped, table and index not yet rebuilt.
-  // Rollback restores the old features and re-derives table + index from
-  // them; EncodeItems and the index build are deterministic pure functions
-  // of the feature table, so the restored state is bitwise the pre-refit
-  // state and cached sessions stay valid.
-  if (ChaosInjector::Global().Next({ChaosKind::kRefitFailure}) ==
-      ChaosKind::kRefitFailure) {
-    // RestoreFeatures (not ReplaceFeatures): the catalog must shrink back to
-    // the snapshot, and nothing can reference the dropped rows because the
-    // swap never became visible to a request.
-    Status restored = encoder->RestoreFeatures(std::move(old_features));
-    WR_CHECK(restored.ok());
-    item_table_ = model_->EncodeItems(/*train=*/false);
-    RebuildScorers();
-    ++stats_.rollbacks;
-    ++stats_.refit_failures;
-    return RollbackPending(Status::Unavailable(
-        "refit interrupted by injected failure; rolled back to last good "
-        "transform"));
-  }
-
-  // Commit. The whole item table changed: rebuild it, re-index it, and
-  // invalidate every cached session state. Windows are kept — the next
-  // request per session replays them against the new table (counted as a
-  // recompute, not an error). The scorer rebuild runs on every refit, so the
-  // index cadence mirrors the whitening refit cadence and responses stay a
-  // pure function of the ingest history.
+  // Commit; nothing from here on can fail. The whole item table changed:
+  // rebuild it, re-index it, and invalidate every cached session state.
+  // Windows are kept — the next request per session replays them against
+  // the new table (counted as a recompute, not an error). The scorer rebuild
+  // runs on every refit, so the index cadence mirrors the whitening refit
+  // cadence and responses stay a pure function of the ingest history.
   item_table_ = model_->EncodeItems(/*train=*/false);
   RebuildScorers();
   for (auto& entry : sessions_) {
@@ -597,9 +567,7 @@ Status RecommendService::Refit() {
     }
   }
   stateful_sessions_ = 0;
-  pending_ingests_ = 0;
-  last_good_acc_ = whiten_acc_;
-  last_good_raw_rows_ = raw_features_.rows();
+  committed_acc_ = std::move(acc);
   ++table_version_;
   ++stats_.refits;
   return Status::OK();

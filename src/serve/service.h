@@ -16,6 +16,7 @@
 #include "retrieval/scorer.h"
 #include "seqrec/model.h"
 #include "serve/admission.h"
+#include "serve/chaos.h"
 #include "serve/degrade.h"
 
 namespace whitenrec {
@@ -37,8 +38,6 @@ struct ServeConfig {
   // Item-ingest path: refit the whitening transform and rebuild the item
   // table after this many ingested items.
   std::size_t refit_every = 32;
-  // Drop items already in the session's window from the recommendations.
-  bool exclude_history = true;
   // Top-K scoring backend (exact fused | IVF) and its index knobs. The IVF
   // index is rebuilt deterministically on every ingest refit, so the scorer
   // always indexes the table the model scores against.
@@ -61,12 +60,17 @@ struct ServeConfig {
   // --- Poisoned-ingest defense (DESIGN.md §13) ----------------------------
   // IngestItem rejects features with any |value| above this bound.
   double ingest_max_abs = 1e6;
-  // Refit guard: refuse to refit (and roll the pending ingests back) when
-  // the accumulated covariance's condition number exceeds this, or its
-  // smallest eigenvalue falls below refit_eigen_floor. 0 disables either
-  // check.
+  // Refit guard: refuse to refit (and drop the pending ingests) when the
+  // candidate covariance's condition number exceeds this, or its smallest
+  // eigenvalue falls below refit_eigen_floor. 0 disables either check.
   double refit_max_condition = 1e12;
   double refit_eigen_floor = 0.0;
+
+  // Fault-injection hook (serve/chaos.h), borrowed: consulted once per refit
+  // for ChaosKind::kRefitFailure. Null (production, perfbench) injects
+  // nothing; the degrade harness and the tests own the injector and must
+  // keep it alive as long as the service.
+  ChaosInjector* chaos = nullptr;
 
   static ServeConfig Defaults() { return ServeConfig(); }
 };
@@ -116,8 +120,8 @@ struct ServeStats {
   std::size_t queue_sheds = 0;     // shed by the bounded admission queue
   std::size_t deadline_sheds = 0;  // dropped overdue before service
   std::size_t quarantined = 0;     // ingest features rejected into quarantine
-  std::size_t refit_failures = 0;  // refits refused by the guard or rolled back
-  std::size_t rollbacks = 0;       // mid-swap rollbacks (encoder restored)
+  std::size_t refit_failures = 0;  // refits dropped before commit, any cause
+  std::size_t rollbacks = 0;  // of those, dropped by injected chaos
 };
 
 // A rejected ingest feature, kept for offline inspection (capped; the
@@ -202,34 +206,35 @@ class RecommendService {
   Status EnableIngest(const linalg::Matrix& raw_features, WhiteningKind kind,
                       double epsilon);
 
-  // Accepts one new item's raw text embedding. The item becomes scorable at
-  // the next refit (every config.refit_every ingests, or RefitNow()), when
-  // the whitening transform is refit from the streaming accumulator, the
-  // whole catalog re-whitened, the item table rebuilt through the trained
-  // projection head, and every cached session state invalidated (their
-  // windows replay against the new table on next use).
+  // Accepts one new item's raw text embedding as a pending row. The item
+  // becomes scorable at the next refit (every config.refit_every ingests, or
+  // RefitNow()), when the pending rows are folded into a copy of the
+  // committed whitening moments, the transform refit, the whole catalog
+  // re-whitened, the item table rebuilt through the trained projection
+  // head, and every cached session state invalidated (their windows replay
+  // against the new table on next use).
   //
-  // Poisoned-ingest defense: the feature is validated BEFORE it can touch
-  // the whitening moments — wrong dimension, non-finite values, and
+  // Poisoned-ingest defense: wrong dimension, non-finite values, and
   // |value| > config.ingest_max_abs are rejected with kInvalidArgument and
-  // the offending row goes to quarantine(); the accumulator, catalog, and
-  // scorer are bitwise unaffected by a rejected ingest.
+  // the row goes to quarantine() instead of the catalog, so the moments,
+  // catalog, and scorer are bitwise unaffected by a rejected ingest.
   Status IngestItem(const std::vector<double>& raw_feature);
 
-  // Forces the pending ingests to be folded in immediately.
+  // Folds the pending ingests in now.
   //
-  // Refits are a guarded, versioned swap (DESIGN.md §13): the refit is
-  // refused while the accumulated covariance fails the condition-number /
-  // eigenvalue-floor guard, and an interrupted swap (injected
-  // ChaosKind::kRefitFailure) restores the last good whitening transform,
-  // item table, and index bitwise. Either way the pending ingested rows are
-  // quarantined and dropped, the accumulator rolls back to its last good
-  // snapshot, and serving continues on the pre-refit state; table_version()
-  // advances only on a committed swap.
+  // A refit commits or drops (DESIGN.md §13). Every step that can fail runs
+  // before the first write: the condition-number / eigenvalue-floor guard,
+  // the fit, the one ChaosKind::kRefitFailure decision of config.chaos, and
+  // ReplaceFeatures' shape check. A failure there drops the refit: the
+  // pending rows go to quarantine and the model, item table, index, and
+  // committed moments are bitwise untouched. Past the first write nothing
+  // can fail; table_version() advances only on a commit.
   Status RefitNow();
 
   std::size_t num_items() const { return item_table_.rows(); }
-  std::size_t pending_ingests() const { return pending_ingests_; }
+  std::size_t pending_ingests() const {
+    return raw_features_.rows() - committed_acc_.count();
+  }
   std::size_t cached_sessions() const { return stateful_sessions_; }
   std::uint64_t table_version() const { return table_version_; }
   const std::vector<QuarantinedFeature>& quarantine() const {
@@ -271,18 +276,20 @@ class RecommendService {
   void EvictFor(const std::vector<std::uint64_t>& needed);
 
   Status Refit();
+  // The refit guard, then the fit, over candidate moments `acc`.
+  Result<FittedWhitening> GuardedFit(const IncrementalWhitening& acc) const;
 
   // Rebuilds the primary scorer and every ladder rung scorer over the
-  // current item_table_ (construction, refit commit, and rollback).
+  // current item_table_ (construction and refit commit).
   void RebuildScorers();
 
   // Validates an ingest feature against dimension/finiteness/magnitude.
   Status ValidateIngestFeature(const std::vector<double>& raw_feature) const;
   // Records a rejected feature (capped list, uncapped counter).
   void Quarantine(const std::vector<double>& raw_feature, std::string reason);
-  // Drops the pending (uncommitted) ingested rows into quarantine, restores
-  // the last good accumulator snapshot, and returns `cause`.
-  Status RollbackPending(Status cause);
+  // Drops a refit before commit: the pending rows go to quarantine and leave
+  // the raw catalog. Returns `cause`.
+  Status DropPending(Status cause);
 
   seqrec::SasRecModel* model_;  // borrowed
   ServeConfig config_;
@@ -304,16 +311,14 @@ class RecommendService {
   std::vector<std::unique_ptr<retrieval::Scorer>> rung_scorers_;
   std::vector<std::size_t> rung_served_;
 
-  // Ingest state (EnableIngest).
+  // Ingest state (EnableIngest). committed_acc_ holds the whitening moments
+  // of the committed catalog, the first committed_acc_.count() rows of
+  // raw_features_; the rows after them are the pending ingests, which reach
+  // the moments only in a refit's candidate copy.
   bool ingest_enabled_ = false;
   WhiteningOptions whiten_options_;
-  linalg::Matrix raw_features_;  // grows with the catalog
-  IncrementalWhitening whiten_acc_{1};
-  std::size_t pending_ingests_ = 0;
-  // Last good snapshot for refit rollback: the accumulator and catalog row
-  // count as of the last committed refit (or EnableIngest).
-  IncrementalWhitening last_good_acc_{1};
-  std::size_t last_good_raw_rows_ = 0;
+  linalg::Matrix raw_features_;
+  IncrementalWhitening committed_acc_{1};
   std::uint64_t table_version_ = 0;
   std::vector<QuarantinedFeature> quarantine_;
 

@@ -174,24 +174,8 @@ Status TextFeatureEncoder::ReplaceFeatures(Matrix features) {
         "ReplaceFeatures: feature dim " + std::to_string(features.cols()) +
         " != head input dim " + std::to_string(head_.in_dim()));
   }
-  if (features.rows() < features_.rows()) {
-    return Status::InvalidArgument(
-        "ReplaceFeatures: catalog shrank from " +
-        std::to_string(features_.rows()) + " to " +
-        std::to_string(features.rows()) + " rows");
-  }
-  features_ = std::move(features);
-  return Status::OK();
-}
-
-Status TextFeatureEncoder::RestoreFeatures(Matrix features) {
-  if (features.cols() != head_.in_dim()) {
-    return Status::InvalidArgument(
-        "RestoreFeatures: feature dim " + std::to_string(features.cols()) +
-        " != head input dim " + std::to_string(head_.in_dim()));
-  }
   if (features.rows() < 2) {
-    return Status::InvalidArgument("RestoreFeatures: need >= 2 items");
+    return Status::InvalidArgument("ReplaceFeatures: need >= 2 items");
   }
   features_ = std::move(features);
   return Status::OK();

@@ -79,19 +79,12 @@ class TextFeatureEncoder : public ItemEncoder {
 
   const linalg::Matrix& features() const { return features_; }
 
-  // Swaps in a new frozen feature table (same column count; the row count
-  // may grow as the catalog does). The serving item-ingest path uses this
-  // after refitting the whitening transform online: the trained projection
-  // head is kept, only its frozen input changes.
+  // Swaps in a new frozen feature table (same column count, >= 2 rows); it
+  // checks the shape before it assigns, so a refused table leaves the
+  // encoder unchanged. The serving item-ingest path uses this after
+  // refitting the whitening transform online: the trained projection head
+  // is kept, only its frozen input changes.
   Status ReplaceFeatures(linalg::Matrix features);
-
-  // Rollback variant: swaps in a previously captured feature table, allowing
-  // the row count to SHRINK (which ReplaceFeatures forbids, since serving
-  // sessions may hold references to high item ids). Callers must guarantee
-  // nothing references the dropped rows — the serving refit rollback does,
-  // because it restores the snapshot before any request can see the swapped
-  // table (DESIGN.md §13).
-  Status RestoreFeatures(linalg::Matrix features);
 
  private:
   linalg::Matrix features_;  // frozen

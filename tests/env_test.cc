@@ -126,8 +126,9 @@ TEST(EnvParseDeathTest, InjectorsRejectNonFiniteRates) {
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_DEATH(FaultInjector::Global().Configure(1, nan), "finite");
   EXPECT_DEATH(FaultInjector::Global().Configure(1, inf), "finite");
-  EXPECT_DEATH(serve::ChaosInjector::Global().Configure(1, nan), "finite");
-  EXPECT_DEATH(serve::ChaosInjector::Global().Configure(1, -inf), "finite");
+  serve::ChaosInjector chaos;
+  EXPECT_DEATH(chaos.Configure(1, nan), "finite");
+  EXPECT_DEATH(chaos.Configure(1, -inf), "finite");
 }
 
 }  // namespace

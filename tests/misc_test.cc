@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -163,6 +164,55 @@ TEST(JsonRoundTripTest, ReaderDecodesEscapesAndRejectsUnknownOnes) {
     const Status s = core::ParseJson(bad, &doc);
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
   }
+}
+
+// Text a lax reader would accept, each case a single document: numbers
+// outside RFC 8259's grammar, raw control bytes in strings, duplicate keys.
+// Valid neighbours of each case must still parse.
+TEST(JsonStrictTest, RefusesTextOutsideTheGrammar) {
+  struct Case {
+    std::string text;
+    bool ok;
+  };
+  const std::vector<Case> cases = {
+      {"+1", false},           {"01", false},
+      {"-01", false},          {"00", false},
+      {".5", false},           {"1.", false},
+      {"-.5", false},          {"1.e3", false},
+      {"1e999", false},        {"[1,+2]", false},
+      {"{\"a\":01}", false},   {"\"a\x01" "b\"", false},
+      {"\"\t\"", false},          {"{\"k\x1f\":1}", false},
+      {"{\"a\":1,\"a\":2}", false},
+      {"{\"a\":{\"b\":1,\"b\":1}}", false},
+      {"0", true},             {"-0", true},
+      {"10", true},            {"0.5", true},
+      {"-1.25e-3", true},      {"1E+2", true},
+      {"1e308", true},         {"\"a\\u0001b\\t\"", true},
+      {"{\"a\":1,\"b\":1}", true},
+      {"[{\"a\":1},{\"a\":2}]", true},
+  };
+  for (const Case& c : cases) {
+    core::JsonValue doc;
+    const Status s = core::ParseJson(c.text, &doc);
+    if (c.ok) {
+      EXPECT_TRUE(s.ok()) << c.text << ": " << s.message();
+    } else {
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << c.text;
+    }
+  }
+}
+
+// A value passed to ParseJson a second time holds only the second document,
+// so a reused value can neither grow an array nor see a false duplicate key.
+TEST(JsonStrictTest, ReusedValueHoldsOnlyTheLastDocument) {
+  core::JsonValue doc;
+  ASSERT_TRUE(core::ParseJson("[1,2]", &doc).ok());
+  ASSERT_TRUE(core::ParseJson("[3]", &doc).ok());
+  ASSERT_EQ(doc.array.size(), 1u);
+  EXPECT_EQ(doc.array[0].number, 3.0);
+  ASSERT_TRUE(core::ParseJson("{\"a\":1}", &doc).ok());
+  ASSERT_TRUE(core::ParseJson("{\"b\":1}", &doc).ok());
+  EXPECT_EQ(doc.object.count("a"), 0u);
 }
 
 // ---------------------------------------------------------------------------

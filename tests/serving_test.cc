@@ -27,10 +27,12 @@
 
 #include "bench/degrade_harness.h"
 #include "bench/serving_harness.h"
+#include "bench/traffic.h"
 #include "core/env.h"
 #include "core/parallel.h"
 #include "data/batcher.h"
 #include "data/generator.h"
+#include "eval/conditioning.h"
 #include "eval/metrics.h"
 #include "linalg/rng.h"
 #include "seqrec/baselines.h"
@@ -40,7 +42,8 @@
 #include "serve/degrade.h"
 #include "serve/latency_histogram.h"
 #include "serve/service.h"
-#include "serve/traffic.h"
+#include "whitening/incremental_whitening.h"
+#include "whitening/whiten_encoder.h"
 #include "json_paths.h"
 #include "scoped_knobs.h"
 
@@ -48,6 +51,9 @@ namespace whitenrec {
 namespace serve {
 namespace {
 
+using bench::GenerateTrace;
+using bench::TraceRequest;
+using bench::TrafficConfig;
 using linalg::Matrix;
 using linalg::ScoredItem;
 
@@ -97,6 +103,11 @@ std::unique_ptr<seqrec::SasRecRecommender> FreshModel() {
 
 bool BitwiseEqualRows(const double* a, const double* b, std::size_t n) {
   return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+bool SameMatrix(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         BitwiseEqualRows(a.data(), b.data(), a.size());
 }
 
 bool SameResponses(const std::vector<ServeResponse>& a,
@@ -1339,28 +1350,47 @@ TEST(Ingest, RefitGuardRefusesIllConditionedRefitAndRollsBack) {
   EXPECT_NE(cond_status.message().find("condition"), std::string::npos);
 }
 
+// Serves the same probe requests on both services (sessions 1-3, items
+// spread over the catalog and its newest rows) and expects bitwise-equal
+// responses. `round` varies the items so repeated calls extend the sessions.
+void ExpectSameServing(RecommendService* service, RecommendService* control,
+                       std::size_t round) {
+  const std::size_t items = control->num_items();
+  ASSERT_EQ(service->num_items(), items);
+  for (std::uint64_t session = 1; session <= 3; ++session) {
+    for (std::size_t step = 0; step < 3; ++step) {
+      const std::size_t item =
+          step == 2 ? items - session : (session + step + 5 * round) % items;
+      const ServeRequest probe{session, item};
+      ASSERT_TRUE(
+          SameResponses({service->Handle(probe)}, {control->Handle(probe)}))
+          << "round=" << round << " session=" << session << " step=" << step;
+    }
+  }
+}
+
 TEST(Ingest, ChaosRefitFailureRollsBackToLastGoodStateBitwise) {
-  // With the chaos plane forcing every refit to fail mid-swap, the service
-  // must restore the last good whitening transform, item table, and index —
+  // With the chaos plane dropping every refit before commit, the service
+  // must stay on the last good whitening transform, item table, and index —
   // bitwise: responses equal a control service that never ingested at all.
   const Matrix& raw = Fixture().data.dataset.text_embeddings;
   auto rec = FreshModel();
+  ChaosInjector chaos;
+  chaos.Configure(/*seed=*/7, /*rate=*/1.0);
   ServeConfig config;
   config.refit_every = 4;
+  config.chaos = &chaos;
   RecommendService service(rec->model(), config);
   ASSERT_TRUE(
       service.EnableIngest(raw, WhiteningKind::kZca, /*epsilon=*/1e-5).ok());
   const std::size_t items_before = service.num_items();
 
-  {
-    ScopedChaosConfig chaos(/*seed=*/7, /*rate=*/1.0);
-    Status refit_status = Status::OK();
-    for (std::size_t i = 0; i < config.refit_every; ++i) {
-      refit_status = service.IngestItem(raw.Row(i));
-    }
-    ASSERT_FALSE(refit_status.ok());
-    EXPECT_EQ(refit_status.code(), StatusCode::kUnavailable);
+  Status refit_status = Status::OK();
+  for (std::size_t i = 0; i < config.refit_every; ++i) {
+    refit_status = service.IngestItem(raw.Row(i));
   }
+  ASSERT_FALSE(refit_status.ok());
+  EXPECT_EQ(refit_status.code(), StatusCode::kUnavailable);
   EXPECT_EQ(service.stats().rollbacks, 1u);
   EXPECT_EQ(service.stats().refit_failures, 1u);
   EXPECT_EQ(service.table_version(), 0u);
@@ -1368,27 +1398,111 @@ TEST(Ingest, ChaosRefitFailureRollsBackToLastGoodStateBitwise) {
   EXPECT_EQ(service.pending_ingests(), 0u);
   EXPECT_EQ(service.quarantine().size(), config.refit_every);
 
+  // The control has ingested nothing yet.
   auto rec_control = FreshModel();
-  RecommendService control(rec_control->model(), ServeConfig());
-  for (std::uint64_t session : {std::uint64_t{1}, std::uint64_t{2}}) {
-    for (std::size_t step = 0; step < 3; ++step) {
-      const ServeRequest probe{session, (session + step) % items_before};
-      ASSERT_TRUE(
-          SameResponses({service.Handle(probe)}, {control.Handle(probe)}))
-          << "session=" << session << " step=" << step;
-    }
-  }
+  ServeConfig control_config = config;
+  control_config.chaos = nullptr;
+  RecommendService control(rec_control->model(), control_config);
+  ASSERT_TRUE(
+      control.EnableIngest(raw, WhiteningKind::kZca, /*epsilon=*/1e-5).ok());
+  ExpectSameServing(&service, &control, /*round=*/0);
 
-  // With chaos off, the same ingest stream commits: the rollback cost
-  // nothing but the dropped rows.
-  {
-    ScopedChaosConfig chaos(/*seed=*/7, /*rate=*/0.0);
-    for (std::size_t i = 0; i < config.refit_every; ++i) {
-      ASSERT_TRUE(service.IngestItem(raw.Row(i)).ok());
-    }
+  // With chaos off, the same ingest stream commits: the dropped refit cost
+  // nothing but the dropped rows. The committed state is bitwise that of the
+  // control, which only ever saw the surviving rows (and the same requests).
+  chaos.Configure(/*seed=*/7, /*rate=*/0.0);
+  for (std::size_t i = 0; i < config.refit_every; ++i) {
+    ASSERT_TRUE(service.IngestItem(raw.Row(i)).ok());
+    ASSERT_TRUE(control.IngestItem(raw.Row(i)).ok());
   }
   EXPECT_EQ(service.table_version(), 1u);
   EXPECT_EQ(service.num_items(), items_before + config.refit_every);
+  ExpectSameServing(&service, &control, /*round=*/1);
+}
+
+TEST(Ingest, FailedRefitLeavesModelAndIndexUntouched) {
+  // A refit that fails writes nothing: whether the guard refuses it or the
+  // chaos plane drops it, the encoder's features, the item table, and the
+  // index are bitwise untouched (no restore, no rebuild), and the next
+  // committed refit lands on exactly the state of a service that only ever
+  // saw the surviving rows.
+  const Matrix& raw = Fixture().data.dataset.text_embeddings;
+  constexpr std::size_t kRefitEvery = 4;
+  std::vector<std::vector<double>> good;
+  std::vector<std::vector<double>> spiked;
+  for (std::size_t i = 0; i < kRefitEvery; ++i) {
+    good.push_back(raw.Row((3 * i + 1) % raw.rows()));
+    // Inside ingest_max_abs, so it passes per-row validation, but four such
+    // rows blow up one direction of the covariance.
+    spiked.push_back(raw.Row(i));
+    spiked.back()[0] = 1e5;
+  }
+  // A guard bound far above the condition number of the catalog plus the
+  // good rows, which the spiked rows exceed by orders of magnitude.
+  IncrementalWhitening clean(raw.cols());
+  clean.Add(raw);
+  for (const std::vector<double>& row : good) {
+    Matrix m(1, row.size());
+    m.SetRow(0, row);
+    clean.Add(m);
+  }
+  const double clean_condition =
+      eval::AnalyzeCovarianceConditioning(clean.CovarianceMatrix().value())
+          .condition_number;
+  ASSERT_TRUE(std::isfinite(clean_condition));
+
+  for (const bool by_chaos : {false, true}) {
+    SCOPED_TRACE(by_chaos ? "chaos drop" : "guard refusal");
+    ChaosInjector chaos;
+    chaos.Configure(/*seed=*/7, by_chaos ? 1.0 : 0.0);
+    ServeConfig config;
+    config.refit_every = kRefitEvery;
+    config.refit_max_condition = 100.0 * clean_condition;
+    config.chaos = &chaos;
+    auto rec = FreshModel();
+    RecommendService service(rec->model(), config);
+    ASSERT_TRUE(
+        service.EnableIngest(raw, WhiteningKind::kZca, /*epsilon=*/1e-5).ok());
+    auto rec_control = FreshModel();
+    ServeConfig control_config = config;
+    control_config.chaos = nullptr;
+    RecommendService control(rec_control->model(), control_config);
+    ASSERT_TRUE(
+        control.EnableIngest(raw, WhiteningKind::kZca, /*epsilon=*/1e-5).ok());
+    ExpectSameServing(&service, &control, /*round=*/0);
+
+    const auto* encoder =
+        dynamic_cast<const TextFeatureEncoder*>(rec->model()->encoder());
+    ASSERT_NE(encoder, nullptr);
+    const Matrix features = encoder->features();
+    const Matrix table = rec->model()->EncodeItems(/*train=*/false);
+    const std::size_t rebuilds = service.stats().index_rebuilds;
+
+    Status status = Status::OK();
+    for (const std::vector<double>& row : by_chaos ? good : spiked) {
+      status = service.IngestItem(row);
+    }
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), by_chaos ? StatusCode::kUnavailable
+                                      : StatusCode::kNumericalError);
+    EXPECT_EQ(service.stats().refit_failures, 1u);
+    EXPECT_EQ(service.stats().rollbacks, by_chaos ? 1u : 0u);
+    EXPECT_EQ(service.pending_ingests(), 0u);
+    EXPECT_EQ(service.table_version(), 0u);
+    EXPECT_TRUE(SameMatrix(encoder->features(), features));
+    EXPECT_TRUE(SameMatrix(rec->model()->EncodeItems(/*train=*/false), table));
+    EXPECT_EQ(service.stats().index_rebuilds, rebuilds);
+    ExpectSameServing(&service, &control, /*round=*/1);
+
+    chaos.Configure(/*seed=*/7, /*rate=*/0.0);
+    for (const std::vector<double>& row : good) {
+      ASSERT_TRUE(service.IngestItem(row).ok());
+      ASSERT_TRUE(control.IngestItem(row).ok());
+    }
+    EXPECT_EQ(service.table_version(), 1u);
+    EXPECT_EQ(service.stats().index_rebuilds, rebuilds + 1);
+    ExpectSameServing(&service, &control, /*round=*/2);
+  }
 }
 
 TEST(Soak, ChaosSoakServesCorrectlyOrShedsTyped) {
@@ -1397,11 +1511,13 @@ TEST(Soak, ChaosSoakServesCorrectlyOrShedsTyped) {
   // or shed with a typed retriable status. Nothing is silently wrong.
   const Matrix& raw = Fixture().data.dataset.text_embeddings;
   for (const double rate : {0.05, 0.25}) {
-    ScopedChaosConfig chaos(/*seed=*/1234, rate);
+    ChaosInjector chaos;
+    chaos.Configure(/*seed=*/1234, rate);
     auto rec = FreshModel();
     seqrec::SasRecModel* model = rec->model();
     ServeConfig config = OverloadConfig();
     config.refit_every = 8;
+    config.chaos = &chaos;
     RecommendService service(model, config);
     ASSERT_TRUE(
         service.EnableIngest(raw, WhiteningKind::kZca, /*epsilon=*/1e-5).ok());
@@ -1510,9 +1626,10 @@ TEST(LatencyHistogram, OverflowBucketAndResilienceCounters) {
 
 TEST(DegradeHarness, SweepPassesTheDegradeChecks) {
   // Tiny, ingest-free sweep on the shared fixture model (ingest would mutate
-  // it). The harness itself re-seeds the chaos injector per point.
-  ScopedChaosConfig chaos(/*seed=*/5, /*rate=*/0.25);
+  // it). The harness itself re-seeds its chaos injector per point.
   bench::DegradeConfig config;
+  config.chaos_seed = 5;
+  config.chaos_rate = 0.25;
   config.traffic.num_sessions = 12;
   config.traffic.num_requests = 150;
   config.traffic.mean_interarrival_ns = 100000;
@@ -1547,8 +1664,8 @@ TEST(DegradeHarness, SweepPassesTheDegradeChecks) {
 bench::DegradeBenchResult ValidDegradeResult() {
   bench::DegradeBenchResult result;
   result.catalog_items = 10;
-  result.chaos_seed = 1;
-  result.chaos_rate = 0.25;
+  result.config.chaos_seed = 1;
+  result.config.chaos_rate = 0.25;
   bench::DegradePoint point;
   point.load_multiplier = 1.0;
   point.offered = 10;

@@ -1,10 +1,11 @@
 // Shared main of the gtest suites. The library reads no environment, so
 // this main applies the process-wide WHITENREC_* knobs through the public
 // setters before any test runs: the check-* targets rerun one binary at
-// another thread count, item-table representation, or fault or chaos
-// schedule by setting WHITENREC_THREADS, WHITENREC_ITEM_QUANT,
-// WHITENREC_FAULT_{SEED,RATE} or WHITENREC_CHAOS_{SEED,RATE}. A set but
-// malformed knob exits naming it.
+// another thread count, item-table representation, or fault schedule by
+// setting WHITENREC_THREADS, WHITENREC_ITEM_QUANT or
+// WHITENREC_FAULT_{SEED,RATE}. A set but malformed knob exits naming it.
+// The serving chaos plane has no process-wide state: each test that wants
+// chaos lends its own injector to its service (ServeConfig::chaos).
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,6 @@
 #include "core/faultfs.h"
 #include "core/parallel.h"
 #include "linalg/quant.h"
-#include "serve/chaos.h"
 
 namespace whitenrec {
 namespace {
@@ -27,8 +27,6 @@ struct ProcessKnobs {
   linalg::ItemQuantKind quant = linalg::ItemQuantKind::kFp32;
   std::uint64_t fault_seed = 1;
   double fault_rate = 0.0;
-  std::uint64_t chaos_seed = 1;
-  double chaos_rate = 0.0;
 };
 
 ProcessKnobs ReadProcessKnobs() {
@@ -40,8 +38,6 @@ ProcessKnobs ReadProcessKnobs() {
   }
   k.fault_seed = core::EnvU64("WHITENREC_FAULT_SEED", k.fault_seed);
   k.fault_rate = core::EnvDouble("WHITENREC_FAULT_RATE", k.fault_rate, 0, 1);
-  k.chaos_seed = core::EnvU64("WHITENREC_CHAOS_SEED", k.chaos_seed);
-  k.chaos_rate = core::EnvDouble("WHITENREC_CHAOS_RATE", k.chaos_rate, 0, 1);
   return k;
 }
 
@@ -49,7 +45,6 @@ void ApplyProcessKnobs(const ProcessKnobs& k) {
   core::SetNumThreads(k.threads);
   linalg::SetItemQuantKind(k.quant);
   core::FaultInjector::Global().Configure(k.fault_seed, k.fault_rate);
-  serve::ChaosInjector::Global().Configure(k.chaos_seed, k.chaos_rate);
 }
 
 // The live process state is what the knobs ask for, so a check-* rerun
@@ -64,8 +59,6 @@ TEST(TestMain, AppliesProcessKnobs) {
   EXPECT_EQ(linalg::CurrentItemQuantKind(), k.quant);
   EXPECT_EQ(core::FaultInjector::Global().seed(), k.fault_seed);
   EXPECT_EQ(core::FaultInjector::Global().rate(), k.fault_rate);
-  EXPECT_EQ(serve::ChaosInjector::Global().seed(), k.chaos_seed);
-  EXPECT_EQ(serve::ChaosInjector::Global().rate(), k.chaos_rate);
 }
 
 }  // namespace
