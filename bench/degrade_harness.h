@@ -48,6 +48,7 @@ struct DegradeConfig {
   // ChaosKind::kCorruptIngest replaces a value with NaN first, exercising
   // the validation + quarantine path (and, via refits, the guard and the
   // refit drop). 0 disables; needs raw_features at RunDegradeHarness.
+  // ingest_kind must be ZCA or PCA (RecommendService::EnableIngest).
   std::size_t ingest_every = 0;
   WhiteningKind ingest_kind = WhiteningKind::kZca;
   double ingest_epsilon = 1e-5;

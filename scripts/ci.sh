@@ -10,7 +10,8 @@
 #   4. check-lint   — determinism linter over src/ tests/ bench/ examples/
 #   5. check-tidy   — curated clang-tidy profile (loud no-op if not installed)
 #   6. check-faults — crash-safety suite under a WHITENREC_FAULT_RATE sweep
-#   7. check-asan   — GEMM + linalg + top-K + retrieval suites under
+#   7. check-asan   — GEMM + linalg + top-K + retrieval + whitening
+#      (whitening_test, whitening_ext_test) suites under
 #      AddressSanitizer/UBSan
 #   8. check-tsan   — parallel (x20) + determinism suites under ThreadSanitizer
 #   9. check-serve  — serving suite, randomized-traffic soak under TSan,

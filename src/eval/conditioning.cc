@@ -1,7 +1,5 @@
 #include "eval/conditioning.h"
 
-#include <algorithm>
-
 #include "linalg/eigen.h"
 #include "linalg/stats.h"
 
@@ -14,23 +12,6 @@ double ItemEmbeddingConditionNumber(const linalg::Matrix& item_reps,
   Result<double> kappa = linalg::ConditionNumber(cov, eigenvalue_floor);
   if (!kappa.ok()) return 1e18;
   return kappa.value();
-}
-
-CovarianceConditioning AnalyzeCovarianceConditioning(
-    const linalg::Matrix& covariance, double eigenvalue_floor) {
-  CovarianceConditioning out;
-  Result<linalg::EigenDecomposition> eig = linalg::SymmetricEigen(covariance);
-  if (!eig.ok() || eig.value().values.empty()) {
-    out.condition_number = 1e18;
-    return out;
-  }
-  // values are sorted descending.
-  out.max_eigenvalue = eig.value().values.front();
-  out.min_eigenvalue = eig.value().values.back();
-  const double lo = std::max(out.min_eigenvalue, eigenvalue_floor);
-  const double hi = std::max(out.max_eigenvalue, eigenvalue_floor);
-  out.condition_number = hi / lo;
-  return out;
 }
 
 }  // namespace eval

@@ -10,25 +10,11 @@ namespace eval {
 // kappa = lambda_max / lambda_min of the covariance of the projected item
 // embedding matrix V. Well-conditioned (small kappa) covariances make the
 // optimization landscape easier; ill-conditioned ones destabilize training.
-// Returns kappa, or +inf surrogate (1e18) if the eigensolve fails.
+// Returns kappa, or +inf surrogate (1e18) if the eigensolve fails. (The
+// serving refit guard reads its kappa from the spectrum the whitening fit
+// already factored, FittedWhitening::spectrum, not from here.)
 double ItemEmbeddingConditionNumber(const linalg::Matrix& item_reps,
                                     double eigenvalue_floor = 1e-10);
-
-// Eigenvalue summary of a covariance matrix, for refit guards (DESIGN.md
-// §13): the serving ingest path asks "is this covariance still whitenable?"
-// before refitting its transform. condition_number is computed with
-// eigenvalues clamped at eigenvalue_floor (so it stays finite); min/max
-// are the UNclamped extremes, so a caller can distinguish "tiny but
-// positive" from "numerically singular or indefinite". A failed eigensolve
-// reports the 1e18 surrogate and min = 0.
-struct CovarianceConditioning {
-  double condition_number = 0.0;
-  double min_eigenvalue = 0.0;
-  double max_eigenvalue = 0.0;
-};
-
-CovarianceConditioning AnalyzeCovarianceConditioning(
-    const linalg::Matrix& covariance, double eigenvalue_floor = 1e-10);
 
 }  // namespace eval
 }  // namespace whitenrec

@@ -14,7 +14,7 @@ namespace serve {
 // corrupted ingest feature rows, and refits dropped before commit.
 //
 // There is no process-wide instance. A service consults the injector its
-// ServeConfig::chaos points to, once per refit, after the guard and the fit
+// ServeConfig::chaos points to, once per refit, after the fit and the guard
 // and before the first write (DESIGN.md §13); null injects nothing. The
 // degrade harness (bench/degrade_harness.h) and the tests own their
 // injectors; bench_degrade takes the schedule from WHITENREC_CHAOS_SEED /

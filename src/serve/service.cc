@@ -7,7 +7,6 @@
 
 #include "core/check.h"
 #include "core/parallel.h"
-#include "eval/conditioning.h"
 #include "whitening/whiten_encoder.h"
 #include "linalg/gemm.h"
 
@@ -409,6 +408,13 @@ Status RecommendService::EnableIngest(const Matrix& raw_features,
   if (raw_features.rows() < 2) {
     return Status::InvalidArgument("need >= 2 items to fit whitening");
   }
+  // The refit guard reads the spectrum the fit factored; CD and BN never
+  // factor one.
+  if (kind != WhiteningKind::kZca && kind != WhiteningKind::kPca) {
+    return Status::InvalidArgument(
+        std::string("ingest refits ZCA or PCA only; ") +
+        WhiteningKindName(kind) + " has no eigenbasis for the refit guard");
+  }
   whiten_options_ = WhiteningOptions();
   whiten_options_.kind = kind;
   whiten_options_.epsilon = epsilon;
@@ -497,29 +503,34 @@ Status RecommendService::RefitNow() {
   return Refit();
 }
 
-Result<FittedWhitening> RecommendService::GuardedFit(
-    const IncrementalWhitening& acc) const {
+Status RecommendService::GuardRefit(const FittedWhitening& fitted) const {
   // Refit guard: a poisoned batch that slipped past the per-row bounds still
   // shows up as a sick covariance (blown condition number or collapsed
   // spectrum). Refuse the refit rather than bake a near-singular transform
-  // into the serving path.
-  if (config_.refit_max_condition > 0.0 || config_.refit_eigen_floor > 0.0) {
-    Result<Matrix> cov = acc.CovarianceMatrix();
-    if (!cov.ok()) return cov.status();
-    const eval::CovarianceConditioning cond =
-        eval::AnalyzeCovarianceConditioning(cov.value());
-    if (config_.refit_max_condition > 0.0 &&
-        cond.condition_number > config_.refit_max_condition) {
-      return Status::NumericalError(
-          "refit guard: covariance condition number exceeds bound");
-    }
-    if (config_.refit_eigen_floor > 0.0 &&
-        cond.min_eigenvalue < config_.refit_eigen_floor) {
-      return Status::NumericalError(
-          "refit guard: covariance eigenvalue below floor");
-    }
+  // into the serving path. The fit already factored Sigma + eps I; shifting
+  // that spectrum by -eps reads the spectrum of Sigma the thresholds are
+  // stated over, so the guard needs no eigensolve of its own.
+  // EnableIngest admits only eigenbasis kinds, so the spectrum is there.
+  WR_CHECK(!fitted.spectrum.empty());
+  const double eps = whiten_options_.epsilon;
+  const double max_eigenvalue = fitted.spectrum.front() - eps;
+  const double min_eigenvalue = fitted.spectrum.back() - eps;
+  // The condition number clamps both ends so it stays finite; the floor
+  // check reads the unclamped minimum.
+  constexpr double kClamp = 1e-10;
+  const double condition = std::max(max_eigenvalue, kClamp) /
+                           std::max(min_eigenvalue, kClamp);
+  if (config_.refit_max_condition > 0.0 &&
+      condition > config_.refit_max_condition) {
+    return Status::NumericalError(
+        "refit guard: covariance condition number exceeds bound");
   }
-  return acc.Fit(whiten_options_);
+  if (config_.refit_eigen_floor > 0.0 &&
+      min_eigenvalue < config_.refit_eigen_floor) {
+    return Status::NumericalError(
+        "refit guard: covariance eigenvalue below floor");
+  }
+  return Status::OK();
 }
 
 Status RecommendService::Refit() {
@@ -534,8 +545,10 @@ Status RecommendService::Refit() {
   const std::size_t committed = committed_acc_.count();
   IncrementalWhitening acc = committed_acc_;
   acc.Add(raw_features_.RowSlice(committed, raw_features_.rows()));
-  Result<FittedWhitening> fitted = GuardedFit(acc);
+  Result<FittedWhitening> fitted = acc.Fit(whiten_options_);
   if (!fitted.ok()) return DropPending(fitted.status());
+  Status guard = GuardRefit(fitted.value());
+  if (!guard.ok()) return DropPending(guard);
   if (config_.chaos != nullptr &&
       config_.chaos->Next({ChaosKind::kRefitFailure}) ==
           ChaosKind::kRefitFailure) {

@@ -62,7 +62,10 @@ struct ServeConfig {
   double ingest_max_abs = 1e6;
   // Refit guard: refuse to refit (and drop the pending ingests) when the
   // candidate covariance's condition number exceeds this, or its smallest
-  // eigenvalue falls below refit_eigen_floor. 0 disables either check.
+  // eigenvalue falls below refit_eigen_floor. 0 disables either check. Both
+  // thresholds apply to the spectrum of Sigma, read as lambda(Sigma + eps I)
+  // - eps from the eigenvalues the candidate fit factored; the condition
+  // number clamps both ends at 1e-10.
   double refit_max_condition = 1e12;
   double refit_eigen_floor = 0.0;
 
@@ -202,7 +205,9 @@ class RecommendService {
   // Arms the ingest path: `raw_features` are the unwhitened text embeddings
   // the catalog was built from (row r = item r), `kind`/`epsilon` the
   // whitening to refit. Requires the model's encoder to be a
-  // TextFeatureEncoder (WhitenRec / SASRec^T style).
+  // TextFeatureEncoder (WhitenRec / SASRec^T style). `kind` must be ZCA or
+  // PCA: the refit guard reads the spectrum the fit factors, and CD and BN
+  // factor none, so they get kInvalidArgument.
   Status EnableIngest(const linalg::Matrix& raw_features, WhiteningKind kind,
                       double epsilon);
 
@@ -223,12 +228,13 @@ class RecommendService {
   // Folds the pending ingests in now.
   //
   // A refit commits or drops (DESIGN.md §13). Every step that can fail runs
-  // before the first write: the condition-number / eigenvalue-floor guard,
-  // the fit, the one ChaosKind::kRefitFailure decision of config.chaos, and
-  // ReplaceFeatures' shape check. A failure there drops the refit: the
-  // pending rows go to quarantine and the model, item table, index, and
-  // committed moments are bitwise untouched. Past the first write nothing
-  // can fail; table_version() advances only on a commit.
+  // before the first write, in this order: the fit, the condition-number /
+  // eigenvalue-floor guard over the spectrum the fit factored, the one
+  // ChaosKind::kRefitFailure decision of config.chaos, and ReplaceFeatures'
+  // shape check. A failure there drops the refit: the pending rows go to
+  // quarantine and the model, item table, index, and committed moments are
+  // bitwise untouched. Past the first write nothing can fail;
+  // table_version() advances only on a commit.
   Status RefitNow();
 
   std::size_t num_items() const { return item_table_.rows(); }
@@ -276,8 +282,10 @@ class RecommendService {
   void EvictFor(const std::vector<std::uint64_t>& needed);
 
   Status Refit();
-  // The refit guard, then the fit, over candidate moments `acc`.
-  Result<FittedWhitening> GuardedFit(const IncrementalWhitening& acc) const;
+  // The refit guard over a candidate fit's spectrum: kNumericalError when
+  // the covariance it implies breaks refit_max_condition or
+  // refit_eigen_floor.
+  Status GuardRefit(const FittedWhitening& fitted) const;
 
   // Rebuilds the primary scorer and every ladder rung scorer over the
   // current item_table_ (construction and refit commit).

@@ -40,38 +40,6 @@ void IncrementalWhitening::Add(const Matrix& rows) {
   }
 }
 
-Status IncrementalWhitening::Merge(const IncrementalWhitening& other) {
-  if (other.dims_ != dims_) {
-    return Status::InvalidArgument("IncrementalWhitening::Merge: dims differ");
-  }
-  if (other.count_ == 0) return Status::OK();
-  if (count_ == 0) {
-    *this = other;
-    return Status::OK();
-  }
-  // Chan et al. parallel combination.
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double n = na + nb;
-  std::vector<double> delta(dims_);
-  for (std::size_t c = 0; c < dims_; ++c) {
-    delta[c] = other.mean_[c] - mean_[c];
-  }
-  comoment_ += other.comoment_;
-  const double factor = na * nb / n;
-  for (std::size_t i = 0; i < dims_; ++i) {
-    double* row = comoment_.RowPtr(i);
-    for (std::size_t j = 0; j < dims_; ++j) {
-      row[j] += factor * delta[i] * delta[j];
-    }
-  }
-  for (std::size_t c = 0; c < dims_; ++c) {
-    mean_[c] += delta[c] * nb / n;
-  }
-  count_ += other.count_;
-  return Status::OK();
-}
-
 std::vector<double> IncrementalWhitening::Mean() const { return mean_; }
 
 Result<Matrix> IncrementalWhitening::CovarianceMatrix(double epsilon) const {

@@ -10,7 +10,7 @@ namespace whitenrec {
 // Streaming covariance accumulator for whitening (library extension beyond
 // the paper). E-commerce catalogs grow daily; instead of re-scanning every
 // item embedding to recompute the transform, this class maintains the exact
-// running mean and co-moment matrix (Welford/Chan parallel update) so the
+// running mean and co-moment matrix (per-row Welford updates) so the
 // whitening transform can be refit in O(d^2) memory after each batch of new
 // items.
 //
@@ -31,9 +31,6 @@ class IncrementalWhitening {
 
   // Accumulates rows (each row one item embedding with `dims` columns).
   void Add(const linalg::Matrix& rows);
-
-  // Merges another accumulator over the same dimensionality (e.g. shards).
-  Status Merge(const IncrementalWhitening& other);
 
   // Current mean / biased covariance of everything added so far.
   std::vector<double> Mean() const;

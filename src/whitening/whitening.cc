@@ -119,6 +119,7 @@ Result<FittedWhitening> FitWhiteningFromMoments(
         // ZCA adds the rotation back: Phi = D Lambda^{-1/2} D^T.
         out.phi = linalg::MatMul(e.vectors, lam_half_inv);
       }
+      out.spectrum = std::move(eig).ValueOrDie().values;
       return out;
     }
   }

@@ -32,9 +32,17 @@ const char* WhiteningKindName(WhiteningKind kind);
 // A fitted whitening transform for one dimension group: the column means and
 // the (k x d) matrix phi applied as z = phi * (x - mu). k == d for the full-
 // rank fits; k < d for rank-truncated fits (WhiteningOptions::rank).
+//
+// spectrum holds the eigenvalues of the regularized covariance Sigma + eps I
+// that a ZCA or PCA fit factored to build phi: all d of them, descending,
+// also under rank truncation. Subtract eps to read the spectrum of Sigma
+// itself (the serving refit guard does, DESIGN.md §13) without a second
+// eigensolve. It is empty for CD, BN and Newton-Schulz fits, which never
+// decompose Sigma.
 struct FittedWhitening {
   std::vector<double> mean;
   linalg::Matrix phi;
+  std::vector<double> spectrum;
 
   // Output dimensionality of the transform (phi rows).
   std::size_t out_dims() const { return phi.rows(); }

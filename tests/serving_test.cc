@@ -32,8 +32,8 @@
 #include "core/parallel.h"
 #include "data/batcher.h"
 #include "data/generator.h"
-#include "eval/conditioning.h"
 #include "eval/metrics.h"
+#include "linalg/eigen.h"
 #include "linalg/rng.h"
 #include "seqrec/baselines.h"
 #include "seqrec/trainer.h"
@@ -1350,6 +1350,72 @@ TEST(Ingest, RefitGuardRefusesIllConditionedRefitAndRollsBack) {
   EXPECT_NE(cond_status.message().find("condition"), std::string::npos);
 }
 
+TEST(Ingest, EnableIngestRefusesKindsWithoutEigenbasis) {
+  // The refit guard reads the spectrum a ZCA or PCA fit factors; CD and BN
+  // factor none, so ingest refuses them up front instead of keeping a second
+  // eigensolve for them.
+  const Matrix& raw = Fixture().data.dataset.text_embeddings;
+  for (const WhiteningKind kind :
+       {WhiteningKind::kCholesky, WhiteningKind::kBatchNorm}) {
+    SCOPED_TRACE(WhiteningKindName(kind));
+    auto rec = FreshModel();
+    RecommendService service(rec->model(), ServeConfig());
+    const Status armed = service.EnableIngest(raw, kind, /*epsilon=*/1e-5);
+    EXPECT_EQ(armed.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(service.IngestItem(raw.Row(0)).code(),
+              StatusCode::kInvalidArgument);  // still unarmed
+  }
+  for (const WhiteningKind kind : {WhiteningKind::kZca, WhiteningKind::kPca}) {
+    auto rec = FreshModel();
+    RecommendService service(rec->model(), ServeConfig());
+    EXPECT_TRUE(service.EnableIngest(raw, kind, /*epsilon=*/1e-5).ok())
+        << WhiteningKindName(kind);
+  }
+}
+
+TEST(Ingest, GuardDecidesOnTheShiftedSpectrum) {
+  // The guard's thresholds speak about Sigma, but it reads the spectrum of
+  // Sigma + eps I that the fit factored, shifted back by -eps. Pin that
+  // against an oracle eigensolve of Sigma itself: a bound just above the
+  // oracle kappa commits, one just below drops. This catalog has fewer
+  // items than feature dims, so lambda_min(Sigma) is rounding noise and the
+  // 1e-10 clamp sets kappa; read unshifted, lambda_min would be eps and
+  // kappa five orders of magnitude smaller.
+  const Matrix& raw = Fixture().data.dataset.text_embeddings;
+  constexpr std::size_t kRefitEvery = 3;
+  constexpr double kEpsilon = 1e-5;
+  IncrementalWhitening candidate(raw.cols());
+  candidate.Add(raw);
+  candidate.Add(raw.RowSlice(0, kRefitEvery));
+  const double oracle_condition =
+      linalg::ConditionNumber(candidate.CovarianceMatrix().value(), 1e-10)
+          .value();
+
+  for (const double margin : {1e-3, -1e-3}) {
+    SCOPED_TRACE("margin=" + std::to_string(margin));
+    ServeConfig config;
+    config.refit_every = kRefitEvery;
+    config.refit_max_condition = oracle_condition * (1.0 + margin);
+    auto rec = FreshModel();
+    RecommendService service(rec->model(), config);
+    ASSERT_TRUE(service.EnableIngest(raw, WhiteningKind::kZca, kEpsilon).ok());
+    Status refit_status = Status::OK();
+    for (std::size_t i = 0; i < kRefitEvery; ++i) {
+      refit_status = service.IngestItem(raw.Row(i));
+    }
+    if (margin > 0.0) {
+      EXPECT_TRUE(refit_status.ok()) << refit_status.message();
+      EXPECT_EQ(service.table_version(), 1u);
+      EXPECT_EQ(service.stats().refit_failures, 0u);
+    } else {
+      EXPECT_EQ(refit_status.code(), StatusCode::kNumericalError);
+      EXPECT_NE(refit_status.message().find("condition"), std::string::npos);
+      EXPECT_EQ(service.table_version(), 0u);
+      EXPECT_EQ(service.stats().refit_failures, 1u);
+    }
+  }
+}
+
 // Serves the same probe requests on both services (sessions 1-3, items
 // spread over the catalog and its newest rows) and expects bitwise-equal
 // responses. `round` varies the items so repeated calls extend the sessions.
@@ -1447,8 +1513,8 @@ TEST(Ingest, FailedRefitLeavesModelAndIndexUntouched) {
     clean.Add(m);
   }
   const double clean_condition =
-      eval::AnalyzeCovarianceConditioning(clean.CovarianceMatrix().value())
-          .condition_number;
+      linalg::ConditionNumber(clean.CovarianceMatrix().value(), 1e-10)
+          .value();
   ASSERT_TRUE(std::isfinite(clean_condition));
 
   for (const bool by_chaos : {false, true}) {

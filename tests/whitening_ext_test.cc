@@ -228,28 +228,6 @@ INSTANTIATE_TEST_SUITE_P(Kinds, IncrementalKindTest,
                                            WhiteningKind::kCholesky,
                                            WhiteningKind::kBatchNorm));
 
-TEST(IncrementalWhiteningTest, MergeMatchesSequential) {
-  Rng rng(11);
-  const Matrix x = CorrelatedCloud(150, 4, &rng);
-  IncrementalWhitening a(4), b(4), full(4);
-  a.Add(x.RowSlice(0, 60));
-  b.Add(x.RowSlice(60, 150));
-  full.Add(x);
-  ASSERT_TRUE(a.Merge(b).ok());
-  EXPECT_EQ(a.count(), 150u);
-  auto ca = a.CovarianceMatrix();
-  auto cf = full.CovarianceMatrix();
-  ASSERT_TRUE(ca.ok());
-  ASSERT_TRUE(cf.ok());
-  for (std::size_t i = 0; i < ca.value().size(); ++i)
-    EXPECT_NEAR(ca.value().data()[i], cf.value().data()[i], 1e-9);
-}
-
-TEST(IncrementalWhiteningTest, MergeRejectsDimMismatch) {
-  IncrementalWhitening a(4), b(5);
-  EXPECT_FALSE(a.Merge(b).ok());
-}
-
 TEST(IncrementalWhiteningTest, FitNeedsSamples) {
   IncrementalWhitening acc(4);
   EXPECT_FALSE(acc.Fit(WhiteningOptions{}).ok());

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -148,6 +149,45 @@ TEST(WhiteningTest, ConditionNumberDropsToOne) {
   ASSERT_TRUE(kappa_after.ok());
   EXPECT_GT(kappa_before.value(), 100.0);
   EXPECT_NEAR(kappa_after.value(), 1.0, 1e-2);
+}
+
+TEST(WhiteningTest, FitCarriesTheSpectrumItFactored) {
+  // A ZCA or PCA fit hands back the eigenvalues of Sigma + eps I it built
+  // phi from — all d of them, also when phi is truncated — so a caller that
+  // needs the spectrum (the serving refit guard) never solves again.
+  Rng rng(38);
+  const std::size_t d = 6;
+  const Matrix x = AnisotropicCloud(300, d, &rng);
+  WhiteningOptions options;
+  options.epsilon = 1e-6;
+  auto oracle = linalg::SymmetricEigen(linalg::Covariance(x, options.epsilon));
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_EQ(oracle.value().values.size(), d);
+  for (const WhiteningKind kind : {WhiteningKind::kZca, WhiteningKind::kPca}) {
+    for (const std::size_t rank : {std::size_t{0}, std::size_t{3}}) {
+      SCOPED_TRACE(std::string(WhiteningKindName(kind)) +
+                   " rank=" + std::to_string(rank));
+      options.kind = kind;
+      options.rank = rank;
+      auto fitted = FitWhiteningAdvanced(x, options);
+      ASSERT_TRUE(fitted.ok());
+      // Bitwise: the very values the fit divided by, not a recomputation.
+      EXPECT_EQ(fitted.value().spectrum, oracle.value().values);
+    }
+  }
+  options.rank = 0;
+  for (const WhiteningKind kind :
+       {WhiteningKind::kCholesky, WhiteningKind::kBatchNorm}) {
+    options.kind = kind;
+    auto fitted = FitWhiteningAdvanced(x, options);
+    ASSERT_TRUE(fitted.ok());
+    EXPECT_TRUE(fitted.value().spectrum.empty()) << WhiteningKindName(kind);
+  }
+  options.kind = WhiteningKind::kZca;
+  options.newton_iterations = 8;
+  auto newton = FitWhiteningAdvanced(x, options);
+  ASSERT_TRUE(newton.ok());
+  EXPECT_TRUE(newton.value().spectrum.empty());
 }
 
 // ---------------------------------------------------------------------------
