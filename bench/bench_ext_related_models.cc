@@ -25,33 +25,13 @@ void RunDataset(const data::DatasetProfile& profile) {
     bench::PrintRow(name, {r.recall20, r.ndcg20, r.recall50, r.ndcg50});
   };
 
-  {
-    auto fpmc = seqrec::MakeFpmc(ds, mc.hidden_dim);
-    fpmc->Fit(split, tc);
-    report(fpmc->name(), seqrec::EvaluateRanking(fpmc.get(), split.test,
-                                                 split.train, mc.max_len));
-  }
-  {
-    auto caser = seqrec::MakeCaser(ds, mc);
-    caser->Fit(split, tc);
-    report(caser->name(), seqrec::EvaluateRanking(caser.get(), split.test,
-                                                  split.train, mc.max_len));
-  }
-  {
-    auto gru = seqrec::MakeGru4Rec(ds, mc);
-    gru->Fit(split, tc);
-    report(gru->name(), seqrec::EvaluateRanking(gru.get(), split.test,
-                                                split.train, mc.max_len));
-  }
-  {
-    auto bert = seqrec::MakeBert4Rec(ds, mc);
-    bert->Fit(split, tc);
-    report(bert->name(), seqrec::EvaluateRanking(bert.get(), split.test,
-                                                 split.train, mc.max_len));
-  }
-  auto run = [&](std::unique_ptr<seqrec::SasRecRecommender> rec) {
+  auto run = [&](auto rec) {
     report(rec->name(), bench::FitAndEvaluate(rec.get(), split, tc, mc.max_len));
   };
+  run(seqrec::MakeFpmc(ds, mc.hidden_dim));
+  run(seqrec::MakeCaser(ds, mc));
+  run(seqrec::MakeGru4Rec(ds, mc));
+  run(seqrec::MakeBert4Rec(ds, mc));
   run(seqrec::MakeSasRecId(ds, mc));
   WhitenRecConfig wc;
   run(seqrec::MakeWhitenRecPlus(ds, mc, wc));

@@ -24,39 +24,20 @@ void RunDataset(const data::DatasetProfile& profile) {
     bench::PrintRow(name, {r.recall20, r.recall50, r.ndcg20, r.ndcg50});
   };
 
-  // General recommenders with text features.
-  {
-    auto grcn = seqrec::MakeGrcn(ds, mc.hidden_dim);
-    grcn->Fit(split, tc);
-    report(grcn->name(),
-           seqrec::EvaluateRanking(grcn.get(), split.test, split.train,
-                                   mc.max_len));
-  }
-  {
-    auto bm3 = seqrec::MakeBm3(ds, mc.hidden_dim);
-    bm3->Fit(split, tc);
-    report(bm3->name(),
-           seqrec::EvaluateRanking(bm3.get(), split.test, split.train,
-                                   mc.max_len));
-  }
-
-  // SASRec-backbone models.
-  auto run = [&](std::unique_ptr<seqrec::SasRecRecommender> rec) {
+  auto run = [&](auto rec) {
     report(rec->name(), bench::FitAndEvaluate(rec.get(), split, tc, mc.max_len));
   };
+  // General recommenders with text features.
+  run(seqrec::MakeGrcn(ds, mc.hidden_dim));
+  run(seqrec::MakeBm3(ds, mc.hidden_dim));
+  // Sequential models.
   WhitenRecConfig wc;
   run(seqrec::MakeSasRecId(ds, mc));
   run(seqrec::MakeCl4SRec(ds, mc));
   run(seqrec::MakeSasRecText(ds, mc));
   run(seqrec::MakeSasRecTextId(ds, mc));
   run(seqrec::MakeS3Rec(ds, mc));
-  {
-    auto fdsa = seqrec::MakeFdsa(ds, mc);
-    fdsa->Fit(split, tc);
-    report(fdsa->name(),
-           seqrec::EvaluateRanking(fdsa.get(), split.test, split.train,
-                                   mc.max_len));
-  }
+  run(seqrec::MakeFdsa(ds, mc));
   run(seqrec::MakeUniSRec(ds, mc, /*with_id=*/false));
   run(seqrec::MakeUniSRec(ds, mc, /*with_id=*/true));
   run(seqrec::MakeVqRec(ds, mc));

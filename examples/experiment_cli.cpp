@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/env.h"
@@ -188,62 +189,53 @@ int main(int argc, char** argv) {
 
   const std::string model_name = Get(args, "model", "whitenrec+");
   std::unique_ptr<seqrec::Recommender> rec;
-  seqrec::SasRecRecommender* sasrec = nullptr;  // for checkpointing
+  seqrec::SasRecRecommender* sasrec = nullptr;  // for --save-checkpoint
 
-  auto fit_sasrec = [&](std::unique_ptr<seqrec::SasRecRecommender> m) {
-    sasrec = m.get();
+  // Every model trains through the same loop (seqrec::TrainRecommender), so
+  // --checkpoint-dir, --resume and --verbose apply to each of them.
+  auto fit = [&](auto m) {
+    if constexpr (std::is_same_v<decltype(m),
+                                 std::unique_ptr<seqrec::SasRecRecommender>>) {
+      sasrec = m.get();
+    }
     m->Fit(split, tc);
     rec = std::move(m);
   };
 
   if (model_name == "sasrec_id") {
-    fit_sasrec(seqrec::MakeSasRecId(dataset, mc));
+    fit(seqrec::MakeSasRecId(dataset, mc));
   } else if (model_name == "sasrec_t") {
-    fit_sasrec(seqrec::MakeSasRecText(dataset, mc));
+    fit(seqrec::MakeSasRecText(dataset, mc));
   } else if (model_name == "sasrec_tid") {
-    fit_sasrec(seqrec::MakeSasRecTextId(dataset, mc));
+    fit(seqrec::MakeSasRecTextId(dataset, mc));
   } else if (model_name == "cl4srec") {
-    fit_sasrec(seqrec::MakeCl4SRec(dataset, mc));
+    fit(seqrec::MakeCl4SRec(dataset, mc));
   } else if (model_name == "s3rec") {
-    fit_sasrec(seqrec::MakeS3Rec(dataset, mc));
+    fit(seqrec::MakeS3Rec(dataset, mc));
   } else if (model_name == "unisrec") {
-    fit_sasrec(seqrec::MakeUniSRec(dataset, mc, false));
+    fit(seqrec::MakeUniSRec(dataset, mc, false));
   } else if (model_name == "unisrec_tid") {
-    fit_sasrec(seqrec::MakeUniSRec(dataset, mc, true));
+    fit(seqrec::MakeUniSRec(dataset, mc, true));
   } else if (model_name == "vqrec") {
-    fit_sasrec(seqrec::MakeVqRec(dataset, mc));
+    fit(seqrec::MakeVqRec(dataset, mc));
   } else if (model_name == "whitenrec") {
-    fit_sasrec(seqrec::MakeWhitenRec(dataset, mc, wc));
+    fit(seqrec::MakeWhitenRec(dataset, mc, wc));
   } else if (model_name == "whitenrec+") {
-    fit_sasrec(seqrec::MakeWhitenRecPlus(dataset, mc, wc));
+    fit(seqrec::MakeWhitenRecPlus(dataset, mc, wc));
   } else if (model_name == "fdsa") {
-    auto m = seqrec::MakeFdsa(dataset, mc);
-    m->Fit(split, tc);
-    rec = std::move(m);
+    fit(seqrec::MakeFdsa(dataset, mc));
   } else if (model_name == "gru4rec") {
-    auto m = seqrec::MakeGru4Rec(dataset, mc);
-    m->Fit(split, tc);
-    rec = std::move(m);
+    fit(seqrec::MakeGru4Rec(dataset, mc));
   } else if (model_name == "bert4rec") {
-    auto m = seqrec::MakeBert4Rec(dataset, mc);
-    m->Fit(split, tc);
-    rec = std::move(m);
+    fit(seqrec::MakeBert4Rec(dataset, mc));
   } else if (model_name == "fpmc") {
-    auto m = seqrec::MakeFpmc(dataset, mc.hidden_dim);
-    m->Fit(split, tc);
-    rec = std::move(m);
+    fit(seqrec::MakeFpmc(dataset, mc.hidden_dim));
   } else if (model_name == "caser") {
-    auto m = seqrec::MakeCaser(dataset, mc);
-    m->Fit(split, tc);
-    rec = std::move(m);
+    fit(seqrec::MakeCaser(dataset, mc));
   } else if (model_name == "grcn") {
-    auto m = seqrec::MakeGrcn(dataset, mc.hidden_dim);
-    m->Fit(split, tc);
-    rec = std::move(m);
+    fit(seqrec::MakeGrcn(dataset, mc.hidden_dim));
   } else if (model_name == "bm3") {
-    auto m = seqrec::MakeBm3(dataset, mc.hidden_dim);
-    m->Fit(split, tc);
-    rec = std::move(m);
+    fit(seqrec::MakeBm3(dataset, mc.hidden_dim));
   } else {
     std::fprintf(stderr, "unknown model: %s (try --help)\n",
                  model_name.c_str());
@@ -265,7 +257,7 @@ int main(int argc, char** argv) {
   if (!ckpt.empty()) {
     if (sasrec == nullptr) {
       std::fprintf(stderr,
-                   "checkpointing is supported for SASRec-backbone models\n");
+                   "--save-checkpoint is supported for SASRec-backbone models\n");
     } else {
       const Status st =
           nn::SaveParameters(ckpt, sasrec->model()->Parameters());

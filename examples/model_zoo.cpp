@@ -25,54 +25,28 @@ int main() {
 
   std::printf("%-20s%10s%10s%12s\n", "model", "R@20", "N@20", "#params");
 
-  auto report = [&](const std::string& name, const seqrec::EvalResult& r,
-                    std::size_t params) {
-    std::printf("%-20s%10.4f%10.4f%12zu\n", name.c_str(), r.recall20, r.ndcg20,
-                params);
+  // Every model's Fit runs the same training loop; one generic path serves
+  // them all.
+  auto run = [&](auto rec) {
+    rec->Fit(split, tc);
+    const seqrec::EvalResult r = seqrec::EvaluateRanking(
+        rec.get(), split.test, split.train, mc.max_len);
+    std::printf("%-20s%10.4f%10.4f%12zu\n", rec->name().c_str(), r.recall20,
+                r.ndcg20, static_cast<std::size_t>(rec->NumParameters()));
   };
 
   WhitenRecConfig wc;
-  std::unique_ptr<seqrec::SasRecRecommender> sasrec_models[] = {
-      seqrec::MakeSasRecId(ds, mc),
-      seqrec::MakeSasRecText(ds, mc),
-      seqrec::MakeSasRecTextId(ds, mc),
-      seqrec::MakeCl4SRec(ds, mc),
-      seqrec::MakeS3Rec(ds, mc),
-      seqrec::MakeUniSRec(ds, mc, false),
-      seqrec::MakeVqRec(ds, mc),
-      seqrec::MakeWhitenRec(ds, mc, wc),
-      seqrec::MakeWhitenRecPlus(ds, mc, wc),
-  };
-  for (auto& rec : sasrec_models) {
-    rec->Fit(split, tc);
-    report(rec->name(),
-           seqrec::EvaluateRanking(rec.get(), split.test, split.train,
-                                   mc.max_len),
-           rec->NumParameters());
-  }
-  {
-    auto fdsa = seqrec::MakeFdsa(ds, mc);
-    fdsa->Fit(split, tc);
-    report(fdsa->name(),
-           seqrec::EvaluateRanking(fdsa.get(), split.test, split.train,
-                                   mc.max_len),
-           fdsa->NumParameters());
-  }
-  {
-    auto grcn = seqrec::MakeGrcn(ds, mc.hidden_dim);
-    grcn->Fit(split, tc);
-    report(grcn->name(),
-           seqrec::EvaluateRanking(grcn.get(), split.test, split.train,
-                                   mc.max_len),
-           grcn->NumParameters());
-  }
-  {
-    auto bm3 = seqrec::MakeBm3(ds, mc.hidden_dim);
-    bm3->Fit(split, tc);
-    report(bm3->name(),
-           seqrec::EvaluateRanking(bm3.get(), split.test, split.train,
-                                   mc.max_len),
-           bm3->NumParameters());
-  }
+  run(seqrec::MakeSasRecId(ds, mc));
+  run(seqrec::MakeSasRecText(ds, mc));
+  run(seqrec::MakeSasRecTextId(ds, mc));
+  run(seqrec::MakeCl4SRec(ds, mc));
+  run(seqrec::MakeS3Rec(ds, mc));
+  run(seqrec::MakeUniSRec(ds, mc, false));
+  run(seqrec::MakeVqRec(ds, mc));
+  run(seqrec::MakeWhitenRec(ds, mc, wc));
+  run(seqrec::MakeWhitenRecPlus(ds, mc, wc));
+  run(seqrec::MakeFdsa(ds, mc));
+  run(seqrec::MakeGrcn(ds, mc.hidden_dim));
+  run(seqrec::MakeBm3(ds, mc.hidden_dim));
   return 0;
 }

@@ -243,9 +243,13 @@ std::unique_ptr<SasRecRecommender> MakeCl4SRec(const data::Dataset& dataset,
       "CL4SRec(ID)", MakeIdPart(dataset, config, &rng), config);
   auto task = std::make_shared<Cl4SRecTask>(
       Cl4SRecTask{aug_weight, temperature, linalg::Rng(config.seed + 99)});
-  rec->SetStep([task](SasRecModel* model, const data::Batch& batch) {
-    return task->Step(model, batch);
-  });
+  // The augmentation stream is named so checkpoints carry it: a resumed run
+  // draws the same views as an uninterrupted one.
+  rec->SetStep(
+      [task](SasRecModel* model, const data::Batch& batch) {
+        return task->Step(model, batch);
+      },
+      {{"augment", &task->rng}});
   return rec;
 }
 
@@ -623,47 +627,18 @@ std::size_t FdsaRecommender::NumParameters() {
 
 const TrainResult& FdsaRecommender::Fit(const data::Split& split,
                                         const TrainConfig& config) {
-  nn::Adam::Options opts;
-  opts.learning_rate = config.learning_rate;
-  opts.weight_decay = config.weight_decay;
-  nn::Adam optimizer(impl_->Parameters(), opts);
-
+  Impl& im = *impl_;
   linalg::Rng shuffle_rng(config.seed);
-  double best_ndcg = -1.0;
-  std::size_t stall = 0;
-  TrainResult& result = impl_->result;
-  result = TrainResult();
-  result.num_parameters = optimizer.NumParameters();
-
-  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    const std::vector<data::Batch> batches = data::MakeTrainBatches(
-        split.train, impl_->config.max_len, config.batch_size, &shuffle_rng);
-    double loss_sum = 0.0;
-    for (const data::Batch& batch : batches) {
-      loss_sum += impl_->TrainStep(batch);
-      optimizer.Step();
-    }
-    EpochLog log;
-    log.epoch = epoch;
-    log.train_loss = batches.empty()
-                         ? 0.0
-                         : loss_sum / static_cast<double>(batches.size());
-    log.valid_ndcg20 =
-        split.valid.empty()
-            ? 0.0
-            : ValidationNdcg20(this, split.valid, split.train,
-                               impl_->config.max_len);
-    result.epochs.push_back(log);
-    if (log.valid_ndcg20 > best_ndcg) {
-      best_ndcg = log.valid_ndcg20;
-      result.best_epoch = epoch;
-      stall = 0;
-    } else if (++stall >= config.patience && !split.valid.empty()) {
-      break;
-    }
-  }
-  result.best_valid_ndcg20 = best_ndcg < 0.0 ? 0.0 : best_ndcg;
-  return result;
+  TrainTask task;
+  task.recommender = this;
+  task.max_len = im.config.max_len;
+  task.params = im.Parameters();
+  task.rngs = {{"shuffle", &shuffle_rng}, {"model", &im.rng}};
+  task.run_epoch = WindowEpoch(
+      split, im.config.max_len, config.batch_size, &shuffle_rng,
+      [&im](const data::Batch& batch) { return im.TrainStep(batch); });
+  im.result = TrainRecommender(task, split, config);
+  return im.result;
 }
 
 std::unique_ptr<FdsaRecommender> MakeFdsa(const data::Dataset& dataset,

@@ -24,6 +24,7 @@ struct Stage {
   std::vector<linalg::Matrix> adam_m;
   std::vector<linalg::Matrix> adam_v;
   std::vector<linalg::RngState> rngs;
+  std::vector<std::size_t> sample_order;
   TrainerBookkeeping book;
   std::vector<linalg::Matrix> best_params;
 };
@@ -93,6 +94,30 @@ Status ReadRngSection(nn::SectionReader* section, const CheckpointRefs& refs,
     state.has_cached_gaussian = has_cached == 1;
     WR_RETURN_IF_ERROR(section->ReadF64(&state.cached_gaussian));
     stage->rngs.push_back(state);
+  }
+  return section->ExpectEnd();
+}
+
+Status ReadOrderSection(nn::SectionReader* section, const CheckpointRefs& refs,
+                        Stage* stage) {
+  std::uint64_t count = 0;
+  WR_RETURN_IF_ERROR(section->ReadU64(&count));
+  const std::size_t n = refs.sample_order->size();
+  if (count != n) {
+    return Status::InvalidArgument(
+        "checkpoint sample order has " + std::to_string(count) +
+        " entries where the trainer has " + std::to_string(n));
+  }
+  std::vector<char> seen(n, 0);
+  stage->sample_order.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t index = 0;
+    WR_RETURN_IF_ERROR(section->ReadU64(&index));
+    if (index >= n || seen[index] != 0) {
+      return Status::DataLoss("checkpoint sample order is not a permutation");
+    }
+    seen[index] = 1;
+    stage->sample_order.push_back(static_cast<std::size_t>(index));
   }
   return section->ExpectEnd();
 }
@@ -192,6 +217,12 @@ Status SaveCheckpoint(const std::string& path, const CheckpointRefs& refs) {
     }
   }
 
+  if (refs.sample_order != nullptr) {
+    writer.BeginSection("order");
+    writer.WriteU64(refs.sample_order->size());
+    for (std::size_t index : *refs.sample_order) writer.WriteU64(index);
+  }
+
   if (refs.book != nullptr) {
     const TrainerBookkeeping& book = *refs.book;
     WR_CHECK_EQ(book.epochs.size(), book.next_epoch);
@@ -253,6 +284,11 @@ Status LoadCheckpoint(const std::string& path, const CheckpointRefs& refs) {
     if (!section.ok()) return section.status();
     WR_RETURN_IF_ERROR(ReadRngSection(&section.value(), refs, &stage));
   }
+  if (refs.sample_order != nullptr) {
+    Result<nn::SectionReader> section = reader.value().Section("order");
+    if (!section.ok()) return section.status();
+    WR_RETURN_IF_ERROR(ReadOrderSection(&section.value(), refs, &stage));
+  }
   if (refs.book != nullptr) {
     Result<nn::SectionReader> section = reader.value().Section("trainer");
     if (!section.ok()) return section.status();
@@ -275,6 +311,9 @@ Status LoadCheckpoint(const std::string& path, const CheckpointRefs& refs) {
   }
   for (std::size_t i = 0; i < refs.rngs.size(); ++i) {
     refs.rngs[i].second->SetState(stage.rngs[i]);
+  }
+  if (refs.sample_order != nullptr) {
+    *refs.sample_order = std::move(stage.sample_order);
   }
   if (refs.book != nullptr) *refs.book = std::move(stage.book);
   if (refs.best_params != nullptr) {

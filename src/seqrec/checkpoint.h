@@ -15,12 +15,13 @@ namespace whitenrec {
 namespace seqrec {
 
 // Crash-safe training checkpoints (DESIGN.md §8). A generation captures the
-// COMPLETE mutable state of TrainSasRec at an epoch boundary — parameters,
-// Adam step count and moments, every RNG stream (batch shuffle, analysis
-// sampling, model dropout), trainer bookkeeping, and the best-model
-// snapshot — so a run killed at any boundary and resumed reproduces the
-// uninterrupted run's epoch logs and final metrics bitwise
-// (tests/checkpoint_test.cc).
+// COMPLETE mutable state of TrainRecommender at an epoch boundary —
+// parameters, Adam step count and moments, every RNG stream the model names
+// (e.g. SASRec's batch shuffle, analysis sampling and dropout), the carried
+// sample order of the models that reshuffle one in place, trainer
+// bookkeeping, and the best-model snapshot — so a run killed at any boundary
+// and resumed reproduces the uninterrupted run's epoch logs and final
+// metrics bitwise (tests/checkpoint_test.cc).
 
 // The loop state that lives outside tensors. `next_epoch` is the first
 // epoch the restored run must execute.
@@ -38,7 +39,8 @@ struct TrainerBookkeeping {
 struct CheckpointRefs {
   std::vector<nn::Parameter*> params;
   nn::Adam* optimizer = nullptr;
-  std::vector<std::pair<std::string, linalg::Rng*>> rngs;
+  RngStreams rngs;
+  std::vector<std::size_t>* sample_order = nullptr;  // a permutation
   TrainerBookkeeping* book = nullptr;
   // Best-model snapshot riding inside every generation (aligned with
   // `params`; empty when no epoch has completed). Embedding it makes one
@@ -51,7 +53,7 @@ Status SaveCheckpoint(const std::string& path, const CheckpointRefs& refs);
 
 // All-or-nothing restore: every section is parsed, validated against the
 // live shapes, and staged before anything is applied. On error the model,
-// optimizer, RNGs, and bookkeeping are untouched.
+// optimizer, RNGs, sample order and bookkeeping are untouched.
 Status LoadCheckpoint(const std::string& path, const CheckpointRefs& refs);
 
 // Generation management inside a checkpoint directory:

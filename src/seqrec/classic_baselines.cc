@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <numeric>
 
 #include "linalg/gemm.h"
 #include "nn/loss.h"
@@ -126,48 +127,24 @@ const TrainResult& FpmcRecommender::Fit(const data::Split& split,
       triples.push_back({u, seq[t - 1], seq[t]});
     }
   }
+  // Each epoch reshuffles the previous epoch's order of the triples.
+  std::vector<std::size_t> order(triples.size());
+  std::iota(order.begin(), order.end(), 0);
 
-  nn::Adam::Options opts;
-  opts.learning_rate = config.learning_rate;
-  opts.weight_decay = config.weight_decay;
-  nn::Adam optimizer(im.Parameters(), opts);
-  im.result = TrainResult();
-  im.result.num_parameters = optimizer.NumParameters();
-
-  double best_ndcg = -1.0;
-  std::size_t stall = 0;
-  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    im.rng.Shuffle(&triples);
-    double loss_sum = 0.0;
-    std::size_t num_batches = 0;
-    for (std::size_t start = 0; start < triples.size();
-         start += config.batch_size) {
-      const std::size_t end =
-          std::min(triples.size(), start + config.batch_size);
-      loss_sum +=
-          im.Step({triples.begin() + static_cast<std::ptrdiff_t>(start),
-                   triples.begin() + static_cast<std::ptrdiff_t>(end)});
-      optimizer.Step();
-      ++num_batches;
-    }
-    EpochLog log;
-    log.epoch = epoch;
-    log.train_loss =
-        num_batches == 0 ? 0.0 : loss_sum / static_cast<double>(num_batches);
-    log.valid_ndcg20 =
-        split.valid.empty()
-            ? 0.0
-            : ValidationNdcg20(this, split.valid, split.train, /*max_len=*/8);
-    im.result.epochs.push_back(log);
-    if (log.valid_ndcg20 > best_ndcg) {
-      best_ndcg = log.valid_ndcg20;
-      im.result.best_epoch = epoch;
-      stall = 0;
-    } else if (++stall >= config.patience && !split.valid.empty()) {
-      break;
-    }
-  }
-  im.result.best_valid_ndcg20 = best_ndcg < 0.0 ? 0.0 : best_ndcg;
+  TrainTask task;
+  task.recommender = this;
+  task.max_len = 8;  // FPMC reads only the most recent item
+  task.params = im.Parameters();
+  task.rngs = {{"model", &im.rng}};
+  task.sample_order = &order;
+  task.run_epoch = [&](nn::Adam* optimizer) {
+    return ShuffledPass(
+        triples, &order, &im.rng, config.batch_size, optimizer,
+        [&im](const std::vector<std::array<std::size_t, 3>>& batch) {
+          return im.Step(batch);
+        });
+  };
+  im.result = TrainRecommender(task, split, config);
   return im.result;
 }
 
@@ -420,44 +397,16 @@ std::size_t CaserRecommender::NumParameters() {
 const TrainResult& CaserRecommender::Fit(const data::Split& split,
                                          const TrainConfig& config) {
   Impl& im = *impl_;
-  nn::Adam::Options opts;
-  opts.learning_rate = config.learning_rate;
-  opts.weight_decay = config.weight_decay;
-  nn::Adam optimizer(im.Parameters(), opts);
-  im.result = TrainResult();
-  im.result.num_parameters = optimizer.NumParameters();
-
   linalg::Rng shuffle_rng(config.seed);
-  double best_ndcg = -1.0;
-  std::size_t stall = 0;
-  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    const std::vector<data::Batch> batches = data::MakeTrainBatches(
-        split.train, im.config.max_len, config.batch_size, &shuffle_rng);
-    double loss_sum = 0.0;
-    for (const data::Batch& batch : batches) {
-      loss_sum += im.TrainStep(batch);
-      optimizer.Step();
-    }
-    EpochLog log;
-    log.epoch = epoch;
-    log.train_loss = batches.empty()
-                         ? 0.0
-                         : loss_sum / static_cast<double>(batches.size());
-    log.valid_ndcg20 =
-        split.valid.empty()
-            ? 0.0
-            : ValidationNdcg20(this, split.valid, split.train,
-                               im.config.max_len);
-    im.result.epochs.push_back(log);
-    if (log.valid_ndcg20 > best_ndcg) {
-      best_ndcg = log.valid_ndcg20;
-      im.result.best_epoch = epoch;
-      stall = 0;
-    } else if (++stall >= config.patience && !split.valid.empty()) {
-      break;
-    }
-  }
-  im.result.best_valid_ndcg20 = best_ndcg < 0.0 ? 0.0 : best_ndcg;
+  TrainTask task;
+  task.recommender = this;
+  task.max_len = im.config.max_len;
+  task.params = im.Parameters();
+  task.rngs = {{"shuffle", &shuffle_rng}};  // Caser has no dropout
+  task.run_epoch = WindowEpoch(
+      split, im.config.max_len, config.batch_size, &shuffle_rng,
+      [&im](const data::Batch& batch) { return im.TrainStep(batch); });
+  im.result = TrainRecommender(task, split, config);
   return im.result;
 }
 

@@ -15,53 +15,6 @@ using linalg::Matrix;
 
 namespace {
 
-// Shared epoch loop with early stopping for the extended baselines (they do
-// not reuse TrainSasRec because their forward passes differ structurally).
-template <typename StepFunc>
-TrainResult RunTraining(Recommender* self, StepFunc&& step,
-                        std::vector<nn::Parameter*> params,
-                        const data::Split& split, const TrainConfig& config,
-                        std::size_t max_len) {
-  nn::Adam::Options opts;
-  opts.learning_rate = config.learning_rate;
-  opts.weight_decay = config.weight_decay;
-  nn::Adam optimizer(std::move(params), opts);
-
-  TrainResult result;
-  result.num_parameters = optimizer.NumParameters();
-  linalg::Rng shuffle_rng(config.seed);
-  double best_ndcg = -1.0;
-  std::size_t stall = 0;
-  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    const std::vector<data::Batch> batches = data::MakeTrainBatches(
-        split.train, max_len, config.batch_size, &shuffle_rng);
-    double loss_sum = 0.0;
-    for (const data::Batch& batch : batches) {
-      loss_sum += step(batch);
-      optimizer.Step();
-    }
-    EpochLog log;
-    log.epoch = epoch;
-    log.train_loss = batches.empty()
-                         ? 0.0
-                         : loss_sum / static_cast<double>(batches.size());
-    log.valid_ndcg20 =
-        split.valid.empty()
-            ? 0.0
-            : ValidationNdcg20(self, split.valid, split.train, max_len);
-    result.epochs.push_back(log);
-    if (log.valid_ndcg20 > best_ndcg) {
-      best_ndcg = log.valid_ndcg20;
-      result.best_epoch = epoch;
-      stall = 0;
-    } else if (++stall >= config.patience && !split.valid.empty()) {
-      break;
-    }
-  }
-  result.best_valid_ndcg20 = best_ndcg < 0.0 ? 0.0 : best_ndcg;
-  return result;
-}
-
 void MaskRows(const std::vector<double>& mask, Matrix* x) {
   for (std::size_t r = 0; r < x->rows(); ++r) {
     if (mask[r] == 0.0) {
@@ -154,11 +107,18 @@ std::size_t Gru4RecRecommender::NumParameters() {
 
 const TrainResult& Gru4RecRecommender::Fit(const data::Split& split,
                                            const TrainConfig& config) {
-  impl_->result = RunTraining(
-      this,
-      [this](const data::Batch& batch) { return impl_->TrainStep(batch); },
-      impl_->Parameters(), split, config, impl_->config.max_len);
-  return impl_->result;
+  Impl& im = *impl_;
+  linalg::Rng shuffle_rng(config.seed);
+  TrainTask task;
+  task.recommender = this;
+  task.max_len = im.config.max_len;
+  task.params = im.Parameters();
+  task.rngs = {{"shuffle", &shuffle_rng}, {"model", &im.rng}};
+  task.run_epoch = WindowEpoch(
+      split, im.config.max_len, config.batch_size, &shuffle_rng,
+      [&im](const data::Batch& batch) { return im.TrainStep(batch); });
+  im.result = TrainRecommender(task, split, config);
+  return im.result;
 }
 
 std::unique_ptr<Gru4RecRecommender> MakeGru4Rec(const data::Dataset& dataset,
@@ -346,11 +306,18 @@ std::size_t Bert4RecRecommender::NumParameters() {
 
 const TrainResult& Bert4RecRecommender::Fit(const data::Split& split,
                                             const TrainConfig& config) {
-  impl_->result = RunTraining(
-      this,
-      [this](const data::Batch& batch) { return impl_->TrainStep(batch); },
-      impl_->Parameters(), split, config, impl_->config.max_len);
-  return impl_->result;
+  Impl& im = *impl_;
+  linalg::Rng shuffle_rng(config.seed);
+  TrainTask task;
+  task.recommender = this;
+  task.max_len = im.config.max_len;
+  task.params = im.Parameters();
+  task.rngs = {{"shuffle", &shuffle_rng}, {"model", &im.rng}};
+  task.run_epoch = WindowEpoch(
+      split, im.config.max_len, config.batch_size, &shuffle_rng,
+      [&im](const data::Batch& batch) { return im.TrainStep(batch); });
+  im.result = TrainRecommender(task, split, config);
+  return im.result;
 }
 
 std::unique_ptr<Bert4RecRecommender> MakeBert4Rec(const data::Dataset& dataset,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "whitening/whiten_encoder.h"
 #include "linalg/stats.h"
@@ -26,8 +27,7 @@ struct GeneralRecommender::Impl {
   std::unique_ptr<TextFeatureEncoder> enc_text;
   Matrix raw_text;  // frozen, for GRCN edge confidences
 
-  // Training interactions (user, item) and per-user item lists.
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  // Per-user training item lists.
   std::vector<std::vector<std::size_t>> user_items;
 
   // GRCN propagation state, refreshed per epoch and before scoring.
@@ -253,64 +253,39 @@ const TrainResult& GeneralRecommender::Fit(const data::Split& split,
                                            const TrainConfig& config) {
   Impl& im = *impl_;
   im.user_items.assign(im.num_users, {});
-  im.pairs.clear();
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
   for (std::size_t u = 0; u < split.train.size() && u < im.num_users; ++u) {
     for (std::size_t item : split.train[u]) {
       im.user_items[u].push_back(item);
-      im.pairs.emplace_back(u, item);
+      pairs.emplace_back(u, item);
     }
   }
   if (im.kind == Kind::kGrcn) im.BuildEdgeWeights();
+  // Each epoch reshuffles the previous epoch's order of the pairs.
+  std::vector<std::size_t> order(pairs.size());
+  std::iota(order.begin(), order.end(), 0);
 
-  nn::Adam::Options opts;
-  opts.learning_rate = config.learning_rate;
-  opts.weight_decay = config.weight_decay;
-  nn::Adam optimizer(im.Parameters(), opts);
-  im.result = TrainResult();
-  im.result.num_parameters = optimizer.NumParameters();
-
-  double best_ndcg = -1.0;
-  std::size_t stall = 0;
-  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
+  TrainTask task;
+  task.recommender = this;
+  task.max_len = 8;  // scores read only the user id
+  task.params = im.Parameters();
+  task.rngs = {{"model", &im.rng}};
+  task.sample_order = &order;
+  task.run_epoch = [&](nn::Adam* optimizer) {
     Matrix users_eff;
     if (im.kind == Kind::kGrcn) {
       const Matrix v = im.ItemsForward(/*train=*/false);
       im.RefreshPropagation(v);
       users_eff = im.EffectiveUsers();
     }
-    im.rng.Shuffle(&im.pairs);
-    double loss_sum = 0.0;
-    std::size_t num_batches = 0;
-    for (std::size_t start = 0; start < im.pairs.size();
-         start += config.batch_size) {
-      const std::size_t end =
-          std::min(im.pairs.size(), start + config.batch_size);
-      std::vector<std::pair<std::size_t, std::size_t>> batch(
-          im.pairs.begin() + static_cast<std::ptrdiff_t>(start),
-          im.pairs.begin() + static_cast<std::ptrdiff_t>(end));
-      loss_sum += im.kind == Kind::kGrcn ? im.GrcnStep(batch, users_eff)
-                                         : im.Bm3Step(batch);
-      optimizer.Step();
-      ++num_batches;
-    }
-    EpochLog log;
-    log.epoch = epoch;
-    log.train_loss =
-        num_batches == 0 ? 0.0 : loss_sum / static_cast<double>(num_batches);
-    log.valid_ndcg20 =
-        split.valid.empty()
-            ? 0.0
-            : ValidationNdcg20(this, split.valid, split.train, /*max_len=*/8);
-    im.result.epochs.push_back(log);
-    if (log.valid_ndcg20 > best_ndcg) {
-      best_ndcg = log.valid_ndcg20;
-      im.result.best_epoch = epoch;
-      stall = 0;
-    } else if (++stall >= config.patience && !split.valid.empty()) {
-      break;
-    }
-  }
-  im.result.best_valid_ndcg20 = best_ndcg < 0.0 ? 0.0 : best_ndcg;
+    return ShuffledPass(
+        pairs, &order, &im.rng, config.batch_size, optimizer,
+        [&](const std::vector<std::pair<std::size_t, std::size_t>>& batch) {
+          return im.kind == Kind::kGrcn ? im.GrcnStep(batch, users_eff)
+                                        : im.Bm3Step(batch);
+        });
+  };
+  im.result = TrainRecommender(task, split, config);
   return im.result;
 }
 

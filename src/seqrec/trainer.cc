@@ -169,46 +169,27 @@ void RestoreParams(const std::vector<Matrix>& snapshot,
 
 }  // namespace
 
-TrainResult TrainSasRec(SasRecModel* model, nn::Adam* optimizer,
-                        const data::Split& split, const TrainConfig& config,
-                        StepFn step) {
+TrainResult TrainRecommender(const TrainTask& task, const data::Split& split,
+                             const TrainConfig& config) {
+  nn::Adam::Options opts;
+  opts.learning_rate = config.learning_rate;
+  opts.weight_decay = config.weight_decay;
+  nn::Adam optimizer(task.params, opts);
   TrainResult result;
-  result.num_parameters = optimizer->NumParameters();
-  linalg::Rng shuffle_rng(config.seed);
-  linalg::Rng analysis_rng(config.seed + 17);
-
-  // A lightweight wrapper so early stopping can reuse ValidationNdcg20.
-  class ModelView : public Recommender {
-   public:
-    explicit ModelView(SasRecModel* m) : m_(m) {}
-    std::string name() const override { return "view"; }
-    std::size_t num_items() const override { return m_->num_items(); }
-    Matrix ScoreLastPositions(const data::Batch& batch) override {
-      return m_->ScoreLastPositions(batch);
-    }
-    bool ScoreFactors(const data::Batch& batch, Matrix* users,
-                      Matrix* items) override {
-      m_->ScoreFactors(batch, users, items);
-      return true;
-    }
-
-   private:
-    SasRecModel* m_;
-  } view(model);
+  result.num_parameters = optimizer.NumParameters();
 
   // Checkpoints restore into exactly what the loop mutates: every optimizer
-  // parameter (model + extras), the optimizer moments, all three RNG streams,
-  // and the bookkeeping below. `best_snapshot` is aligned with `opt_params`.
-  const std::vector<nn::Parameter*>& opt_params = optimizer->parameters();
+  // parameter, the optimizer moments, the task's RNG streams and sample
+  // order, and the bookkeeping below. `best_snapshot` is aligned with
+  // `task.params`.
   TrainerBookkeeping book;
   std::vector<Matrix> best_snapshot;
 
   CheckpointRefs refs;
-  refs.params = opt_params;
-  refs.optimizer = optimizer;
-  refs.rngs = {{"shuffle", &shuffle_rng},
-               {"analysis", &analysis_rng},
-               {"model", model->rng()}};
+  refs.params = task.params;
+  refs.optimizer = &optimizer;
+  refs.rngs = task.rngs;
+  refs.sample_order = task.sample_order;
   refs.book = &book;
   refs.best_params = &best_snapshot;
 
@@ -253,19 +234,7 @@ TrainResult TrainSasRec(SasRecModel* model, nn::Adam* optimizer,
     }
     const std::size_t epoch = static_cast<std::size_t>(book.next_epoch);
     const double t0 = Now();
-    const std::vector<data::Batch> batches = data::MakeTrainBatches(
-        split.train, model->config().max_len, config.batch_size, &shuffle_rng);
-    double loss_sum = 0.0;
-    std::size_t loss_count = 0;
-    for (const data::Batch& batch : batches) {
-      const double loss =
-          step ? step(model, batch) : model->TrainStep(batch);
-      optimizer->Step();
-      loss_sum += loss;
-      ++loss_count;
-    }
-    const double train_loss =
-        loss_count == 0 ? 0.0 : loss_sum / static_cast<double>(loss_count);
+    const double train_loss = task.run_epoch(&optimizer);
 
     // Divergence guard: a non-finite epoch loss means the trajectory is
     // poisoned. Roll back to the last good generation (bounded retries)
@@ -298,34 +267,10 @@ TrainResult TrainSasRec(SasRecModel* model, nn::Adam* optimizer,
     log.valid_ndcg20 =
         split.valid.empty()
             ? 0.0
-            : ValidationNdcg20(&view, split.valid, split.train,
-                               model->config().max_len);
-
-    if (config.record_analysis && !split.valid.empty()) {
-      const Matrix v = model->EncodeItems(/*train=*/false);
-      log.condition_number = eval::ItemEmbeddingConditionNumber(v);
-      // User representations + positives over the validation instances.
-      const std::vector<data::Batch> vb = data::MakeEvalBatches(
-          split.valid, model->config().max_len, /*batch_size=*/512);
-      std::vector<std::vector<double>> rep_rows;
-      std::vector<std::size_t> positives;
-      std::size_t idx = 0;
-      for (const data::Batch& batch : vb) {
-        const Matrix reps = model->UserRepresentations(batch);
-        for (std::size_t b = 0; b < batch.batch_size; ++b) {
-          rep_rows.push_back(reps.Row(b));
-          positives.push_back(split.valid[idx++].target);
-        }
-      }
-      Matrix user_reps(rep_rows.size(), model->config().hidden_dim);
-      for (std::size_t r = 0; r < rep_rows.size(); ++r) {
-        user_reps.SetRow(r, rep_rows[r]);
-      }
-      const eval::AlignmentUniformity au = eval::MeasureAlignmentUniformity(
-          user_reps, v, positives, &analysis_rng);
-      log.l_align = au.l_align;
-      log.l_uniform_user = au.l_uniform_user;
-      log.l_uniform_item = au.l_uniform_item;
+            : ValidationNdcg20(task.recommender, split.valid, split.train,
+                               task.max_len);
+    if (config.record_analysis && task.analyze && !split.valid.empty()) {
+      task.analyze(&log);
     }
 
     book.epochs.push_back(log);
@@ -345,7 +290,7 @@ TrainResult TrainSasRec(SasRecModel* model, nn::Adam* optimizer,
       // The snapshot also rides inside every checkpoint generation, so it is
       // kept whenever a manager is active even if restore_best is off.
       if (config.restore_best || manager != nullptr) {
-        best_snapshot = SnapshotParams(opt_params);
+        best_snapshot = SnapshotParams(task.params);
       }
     } else {
       ++book.stall;
@@ -376,7 +321,7 @@ TrainResult TrainSasRec(SasRecModel* model, nn::Adam* optimizer,
   }
 
   if (config.restore_best && !best_snapshot.empty()) {
-    RestoreParams(best_snapshot, opt_params);
+    RestoreParams(best_snapshot, task.params);
   }
   result.epochs = std::move(book.epochs);
   result.best_epoch = static_cast<std::size_t>(book.best_epoch);
@@ -387,6 +332,30 @@ TrainResult TrainSasRec(SasRecModel* model, nn::Adam* optimizer,
                             : book.total_seconds / static_cast<double>(
                                                        result.epochs.size());
   return result;
+}
+
+double MeanStepLoss(std::size_t num_batches, nn::Adam* optimizer,
+                    const std::function<double(std::size_t)>& step) {
+  double loss_sum = 0.0;
+  for (std::size_t i = 0; i < num_batches; ++i) {
+    loss_sum += step(i);
+    optimizer->Step();
+  }
+  return num_batches == 0 ? 0.0
+                          : loss_sum / static_cast<double>(num_batches);
+}
+
+std::function<double(nn::Adam*)> WindowEpoch(
+    const data::Split& split, std::size_t max_len, std::size_t batch_size,
+    linalg::Rng* shuffle, std::function<double(const data::Batch&)> step) {
+  return [&split, max_len, batch_size, shuffle,
+          step = std::move(step)](nn::Adam* optimizer) {
+    const std::vector<data::Batch> batches =
+        data::MakeTrainBatches(split.train, max_len, batch_size, shuffle);
+    return MeanStepLoss(batches.size(), optimizer, [&](std::size_t i) {
+      return step(batches[i]);
+    });
+  };
 }
 
 SasRecRecommender::SasRecRecommender(std::string name,
@@ -402,13 +371,53 @@ void SasRecRecommender::AddExtraParameters(
 
 const TrainResult& SasRecRecommender::Fit(const data::Split& split,
                                           const TrainConfig& config) {
-  std::vector<nn::Parameter*> params = model_->Parameters();
-  params.insert(params.end(), extra_params_.begin(), extra_params_.end());
-  nn::Adam::Options opts;
-  opts.learning_rate = config.learning_rate;
-  opts.weight_decay = config.weight_decay;
-  nn::Adam optimizer(params, opts);
-  result_ = TrainSasRec(model_.get(), &optimizer, split, config, step_);
+  SasRecModel* model = model_.get();
+  const std::size_t max_len = model->config().max_len;
+  linalg::Rng shuffle_rng(config.seed);
+  linalg::Rng analysis_rng(config.seed + 17);
+
+  TrainTask task;
+  task.recommender = this;
+  task.max_len = max_len;
+  task.params = model->Parameters();
+  task.params.insert(task.params.end(), extra_params_.begin(),
+                     extra_params_.end());
+  task.rngs = {{"shuffle", &shuffle_rng},
+               {"analysis", &analysis_rng},
+               {"model", model->rng()}};
+  task.rngs.insert(task.rngs.end(), step_rngs_.begin(), step_rngs_.end());
+  task.run_epoch = WindowEpoch(
+      split, max_len, config.batch_size, &shuffle_rng,
+      [this, model](const data::Batch& batch) {
+        return step_ ? step_(model, batch) : model->TrainStep(batch);
+      });
+  task.analyze = [&](EpochLog* log) {
+    const Matrix v = model->EncodeItems(/*train=*/false);
+    log->condition_number = eval::ItemEmbeddingConditionNumber(v);
+    // User representations + positives over the validation instances.
+    const std::vector<data::Batch> vb =
+        data::MakeEvalBatches(split.valid, max_len, /*batch_size=*/512);
+    std::vector<std::vector<double>> rep_rows;
+    std::vector<std::size_t> positives;
+    std::size_t idx = 0;
+    for (const data::Batch& batch : vb) {
+      const Matrix reps = model->UserRepresentations(batch);
+      for (std::size_t b = 0; b < batch.batch_size; ++b) {
+        rep_rows.push_back(reps.Row(b));
+        positives.push_back(split.valid[idx++].target);
+      }
+    }
+    Matrix user_reps(rep_rows.size(), model->config().hidden_dim);
+    for (std::size_t r = 0; r < rep_rows.size(); ++r) {
+      user_reps.SetRow(r, rep_rows[r]);
+    }
+    const eval::AlignmentUniformity au = eval::MeasureAlignmentUniformity(
+        user_reps, v, positives, &analysis_rng);
+    log->l_align = au.l_align;
+    log->l_uniform_user = au.l_uniform_user;
+    log->l_uniform_item = au.l_uniform_item;
+  };
+  result_ = TrainRecommender(task, split, config);
   return result_;
 }
 

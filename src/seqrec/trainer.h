@@ -1,9 +1,11 @@
 #ifndef WHITENREC_SEQREC_TRAINER_H_
 #define WHITENREC_SEQREC_TRAINER_H_
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/split.h"
@@ -23,15 +25,17 @@ struct TrainConfig {
   double weight_decay = 0.0;
   std::size_t patience = 3;
   bool restore_best = true;
-  // When set, per-epoch conditioning and alignment/uniformity measurements
-  // are recorded (paper Figs. 6-7); costs one extra eval pass per epoch.
+  // When set, SASRec-backbone models record per-epoch conditioning and
+  // alignment/uniformity measurements (paper Figs. 6-7); costs one extra
+  // eval pass per epoch. The other models record none.
   bool record_analysis = false;
   std::uint64_t seed = 7;
   bool verbose = false;
-  // Crash-safe checkpointing (seqrec/checkpoint.h, DESIGN.md §8). When
-  // `checkpoint_dir` is non-empty, a full-state generation is written every
-  // `checkpoint_every` epochs (and at the final/early-stop epoch), and with
-  // `resume` the newest loadable generation is restored before training —
+  // Crash-safe checkpointing for every model (seqrec/checkpoint.h, DESIGN.md
+  // §8). When `checkpoint_dir` is non-empty, a full-state generation is
+  // written every `checkpoint_every` epochs (and at the final/early-stop
+  // epoch), and with `resume` the newest loadable generation is restored
+  // before training —
   // the resumed run reproduces the uninterrupted run's epoch logs and
   // metrics bitwise (timing fields excluded). A non-finite epoch loss rolls
   // the run back to the last good generation up to `rollback_budget` times
@@ -77,11 +81,8 @@ struct EvalResult {
 // into the parameters the optimizer owns.
 using StepFn = std::function<double(SasRecModel*, const data::Batch&)>;
 
-// Trains `model` with `optimizer` on split.train, early-stopping on
-// validation N@20. If `step` is empty, the plain SASRec step is used.
-TrainResult TrainSasRec(SasRecModel* model, nn::Adam* optimizer,
-                        const data::Split& split, const TrainConfig& config,
-                        StepFn step = {});
+// Named RNG streams; checkpoints save and restore them in list order.
+using RngStreams = std::vector<std::pair<std::string, linalg::Rng*>>;
 
 // Generic recommender interface used by benches: anything that can score
 // the full catalog for a batch of contexts.
@@ -105,9 +106,70 @@ class Recommender {
   }
 };
 
-// SASRec-backbone recommender: owns the model + optimizer, trains via
-// TrainSasRec. Extra trainable parameters from auxiliary tasks can be added
-// before Fit().
+// One model's share of a training run. TrainRecommender owns the epoch loop
+// every model shares (paper Sec. V-A4): Adam built from TrainConfig,
+// per-epoch timing, the non-finite-loss rollback, validation N@20 with the
+// patience rule, the best-epoch snapshot and its restore, checkpoint
+// generations and resume, and verbose logging. A model's Fit supplies only
+// what differs.
+struct TrainTask {
+  Recommender* recommender = nullptr;  // scored by validation every epoch
+  std::size_t max_len = 0;             // validation context length
+  std::vector<nn::Parameter*> params;  // what Adam updates
+  // Every stream an epoch draws from. A generation whose stream names
+  // differ is refused with a typed error and skipped on resume.
+  RngStreams rngs;
+  // A sample order that each epoch reshuffles in place and so carries from
+  // epoch to epoch (FPMC's triples, GRCN's and BM3's pairs). Saved with
+  // every generation; null when an epoch's batches depend only on the RNGs.
+  std::vector<std::size_t>* sample_order = nullptr;
+  // Runs one epoch's batches, calling optimizer->Step() after each, and
+  // returns the mean batch loss (see MeanStepLoss).
+  std::function<double(nn::Adam* optimizer)> run_epoch;
+  // Fills the analysis fields of an epoch's log when record_analysis is on.
+  std::function<void(EpochLog* log)> analyze;
+};
+
+// Trains `task` on split.train, early-stopping on validation N@20.
+TrainResult TrainRecommender(const TrainTask& task, const data::Split& split,
+                             const TrainConfig& config);
+
+// Runs `num_batches` optimizer steps — step(i) accumulates batch i's
+// gradients and returns its loss — and returns the mean loss (0 for none).
+double MeanStepLoss(std::size_t num_batches, nn::Adam* optimizer,
+                    const std::function<double(std::size_t)>& step);
+
+// One pass over `samples` for models whose epoch reshuffles a carried
+// order (TrainTask::sample_order): shuffles `order` in place with `rng`, then
+// hands `step` the samples `batch_size` at a time in that order (the last
+// batch may be short), stepping `optimizer` after each. Returns the mean
+// batch loss.
+template <typename T, typename Step>
+double ShuffledPass(const std::vector<T>& samples,
+                    std::vector<std::size_t>* order, linalg::Rng* rng,
+                    std::size_t batch_size, nn::Adam* optimizer, Step step) {
+  rng->Shuffle(order);
+  const std::size_t n = order->size();
+  return MeanStepLoss((n + batch_size - 1) / batch_size, optimizer,
+                      [&](std::size_t i) {
+                        std::vector<T> batch;
+                        for (std::size_t k = i * batch_size;
+                             k < std::min(n, (i + 1) * batch_size); ++k) {
+                          batch.push_back(samples[(*order)[k]]);
+                        }
+                        return step(batch);
+                      });
+}
+
+// run_epoch for models trained on data::MakeTrainBatches windows: each
+// epoch draws its batches from `shuffle` and passes each one to `step`.
+std::function<double(nn::Adam*)> WindowEpoch(
+    const data::Split& split, std::size_t max_len, std::size_t batch_size,
+    linalg::Rng* shuffle, std::function<double(const data::Batch&)> step);
+
+// SASRec-backbone recommender: owns the model and trains it through
+// TrainRecommender. Extra trainable parameters from auxiliary tasks can be
+// added before Fit().
 class SasRecRecommender : public Recommender {
  public:
   SasRecRecommender(std::string name, std::unique_ptr<ItemEncoder> encoder,
@@ -126,7 +188,12 @@ class SasRecRecommender : public Recommender {
 
   SasRecModel* model() { return model_.get(); }
   void AddExtraParameters(const std::vector<nn::Parameter*>& params);
-  void SetStep(StepFn step) { step_ = std::move(step); }
+  // Replaces the plain SASRec step. `rngs` names the streams the step draws
+  // from, so checkpoints save them after the model's own.
+  void SetStep(StepFn step, RngStreams rngs = {}) {
+    step_ = std::move(step);
+    step_rngs_ = std::move(rngs);
+  }
 
   const TrainResult& Fit(const data::Split& split, const TrainConfig& config);
   const TrainResult& train_result() const { return result_; }
@@ -137,6 +204,7 @@ class SasRecRecommender : public Recommender {
   std::unique_ptr<SasRecModel> model_;
   std::vector<nn::Parameter*> extra_params_;
   StepFn step_;
+  RngStreams step_rngs_;
   TrainResult result_;
 };
 

@@ -5,7 +5,8 @@
 //     errors, never crashes or silently wrong state)
 //   - full-state checkpoints (bitwise save/load round trip)
 //   - kill-and-resume at every epoch boundary reproducing the uninterrupted
-//     run's TrainResult bitwise (timing fields excluded)
+//     run's TrainResult bitwise (timing fields excluded), for one model of
+//     each training family
 //   - divergence rollback from an injected NaN epoch loss
 //
 // The whole binary is rerun by the check-faults target under a
@@ -18,9 +19,12 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +36,8 @@
 #include "nn/serialize.h"
 #include "seqrec/baselines.h"
 #include "seqrec/checkpoint.h"
+#include "seqrec/classic_baselines.h"
+#include "seqrec/general_rec.h"
 #include "seqrec/trainer.h"
 
 namespace whitenrec {
@@ -368,11 +374,13 @@ TEST(CheckpointStateTest, SaveLoadRestoresEverythingBitwise) {
   book.epochs[1].epoch = 1;
   book.epochs[1].valid_ndcg20 = 0.375;
   std::vector<Matrix> best = {fixture.a.value, fixture.b.value};
+  std::vector<std::size_t> order = {2, 0, 3, 1};
 
   CheckpointRefs refs;
   refs.params = {&fixture.a, &fixture.b};
   refs.optimizer = &adam;
   refs.rngs = {{"a", &stream_a}, {"b", &stream_b}};
+  refs.sample_order = &order;
   refs.book = &book;
   refs.best_params = &best;
 
@@ -396,6 +404,7 @@ TEST(CheckpointStateTest, SaveLoadRestoresEverythingBitwise) {
   (void)stream_b.NextU64();
   book = TrainerBookkeeping{};
   best.clear();
+  order = {0, 1, 2, 3};
 
   ASSERT_TRUE(LoadCheckpoint(path, refs).ok());
   EXPECT_TRUE(MatrixBitsEqual(fixture.a.value, saved_values[0]));
@@ -411,6 +420,22 @@ TEST(CheckpointStateTest, SaveLoadRestoresEverythingBitwise) {
   EXPECT_TRUE(BitsEqual(book.epochs[0].train_loss, 1.25));
   ASSERT_EQ(best.size(), 2u);
   EXPECT_TRUE(MatrixBitsEqual(best[0], saved_values[0]));
+  EXPECT_EQ(order, (std::vector<std::size_t>{2, 0, 3, 1}));
+  std::filesystem::remove(path);
+}
+
+TEST(CheckpointStateTest, SampleOrderOfAnotherSizeIsRejected) {
+  core::ScopedFaultConfig cfg(1, 0.0);
+  std::vector<std::size_t> order = {1, 0, 2};
+  CheckpointRefs refs;
+  refs.sample_order = &order;
+  const std::string path = TempPath("sample_order.wrc");
+  ASSERT_TRUE(SaveCheckpoint(path, refs).ok());
+  std::vector<std::size_t> live = {0, 1, 2, 3};
+  CheckpointRefs wrong;
+  wrong.sample_order = &live;
+  EXPECT_EQ(LoadCheckpoint(path, wrong).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(live, (std::vector<std::size_t>{0, 1, 2, 3}));
   std::filesystem::remove(path);
 }
 
@@ -516,35 +541,46 @@ SasRecConfig TinyModelConfig() {
 
 struct RunOutput {
   TrainResult result;
-  std::vector<Matrix> params;  // final parameter values
+  std::vector<Matrix> params;  // final parameter values (SASRec models)
+  Matrix test_scores;          // full-catalog scores of a test batch
   EvalResult test_eval;
 };
 
-// One full training trial from identical initial conditions. With `resume`
-// and a populated `checkpoint_dir` the run continues from the newest
-// loadable generation.
-RunOutput RunTraining(const std::string& checkpoint_dir, std::size_t epochs,
-                      bool resume, StepFn step = {}) {
-  const data::Dataset& ds = TinyData().dataset;
-  auto rec = MakeSasRecId(ds, TinyModelConfig());
-  const data::Split split = data::LeaveOneOutSplit(ds);
-  std::vector<nn::Parameter*> params = rec->model()->Parameters();
-  nn::Adam::Options opts;
-  opts.learning_rate = 2e-3;
-  nn::Adam adam(params, opts);
+// One full training trial of `rec` from identical initial conditions. With
+// `resume` and a populated `checkpoint_dir` the run continues from the
+// newest loadable generation.
+template <typename Rec>
+RunOutput FitAndCollect(Rec* rec, const std::string& checkpoint_dir,
+                        std::size_t epochs, bool resume) {
+  const data::Split split = data::LeaveOneOutSplit(TinyData().dataset);
   TrainConfig config;
   config.epochs = epochs;
   config.batch_size = 64;
+  config.learning_rate = 2e-3;
   config.patience = 3;
-  config.record_analysis = true;  // exercises the analysis RNG stream
+  config.record_analysis = true;  // exercises SASRec's analysis RNG stream
   config.checkpoint_dir = checkpoint_dir;
   config.resume = resume;
   RunOutput out;
-  out.result = TrainSasRec(rec->model(), &adam, split, config, step);
-  for (const nn::Parameter* p : params) out.params.push_back(p->value);
-  out.test_eval = EvaluateRanking(rec.get(), split.test, split.train,
-                                  TinyModelConfig().max_len);
+  out.result = rec->Fit(split, config);
+  if constexpr (std::is_same_v<Rec, SasRecRecommender>) {
+    for (const nn::Parameter* p : rec->model()->Parameters()) {
+      out.params.push_back(p->value);
+    }
+  }
+  const std::size_t max_len = TinyModelConfig().max_len;
+  out.test_scores = rec->ScoreLastPositions(
+      data::MakeEvalBatches(split.test, max_len, /*batch_size=*/64)[0]);
+  out.test_eval = EvaluateRanking(rec, split.test, split.train, max_len);
   return out;
+}
+
+// SASRec(ID), optionally with a custom step (the divergence tests).
+RunOutput RunTraining(const std::string& checkpoint_dir, std::size_t epochs,
+                      bool resume, StepFn step = {}) {
+  auto rec = MakeSasRecId(TinyData().dataset, TinyModelConfig());
+  if (step) rec->SetStep(std::move(step));
+  return FitAndCollect(rec.get(), checkpoint_dir, epochs, resume);
 }
 
 // Bitwise comparison of everything except wall-clock timing.
@@ -582,25 +618,61 @@ void ExpectSameParams(const std::vector<Matrix>& want,
   }
 }
 
+// One model per training family: the SASRec backbone with the plain and
+// with an auxiliary-task step, a separate sequence model, a BPR model over a
+// carried triple order, and a general model over a carried pair order.
+struct ResumeCase {
+  std::string name;
+  std::function<RunOutput(const std::string&, std::size_t, bool)> run;
+};
+
+template <typename Make>
+ResumeCase Family(std::string name, Make make) {
+  return {std::move(name),
+          [make](const std::string& dir, std::size_t epochs, bool resume) {
+            auto rec = make(TinyData().dataset);
+            return FitAndCollect(rec.get(), dir, epochs, resume);
+          }};
+}
+
+void PrintTo(const ResumeCase& family, std::ostream* os) {
+  *os << family.name;
+}
+
+class TrainResumeTest : public ::testing::TestWithParam<ResumeCase> {};
+
 // The tentpole guarantee: kill the run at EVERY epoch boundary, resume, and
 // the completed run must be bitwise identical to one that never died —
 // epoch logs, best-epoch tracking, final parameters, and test metrics.
 // Deliberately NOT fault-pinned: under the check-faults sweep, failed saves
 // and unreadable generations must degrade to extra retraining, never to a
 // different result.
-TEST(TrainResumeTest, KillAtEveryEpochBoundaryResumesBitwise) {
-  const RunOutput uninterrupted = RunTraining("", kSweepEpochs, false);
+TEST_P(TrainResumeTest, KillAtEveryEpochBoundaryResumesBitwise) {
+  const ResumeCase& family = GetParam();
+  const RunOutput uninterrupted = family.run("", kSweepEpochs, false);
   ASSERT_EQ(uninterrupted.result.epochs.size(), kSweepEpochs);
   for (std::size_t kill = 1; kill < kSweepEpochs; ++kill) {
     const std::string dir =
-        TempPath("resume_kill_" + std::to_string(kill));
+        TempPath("resume_" + family.name + "_" + std::to_string(kill));
     std::filesystem::remove_all(dir);
     // "Kill" at the epoch-`kill` boundary: run only that many epochs, then
     // abandon the process state. Only the checkpoint directory survives.
-    (void)RunTraining(dir, kill, false);
-    const RunOutput resumed = RunTraining(dir, kSweepEpochs, true);
+    const std::uint64_t faults_before =
+        core::FaultInjector::Global().stats().injected();
+    (void)family.run(dir, kill, false);
+    // A model that ignored checkpoint_dir would pass the comparison below
+    // by retraining from scratch; the generation on disk rules that out
+    // whenever no injected fault could have eaten the writes.
+    if (core::FaultInjector::Global().stats().injected() == faults_before) {
+      EXPECT_FALSE(CheckpointManager(dir).ListGenerationFiles().empty())
+          << family.name << " left no generation after " << kill
+          << " epochs";
+    }
+    const RunOutput resumed = family.run(dir, kSweepEpochs, true);
     ExpectSameResult(uninterrupted.result, resumed.result);
     ExpectSameParams(uninterrupted.params, resumed.params);
+    EXPECT_TRUE(MatrixBitsEqual(uninterrupted.test_scores,
+                                resumed.test_scores));
     EXPECT_TRUE(BitsEqual(resumed.test_eval.ndcg20,
                           uninterrupted.test_eval.ndcg20));
     EXPECT_TRUE(BitsEqual(resumed.test_eval.recall50,
@@ -608,6 +680,29 @@ TEST(TrainResumeTest, KillAtEveryEpochBoundaryResumesBitwise) {
     std::filesystem::remove_all(dir);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, TrainResumeTest,
+    ::testing::Values(
+        Family("SasRecId",
+               [](const data::Dataset& ds) {
+                 return MakeSasRecId(ds, TinyModelConfig());
+               }),
+        Family("Cl4SRec",
+               [](const data::Dataset& ds) {
+                 return MakeCl4SRec(ds, TinyModelConfig());
+               }),
+        Family("Fdsa",
+               [](const data::Dataset& ds) {
+                 return MakeFdsa(ds, TinyModelConfig());
+               }),
+        Family("Fpmc",
+               [](const data::Dataset& ds) { return MakeFpmc(ds, 16); }),
+        Family("Grcn",
+               [](const data::Dataset& ds) { return MakeGrcn(ds, 16); })),
+    [](const ::testing::TestParamInfo<ResumeCase>& family) {
+      return family.param.name;
+    });
 
 // Resuming a run that already finished must be a no-op continuation: the
 // final checkpoint holds next_epoch == epochs, so zero epochs re-execute.

@@ -5,6 +5,8 @@
 // core/parallel.h exist to guarantee; see DESIGN.md "Parallelism &
 // reproducibility". Also exercised under ThreadSanitizer via check-tsan.
 
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -103,15 +105,12 @@ const data::GeneratedData& TinyData() {
 struct RunOutcome {
   std::vector<double> losses;
   std::vector<double> valid_ndcg;
-  std::vector<Matrix> params;
+  std::vector<Matrix> params;  // SASRec models expose their parameters
+  Matrix test_scores;          // full-catalog scores of a test batch
   seqrec::EvalResult eval;
 };
 
-// One fresh 3-epoch SASRec/WhitenRec training + full eval at `threads`.
-// Everything stochastic (init, shuffling, dropout) is seeded, so any
-// divergence between runs can only come from the parallel kernels.
-RunOutcome RunTraining(std::size_t threads) {
-  ScopedThreads guard(threads);
+seqrec::SasRecConfig TinyModelConfig() {
   seqrec::SasRecConfig mc;
   mc.hidden_dim = 16;
   mc.num_blocks = 1;
@@ -120,11 +119,16 @@ RunOutcome RunTraining(std::size_t threads) {
   mc.dropout = 0.1;
   mc.max_len = 8;
   mc.seed = 21;
-  WhitenRecConfig wc;
-  wc.out_dim = 16;
-  auto rec = seqrec::MakeWhitenRec(TinyData().dataset, mc, wc);
-  const data::Split split = data::LeaveOneOutSplit(TinyData().dataset);
+  return mc;
+}
 
+// One fresh 3-epoch training of `rec` + full eval at `threads`. Everything
+// stochastic (init, shuffling, dropout) is seeded, so any divergence between
+// runs can only come from the parallel kernels.
+template <typename Rec>
+RunOutcome RunTraining(std::unique_ptr<Rec> rec, std::size_t threads) {
+  ScopedThreads guard(threads);
+  const data::Split split = data::LeaveOneOutSplit(TinyData().dataset);
   seqrec::TrainConfig tc;
   tc.epochs = 3;
   tc.batch_size = 64;
@@ -138,19 +142,21 @@ RunOutcome RunTraining(std::size_t threads) {
     out.losses.push_back(log.train_loss);
     out.valid_ndcg.push_back(log.valid_ndcg20);
   }
-  for (nn::Parameter* p : rec->model()->Parameters()) {
-    out.params.push_back(p->value);
+  if constexpr (std::is_same_v<Rec, seqrec::SasRecRecommender>) {
+    for (nn::Parameter* p : rec->model()->Parameters()) {
+      out.params.push_back(p->value);
+    }
   }
-  out.eval = seqrec::EvaluateRanking(rec.get(), split.test, split.train,
-                                     mc.max_len);
+  const std::size_t max_len = TinyModelConfig().max_len;
+  out.test_scores = rec->ScoreLastPositions(
+      data::MakeEvalBatches(split.test, max_len, /*batch_size=*/64)[0]);
+  out.eval =
+      seqrec::EvaluateRanking(rec.get(), split.test, split.train, max_len);
   return out;
 }
 
-TEST(ThreadDeterminismTest, TrainEvalBitwiseIdenticalAcrossThreadCounts) {
-  std::vector<RunOutcome> runs;
-  for (std::size_t t : kThreadCounts) runs.push_back(RunTraining(t));
+void ExpectRunsBitwiseEqual(const std::vector<RunOutcome>& runs) {
   ASSERT_EQ(runs[0].losses.size(), 3u);
-
   for (std::size_t v = 1; v < runs.size(); ++v) {
     const RunOutcome& a = runs[0];
     const RunOutcome& b = runs[v];
@@ -162,6 +168,7 @@ TEST(ThreadDeterminismTest, TrainEvalBitwiseIdenticalAcrossThreadCounts) {
     for (std::size_t p = 0; p < a.params.size(); ++p) {
       ExpectBitwiseEqual(a.params[p], b.params[p], "parameter");
     }
+    ExpectBitwiseEqual(a.test_scores, b.test_scores, "test scores");
     // Full-ranking test metrics (HR/Recall and NDCG at 20/50), bitwise.
     EXPECT_EQ(a.eval.recall20, b.eval.recall20);
     EXPECT_EQ(a.eval.ndcg20, b.eval.ndcg20);
@@ -169,6 +176,28 @@ TEST(ThreadDeterminismTest, TrainEvalBitwiseIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.eval.ndcg50, b.eval.ndcg50);
     EXPECT_EQ(a.eval.count, b.eval.count);
   }
+}
+
+TEST(ThreadDeterminismTest, TrainEvalBitwiseIdenticalAcrossThreadCounts) {
+  WhitenRecConfig wc;
+  wc.out_dim = 16;
+  std::vector<RunOutcome> runs;
+  for (std::size_t t : kThreadCounts) {
+    runs.push_back(RunTraining(
+        seqrec::MakeWhitenRec(TinyData().dataset, TinyModelConfig(), wc), t));
+  }
+  ExpectRunsBitwiseEqual(runs);
+}
+
+// The shared training loop beyond the SASRec backbone: FDSA's two
+// Transformer streams and its non-factored scores.
+TEST(ThreadDeterminismTest, FdsaTrainEvalBitwiseIdenticalAcrossThreadCounts) {
+  std::vector<RunOutcome> runs;
+  for (std::size_t t : kThreadCounts) {
+    runs.push_back(RunTraining(
+        seqrec::MakeFdsa(TinyData().dataset, TinyModelConfig()), t));
+  }
+  ExpectRunsBitwiseEqual(runs);
 }
 
 }  // namespace
