@@ -83,10 +83,10 @@ inline data::GeneratedData LoadDataset(const data::DatasetProfile& profile) {
 
 // Convenience: trains any recommender (each Fit runs seqrec's one training
 // loop) and evaluates it on test.
-template <typename Rec>
-seqrec::EvalResult FitAndEvaluate(Rec* rec, const data::Split& split,
-                                  const seqrec::TrainConfig& config,
-                                  std::size_t max_len) {
+inline seqrec::EvalResult FitAndEvaluate(seqrec::TrainableRecommender* rec,
+                                         const data::Split& split,
+                                         const seqrec::TrainConfig& config,
+                                         std::size_t max_len) {
   rec->Fit(split, config);
   return seqrec::EvaluateRanking(rec, split.test, split.train, max_len);
 }

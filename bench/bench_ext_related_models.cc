@@ -4,6 +4,8 @@
 // the "are ID embeddings necessary?" conclusion is not an artifact of the
 // SASRec backbone choice.
 
+#include <memory>
+
 #include "bench_common.h"
 #include "seqrec/baselines.h"
 #include "seqrec/classic_baselines.h"
@@ -25,7 +27,7 @@ void RunDataset(const data::DatasetProfile& profile) {
     bench::PrintRow(name, {r.recall20, r.ndcg20, r.recall50, r.ndcg50});
   };
 
-  auto run = [&](auto rec) {
+  auto run = [&](std::unique_ptr<seqrec::TrainableRecommender> rec) {
     report(rec->name(), bench::FitAndEvaluate(rec.get(), split, tc, mc.max_len));
   };
   run(seqrec::MakeFpmc(ds, mc.hidden_dim));

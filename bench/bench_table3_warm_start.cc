@@ -3,6 +3,8 @@
 // SASRec^ID, CL4SRec, SASRec^T, SASRec^{T+ID}, S3-Rec, FDSA, UniSRec^T,
 // UniSRec^{T+ID}, VQRec, WhitenRec, WhitenRec+.
 
+#include <memory>
+
 #include "bench_common.h"
 #include "seqrec/baselines.h"
 #include "seqrec/general_rec.h"
@@ -24,7 +26,7 @@ void RunDataset(const data::DatasetProfile& profile) {
     bench::PrintRow(name, {r.recall20, r.recall50, r.ndcg20, r.ndcg50});
   };
 
-  auto run = [&](auto rec) {
+  auto run = [&](std::unique_ptr<seqrec::TrainableRecommender> rec) {
     report(rec->name(), bench::FitAndEvaluate(rec.get(), split, tc, mc.max_len));
   };
   // General recommenders with text features.

@@ -5,6 +5,9 @@
 // (`--threads N`, default WHITENREC_THREADS), so the table doubles as a
 // thread-scaling report for the training hot path.
 
+#include <functional>
+#include <memory>
+
 #include "bench/artifact.h"
 #include "bench_common.h"
 #include "core/json.h"
@@ -33,7 +36,8 @@ int main(int argc, char** argv) {
   Json rows = Json::Arr();
   // Each model is fitted fresh at one thread, then at `threads`; the pool
   // ends each call back at `threads`, the setting the flag asked for.
-  auto run = [&](auto factory) {
+  auto run = [&](const std::function<
+                 std::unique_ptr<seqrec::TrainableRecommender>()>& factory) {
     core::SetNumThreads(1);
     const double s1 = factory()->Fit(split, tc).avg_epoch_seconds;
     core::SetNumThreads(threads);

@@ -14,8 +14,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "core/env.h"
@@ -188,59 +188,49 @@ int main(int argc, char** argv) {
                               : WhiteningKind::kZca;
 
   const std::string model_name = Get(args, "model", "whitenrec+");
-  std::unique_ptr<seqrec::Recommender> rec;
-  seqrec::SasRecRecommender* sasrec = nullptr;  // for --save-checkpoint
-
-  // Every model trains through the same loop (seqrec::TrainRecommender), so
-  // --checkpoint-dir, --resume and --verbose apply to each of them.
-  auto fit = [&](auto m) {
-    if constexpr (std::is_same_v<decltype(m),
-                                 std::unique_ptr<seqrec::SasRecRecommender>>) {
-      sasrec = m.get();
-    }
-    m->Fit(split, tc);
-    rec = std::move(m);
-  };
-
+  std::unique_ptr<seqrec::TrainableRecommender> rec;
   if (model_name == "sasrec_id") {
-    fit(seqrec::MakeSasRecId(dataset, mc));
+    rec = seqrec::MakeSasRecId(dataset, mc);
   } else if (model_name == "sasrec_t") {
-    fit(seqrec::MakeSasRecText(dataset, mc));
+    rec = seqrec::MakeSasRecText(dataset, mc);
   } else if (model_name == "sasrec_tid") {
-    fit(seqrec::MakeSasRecTextId(dataset, mc));
+    rec = seqrec::MakeSasRecTextId(dataset, mc);
   } else if (model_name == "cl4srec") {
-    fit(seqrec::MakeCl4SRec(dataset, mc));
+    rec = seqrec::MakeCl4SRec(dataset, mc);
   } else if (model_name == "s3rec") {
-    fit(seqrec::MakeS3Rec(dataset, mc));
+    rec = seqrec::MakeS3Rec(dataset, mc);
   } else if (model_name == "unisrec") {
-    fit(seqrec::MakeUniSRec(dataset, mc, false));
+    rec = seqrec::MakeUniSRec(dataset, mc, false);
   } else if (model_name == "unisrec_tid") {
-    fit(seqrec::MakeUniSRec(dataset, mc, true));
+    rec = seqrec::MakeUniSRec(dataset, mc, true);
   } else if (model_name == "vqrec") {
-    fit(seqrec::MakeVqRec(dataset, mc));
+    rec = seqrec::MakeVqRec(dataset, mc);
   } else if (model_name == "whitenrec") {
-    fit(seqrec::MakeWhitenRec(dataset, mc, wc));
+    rec = seqrec::MakeWhitenRec(dataset, mc, wc);
   } else if (model_name == "whitenrec+") {
-    fit(seqrec::MakeWhitenRecPlus(dataset, mc, wc));
+    rec = seqrec::MakeWhitenRecPlus(dataset, mc, wc);
   } else if (model_name == "fdsa") {
-    fit(seqrec::MakeFdsa(dataset, mc));
+    rec = seqrec::MakeFdsa(dataset, mc);
   } else if (model_name == "gru4rec") {
-    fit(seqrec::MakeGru4Rec(dataset, mc));
+    rec = seqrec::MakeGru4Rec(dataset, mc);
   } else if (model_name == "bert4rec") {
-    fit(seqrec::MakeBert4Rec(dataset, mc));
+    rec = seqrec::MakeBert4Rec(dataset, mc);
   } else if (model_name == "fpmc") {
-    fit(seqrec::MakeFpmc(dataset, mc.hidden_dim));
+    rec = seqrec::MakeFpmc(dataset, mc.hidden_dim);
   } else if (model_name == "caser") {
-    fit(seqrec::MakeCaser(dataset, mc));
+    rec = seqrec::MakeCaser(dataset, mc);
   } else if (model_name == "grcn") {
-    fit(seqrec::MakeGrcn(dataset, mc.hidden_dim));
+    rec = seqrec::MakeGrcn(dataset, mc.hidden_dim);
   } else if (model_name == "bm3") {
-    fit(seqrec::MakeBm3(dataset, mc.hidden_dim));
+    rec = seqrec::MakeBm3(dataset, mc.hidden_dim);
   } else {
     std::fprintf(stderr, "unknown model: %s (try --help)\n",
                  model_name.c_str());
     return 2;
   }
+  // Every model trains through the same loop (seqrec::TrainRecommender), so
+  // --checkpoint-dir, --resume and --verbose apply to each of them.
+  rec->Fit(split, tc);
 
   // --- Evaluate ----------------------------------------------------------
   std::printf("\nmodel: %s\n", rec->name().c_str());
@@ -253,20 +243,16 @@ int main(int argc, char** argv) {
                                                split.train, mc.max_len));
   }
 
+  // Every model's learned state is its Parameters(); nn::LoadParameters
+  // restores them into a model built with the same flags.
   const std::string ckpt = Get(args, "save-checkpoint", "");
   if (!ckpt.empty()) {
-    if (sasrec == nullptr) {
-      std::fprintf(stderr,
-                   "--save-checkpoint is supported for SASRec-backbone models\n");
-    } else {
-      const Status st =
-          nn::SaveParameters(ckpt, sasrec->model()->Parameters());
-      if (!st.ok()) {
-        std::fprintf(stderr, "checkpoint failed: %s\n", st.message().c_str());
-        return 1;
-      }
-      std::printf("checkpoint written to %s\n", ckpt.c_str());
+    const Status st = nn::SaveParameters(ckpt, rec->Parameters());
+    if (!st.ok()) {
+      std::fprintf(stderr, "checkpoint failed: %s\n", st.message().c_str());
+      return 1;
     }
+    std::printf("checkpoint written to %s\n", ckpt.c_str());
   }
   return 0;
 }

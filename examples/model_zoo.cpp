@@ -3,6 +3,7 @@
 // public model factories (ID / text / whitened / ensembles / baselines).
 
 #include <cstdio>
+#include <memory>
 
 #include "data/generator.h"
 #include "data/split.h"
@@ -27,12 +28,12 @@ int main() {
 
   // Every model's Fit runs the same training loop; one generic path serves
   // them all.
-  auto run = [&](auto rec) {
+  auto run = [&](std::unique_ptr<seqrec::TrainableRecommender> rec) {
     rec->Fit(split, tc);
     const seqrec::EvalResult r = seqrec::EvaluateRanking(
         rec.get(), split.test, split.train, mc.max_len);
     std::printf("%-20s%10.4f%10.4f%12zu\n", rec->name().c_str(), r.recall20,
-                r.ndcg20, static_cast<std::size_t>(rec->NumParameters()));
+                r.ndcg20, rec->NumParameters());
   };
 
   WhitenRecConfig wc;

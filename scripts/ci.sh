@@ -11,8 +11,8 @@
 #   5. check-tidy   — curated clang-tidy profile (loud no-op if not installed)
 #   6. check-faults — crash-safety suite under a WHITENREC_FAULT_RATE sweep
 #   7. check-asan   — GEMM + linalg + top-K + retrieval + whitening
-#      (whitening_test, whitening_ext_test) suites under
-#      AddressSanitizer/UBSan
+#      (whitening_test, whitening_ext_test) + extended-model (extended_test)
+#      suites under AddressSanitizer/UBSan
 #   8. check-tsan   — parallel (x20) + determinism suites under ThreadSanitizer
 #   9. check-serve  — serving suite, randomized-traffic soak under TSan,
 #      and a bench_serving run whose sweep must pass CheckServingBench

@@ -465,55 +465,76 @@ std::unique_ptr<SasRecRecommender> MakeVqRec(const data::Dataset& dataset,
 // FDSA
 // ---------------------------------------------------------------------------
 
-struct FdsaRecommender::Impl {
-  SasRecConfig config;
-  linalg::Rng rng;
-  std::unique_ptr<IdEncoder> enc_id;
-  std::unique_ptr<TextFeatureEncoder> enc_text;
-  std::unique_ptr<nn::Embedding> pos_id;
-  std::unique_ptr<nn::Embedding> pos_text;
-  std::unique_ptr<nn::Dropout> drop_id;
-  std::unique_ptr<nn::Dropout> drop_text;
-  std::unique_ptr<nn::TransformerEncoder> trans_id;
-  std::unique_ptr<nn::TransformerEncoder> trans_text;
-  std::unique_ptr<nn::Linear> fusion;  // (2d -> d)
-  TrainResult result;
+namespace {
 
-  Impl(const data::Dataset& dataset, const SasRecConfig& cfg)
-      : config(cfg), rng(cfg.seed) {
-    enc_id = std::make_unique<IdEncoder>(dataset.num_items, cfg.hidden_dim,
-                                         &rng, "fdsa.id");
-    enc_text = std::make_unique<TextFeatureEncoder>(
-        dataset.text_embeddings, cfg.hidden_dim, HeadKind::kMlp2, &rng,
+class FdsaRecommender final : public TrainableRecommender {
+ public:
+  FdsaRecommender(const data::Dataset& dataset, const SasRecConfig& cfg)
+      : config_(cfg), rng_(cfg.seed) {
+    enc_id_ = std::make_unique<IdEncoder>(dataset.num_items, cfg.hidden_dim,
+                                          &rng_, "fdsa.id");
+    enc_text_ = std::make_unique<TextFeatureEncoder>(
+        dataset.text_embeddings, cfg.hidden_dim, HeadKind::kMlp2, &rng_,
         "fdsa.text");
-    pos_id = std::make_unique<nn::Embedding>(cfg.max_len, cfg.hidden_dim, &rng,
-                                             "fdsa.pos_id");
-    pos_text = std::make_unique<nn::Embedding>(cfg.max_len, cfg.hidden_dim,
-                                               &rng, "fdsa.pos_text");
-    drop_id = std::make_unique<nn::Dropout>(cfg.dropout, &rng);
-    drop_text = std::make_unique<nn::Dropout>(cfg.dropout, &rng);
-    trans_id = std::make_unique<nn::TransformerEncoder>(
+    pos_id_ = std::make_unique<nn::Embedding>(cfg.max_len, cfg.hidden_dim,
+                                              &rng_, "fdsa.pos_id");
+    pos_text_ = std::make_unique<nn::Embedding>(cfg.max_len, cfg.hidden_dim,
+                                                &rng_, "fdsa.pos_text");
+    drop_id_ = std::make_unique<nn::Dropout>(cfg.dropout, &rng_);
+    drop_text_ = std::make_unique<nn::Dropout>(cfg.dropout, &rng_);
+    trans_id_ = std::make_unique<nn::TransformerEncoder>(
         cfg.hidden_dim, cfg.num_blocks, cfg.num_heads, cfg.ffn_hidden,
-        cfg.dropout, &rng, "fdsa.trans_id");
-    trans_text = std::make_unique<nn::TransformerEncoder>(
+        cfg.dropout, &rng_, "fdsa.trans_id");
+    trans_text_ = std::make_unique<nn::TransformerEncoder>(
         cfg.hidden_dim, cfg.num_blocks, cfg.num_heads, cfg.ffn_hidden,
-        cfg.dropout, &rng, "fdsa.trans_text");
-    fusion = std::make_unique<nn::Linear>(2 * cfg.hidden_dim, cfg.hidden_dim,
-                                          &rng, "fdsa.fusion");
+        cfg.dropout, &rng_, "fdsa.trans_text");
+    fusion_ = std::make_unique<nn::Linear>(2 * cfg.hidden_dim, cfg.hidden_dim,
+                                           &rng_, "fdsa.fusion");
   }
 
-  std::vector<nn::Parameter*> Parameters() {
+  std::string name() const override { return "FDSA(T+ID)"; }
+  std::size_t num_items() const override { return enc_id_->num_items(); }
+
+  // Users are the fused last-position states; both streams score against
+  // the summed item table.
+  bool ScoreFactors(const data::Batch& batch, Matrix* users,
+                    Matrix* items) override {
+    Matrix v_id, v_text;
+    const Matrix h = ForwardFused(batch, &v_id, &v_text, /*train=*/false);
+    *users = GatherLastPositions(h, batch);
+    *items = std::move(v_id);
+    *items += v_text;
+    return true;
+  }
+
+  std::vector<nn::Parameter*> Parameters() override {
     std::vector<nn::Parameter*> params;
-    enc_id->CollectParameters(&params);
-    enc_text->CollectParameters(&params);
-    pos_id->CollectParameters(&params);
-    pos_text->CollectParameters(&params);
-    trans_id->CollectParameters(&params);
-    trans_text->CollectParameters(&params);
-    fusion->CollectParameters(&params);
+    enc_id_->CollectParameters(&params);
+    enc_text_->CollectParameters(&params);
+    pos_id_->CollectParameters(&params);
+    pos_text_->CollectParameters(&params);
+    trans_id_->CollectParameters(&params);
+    trans_text_->CollectParameters(&params);
+    fusion_->CollectParameters(&params);
     return params;
   }
 
+  const TrainResult& Fit(const data::Split& split,
+                         const TrainConfig& config) override {
+    linalg::Rng shuffle_rng(config.seed);
+    TrainTask task;
+    task.recommender = this;
+    task.max_len = config_.max_len;
+    task.params = Parameters();
+    task.rngs = {{"shuffle", &shuffle_rng}, {"model", &rng_}};
+    task.run_epoch = WindowEpoch(
+        split, config_.max_len, config.batch_size, &shuffle_rng,
+        [this](const data::Batch& batch) { return TrainStep(batch); });
+    result_ = TrainRecommender(task, split, config);
+    return result_;
+  }
+
+ private:
   // One stream's input embedding: gather + positions + mask + dropout.
   Matrix EmbedStream(const data::Batch& batch, const Matrix& v,
                      nn::Embedding* pos, nn::Dropout* drop, bool train) {
@@ -549,20 +570,20 @@ struct FdsaRecommender::Impl {
   // Joint forward producing fused hidden states; fills v_id/v_text/h.
   Matrix ForwardFused(const data::Batch& batch, Matrix* v_id, Matrix* v_text,
                       bool train) {
-    *v_id = enc_id->Forward(train);
-    *v_text = enc_text->Forward(train);
+    *v_id = enc_id_->Forward(train);
+    *v_text = enc_text_->Forward(train);
     const Matrix x_id =
-        EmbedStream(batch, *v_id, pos_id.get(), drop_id.get(), train);
+        EmbedStream(batch, *v_id, pos_id_.get(), drop_id_.get(), train);
     const Matrix x_text =
-        EmbedStream(batch, *v_text, pos_text.get(), drop_text.get(), train);
+        EmbedStream(batch, *v_text, pos_text_.get(), drop_text_.get(), train);
     const Matrix h_id =
-        trans_id->Forward(x_id, batch.batch_size, batch.seq_len, train);
+        trans_id_->Forward(x_id, batch.batch_size, batch.seq_len, train);
     const Matrix h_text =
-        trans_text->Forward(x_text, batch.batch_size, batch.seq_len, train);
-    Matrix concat(h_id.rows(), 2 * config.hidden_dim);
+        trans_text_->Forward(x_text, batch.batch_size, batch.seq_len, train);
+    Matrix concat(h_id.rows(), 2 * config_.hidden_dim);
     concat.SetColSlice(0, h_id);
-    concat.SetColSlice(config.hidden_dim, h_text);
-    return fusion->Forward(concat);
+    concat.SetColSlice(config_.hidden_dim, h_text);
+    return fusion_->Forward(concat);
   }
 
   double TrainStep(const data::Batch& batch) {
@@ -570,79 +591,47 @@ struct FdsaRecommender::Impl {
     const Matrix h = ForwardFused(batch, &v_id, &v_text, /*train=*/true);
     Matrix v_sum = v_id;
     v_sum += v_text;
-    const Matrix logits = linalg::MatMulTransB(h, v_sum);
-    Matrix dlogits;
-    const double loss = nn::SoftmaxCrossEntropy(
-        logits, batch.targets, batch.target_weights, &dlogits);
-    const Matrix dh = linalg::MatMul(dlogits, v_sum);
-    Matrix dv = linalg::MatMulTransA(dlogits, h);  // to both streams
+    Matrix dh;
+    Matrix dv;  // to both streams
+    const double loss = nn::StreamingSoftmaxCrossEntropy(
+        h, v_sum, batch.targets, batch.target_weights, &dh, &dv);
 
-    const Matrix dconcat = fusion->Backward(dh);
-    const Matrix dh_id = dconcat.ColSlice(0, config.hidden_dim);
+    const Matrix dconcat = fusion_->Backward(dh);
+    const Matrix dh_id = dconcat.ColSlice(0, config_.hidden_dim);
     const Matrix dh_text =
-        dconcat.ColSlice(config.hidden_dim, 2 * config.hidden_dim);
-    Matrix dx_id = trans_id->Backward(dh_id);
-    dx_id = drop_id->Backward(dx_id);
-    Matrix dx_text = trans_text->Backward(dh_text);
-    dx_text = drop_text->Backward(dx_text);
+        dconcat.ColSlice(config_.hidden_dim, 2 * config_.hidden_dim);
+    Matrix dx_id = trans_id_->Backward(dh_id);
+    dx_id = drop_id_->Backward(dx_id);
+    Matrix dx_text = trans_text_->Backward(dh_text);
+    dx_text = drop_text_->Backward(dx_text);
 
     Matrix dv_id = dv;
-    Matrix dv_text = dv;
-    MaskAndScatter(batch, std::move(dx_id), pos_id.get(), &dv_id);
-    MaskAndScatter(batch, std::move(dx_text), pos_text.get(), &dv_text);
-    enc_id->Backward(dv_id);
-    enc_text->Backward(dv_text);
+    Matrix dv_text = std::move(dv);
+    MaskAndScatter(batch, std::move(dx_id), pos_id_.get(), &dv_id);
+    MaskAndScatter(batch, std::move(dx_text), pos_text_.get(), &dv_text);
+    enc_id_->Backward(dv_id);
+    enc_text_->Backward(dv_text);
     return loss;
   }
 
-  Matrix Score(const data::Batch& batch) {
-    Matrix v_id, v_text;
-    const Matrix h = ForwardFused(batch, &v_id, &v_text, /*train=*/false);
-    const Matrix s = GatherLastPositions(h, batch);
-    Matrix v_sum = v_id;
-    v_sum += v_text;
-    return linalg::MatMulTransB(s, v_sum);
-  }
+  SasRecConfig config_;
+  linalg::Rng rng_;
+  std::unique_ptr<IdEncoder> enc_id_;
+  std::unique_ptr<TextFeatureEncoder> enc_text_;
+  std::unique_ptr<nn::Embedding> pos_id_;
+  std::unique_ptr<nn::Embedding> pos_text_;
+  std::unique_ptr<nn::Dropout> drop_id_;
+  std::unique_ptr<nn::Dropout> drop_text_;
+  std::unique_ptr<nn::TransformerEncoder> trans_id_;
+  std::unique_ptr<nn::TransformerEncoder> trans_text_;
+  std::unique_ptr<nn::Linear> fusion_;  // (2d -> d)
+  TrainResult result_;
 };
 
-FdsaRecommender::FdsaRecommender(const data::Dataset& dataset,
-                                 const SasRecConfig& config)
-    : impl_(std::make_unique<Impl>(dataset, config)) {}
+}  // namespace
 
-FdsaRecommender::~FdsaRecommender() = default;
-
-std::size_t FdsaRecommender::num_items() const {
-  return impl_->enc_id->num_items();
-}
-
-Matrix FdsaRecommender::ScoreLastPositions(const data::Batch& batch) {
-  return impl_->Score(batch);
-}
-
-std::size_t FdsaRecommender::NumParameters() {
-  std::size_t n = 0;
-  for (nn::Parameter* p : impl_->Parameters()) n += p->NumElements();
-  return n;
-}
-
-const TrainResult& FdsaRecommender::Fit(const data::Split& split,
-                                        const TrainConfig& config) {
-  Impl& im = *impl_;
-  linalg::Rng shuffle_rng(config.seed);
-  TrainTask task;
-  task.recommender = this;
-  task.max_len = im.config.max_len;
-  task.params = im.Parameters();
-  task.rngs = {{"shuffle", &shuffle_rng}, {"model", &im.rng}};
-  task.run_epoch = WindowEpoch(
-      split, im.config.max_len, config.batch_size, &shuffle_rng,
-      [&im](const data::Batch& batch) { return im.TrainStep(batch); });
-  im.result = TrainRecommender(task, split, config);
-  return im.result;
-}
-
-std::unique_ptr<FdsaRecommender> MakeFdsa(const data::Dataset& dataset,
-                                          const SasRecConfig& config) {
+std::unique_ptr<TrainableRecommender> MakeFdsa(const data::Dataset& dataset,
+                                               const SasRecConfig& config) {
   return std::make_unique<FdsaRecommender>(dataset, config);
 }
 

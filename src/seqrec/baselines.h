@@ -70,27 +70,10 @@ std::unique_ptr<SasRecRecommender> MakeVqRec(const data::Dataset& dataset,
                                              std::size_t num_centroids = 16);
 
 // FDSA (T+ID): separate self-attention streams for items and text features,
-// fused at the sequence level. Implemented as its own Recommender with two
-// Transformer stacks and a linear fusion layer.
-class FdsaRecommender : public Recommender {
- public:
-  FdsaRecommender(const data::Dataset& dataset, const SasRecConfig& config);
-  ~FdsaRecommender() override;
-
-  std::string name() const override { return "FDSA(T+ID)"; }
-  std::size_t num_items() const override;
-  linalg::Matrix ScoreLastPositions(const data::Batch& batch) override;
-
-  const TrainResult& Fit(const data::Split& split, const TrainConfig& config);
-  std::size_t NumParameters();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-std::unique_ptr<FdsaRecommender> MakeFdsa(const data::Dataset& dataset,
-                                          const SasRecConfig& config);
+// fused at the sequence level: two Transformer stacks and a linear fusion
+// layer, scored against the sum of the ID and text item tables.
+std::unique_ptr<TrainableRecommender> MakeFdsa(const data::Dataset& dataset,
+                                               const SasRecConfig& config);
 
 }  // namespace seqrec
 }  // namespace whitenrec

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "linalg/gemm.h"
 #include "nn/loss.h"
 #include "nn/tensor.h"
 
@@ -18,34 +17,82 @@ using linalg::Matrix;
 // FPMC
 // ---------------------------------------------------------------------------
 
-struct FpmcRecommender::Impl {
-  std::size_t dim;
-  std::size_t num_users;
-  std::size_t num_items;
-  linalg::Rng rng;
-  nn::Parameter user_ui;  // (n_u, d)
-  nn::Parameter item_iu;  // (N, d)
-  nn::Parameter item_il;  // (N, d) previous-item factors
-  nn::Parameter item_li;  // (N, d) next-item factors
-  TrainResult result;
+namespace {
 
-  Impl(const data::Dataset& dataset, std::size_t d, std::uint64_t seed)
-      : dim(d),
-        num_users(dataset.sequences.size()),
-        num_items(dataset.num_items),
-        rng(seed),
-        user_ui("fpmc.user", rng.GaussianMatrix(num_users, d, 0.05)),
-        item_iu("fpmc.iu", rng.GaussianMatrix(dataset.num_items, d, 0.05)),
-        item_il("fpmc.il", rng.GaussianMatrix(dataset.num_items, d, 0.05)),
-        item_li("fpmc.li", rng.GaussianMatrix(dataset.num_items, d, 0.05)) {}
+class FpmcRecommender final : public TrainableRecommender {
+ public:
+  FpmcRecommender(const data::Dataset& dataset, std::size_t d,
+                  std::uint64_t seed)
+      : dim_(d),
+        num_users_(dataset.sequences.size()),
+        num_items_(dataset.num_items),
+        rng_(seed),
+        user_ui_("fpmc.user", rng_.GaussianMatrix(num_users_, d, 0.05)),
+        item_iu_("fpmc.iu", rng_.GaussianMatrix(dataset.num_items, d, 0.05)),
+        item_il_("fpmc.il", rng_.GaussianMatrix(dataset.num_items, d, 0.05)),
+        item_li_("fpmc.li", rng_.GaussianMatrix(dataset.num_items, d, 0.05)) {}
 
-  std::vector<nn::Parameter*> Parameters() {
-    return {&user_ui, &item_iu, &item_il, &item_li};
+  std::string name() const override { return "FPMC(ID)"; }
+  std::size_t num_items() const override { return num_items_; }
+
+  // The two factor pairs side by side: users (B, 2d) = [U_u, Il_prev] and
+  // items (N, 2d) = [Iu, Li], so users * items^T = U_u Iu^T + Il_prev Li^T.
+  bool ScoreFactors(const data::Batch& batch, Matrix* users,
+                    Matrix* items) override {
+    users->Resize(batch.batch_size, 2 * dim_);
+    for (std::size_t b = 0; b < batch.batch_size; ++b) {
+      const std::size_t user = batch.users[b];
+      const std::size_t prev =
+          batch.items[batch.Flat(b, batch.last_position[b])];
+      WR_CHECK_LT(user, num_users_);
+      double* row = users->RowPtr(b);
+      std::copy_n(user_ui_.value.RowPtr(user), dim_, row);
+      std::copy_n(item_il_.value.RowPtr(prev), dim_, row + dim_);
+    }
+    items->Resize(num_items_, 2 * dim_);
+    items->SetColSlice(0, item_iu_.value);
+    items->SetColSlice(dim_, item_li_.value);
+    return true;
   }
 
+  std::vector<nn::Parameter*> Parameters() override {
+    return {&user_ui_, &item_iu_, &item_il_, &item_li_};
+  }
+
+  const TrainResult& Fit(const data::Split& split,
+                         const TrainConfig& config) override {
+    std::vector<std::array<std::size_t, 3>> triples;
+    for (std::size_t u = 0; u < split.train.size() && u < num_users_; ++u) {
+      const auto& seq = split.train[u];
+      for (std::size_t t = 1; t < seq.size(); ++t) {
+        triples.push_back({u, seq[t - 1], seq[t]});
+      }
+    }
+    // Each epoch reshuffles the previous epoch's order of the triples.
+    std::vector<std::size_t> order(triples.size());
+    std::iota(order.begin(), order.end(), 0);
+
+    TrainTask task;
+    task.recommender = this;
+    task.max_len = 8;  // FPMC reads only the most recent item
+    task.params = Parameters();
+    task.rngs = {{"model", &rng_}};
+    task.sample_order = &order;
+    task.run_epoch = [&](nn::Adam* optimizer) {
+      return ShuffledPass(
+          triples, &order, &rng_, config.batch_size, optimizer,
+          [this](const std::vector<std::array<std::size_t, 3>>& batch) {
+            return Step(batch);
+          });
+    };
+    result_ = TrainRecommender(task, split, config);
+    return result_;
+  }
+
+ private:
   double Score(std::size_t user, std::size_t prev, std::size_t item) const {
-    return linalg::Dot(user_ui.value.Row(user), item_iu.value.Row(item)) +
-           linalg::Dot(item_il.value.Row(prev), item_li.value.Row(item));
+    return linalg::Dot(user_ui_.value.Row(user), item_iu_.value.Row(item)) +
+           linalg::Dot(item_il_.value.Row(prev), item_li_.value.Row(item));
   }
 
   // BPR step over (user, prev, pos) triples with one sampled negative each.
@@ -55,8 +102,8 @@ struct FpmcRecommender::Impl {
     std::vector<std::size_t> negatives(triples.size());
     for (std::size_t b = 0; b < triples.size(); ++b) {
       const auto [u, prev, pos] = triples[b];
-      std::size_t neg = rng.UniformInt(num_items);
-      while (neg == pos) neg = rng.UniformInt(num_items);
+      std::size_t neg = rng_.UniformInt(num_items_);
+      while (neg == pos) neg = rng_.UniformInt(num_items_);
       negatives[b] = neg;
       pos_scores[b] = Score(u, prev, pos);
       neg_scores[b] = Score(u, prev, neg);
@@ -66,160 +113,105 @@ struct FpmcRecommender::Impl {
     for (std::size_t b = 0; b < triples.size(); ++b) {
       const auto [u, prev, pos] = triples[b];
       const std::size_t neg = negatives[b];
-      for (std::size_t c = 0; c < dim; ++c) {
-        const double uu = user_ui.value(u, c);
-        const double il = item_il.value(prev, c);
+      for (std::size_t c = 0; c < dim_; ++c) {
+        const double uu = user_ui_.value(u, c);
+        const double il = item_il_.value(prev, c);
         // d score / d factors, weighted by the BPR gradients.
-        user_ui.grad(u, c) += dpos[b] * item_iu.value(pos, c) +
-                              dneg[b] * item_iu.value(neg, c);
-        item_iu.grad(pos, c) += dpos[b] * uu;
-        item_iu.grad(neg, c) += dneg[b] * uu;
-        item_il.grad(prev, c) += dpos[b] * item_li.value(pos, c) +
-                                 dneg[b] * item_li.value(neg, c);
-        item_li.grad(pos, c) += dpos[b] * il;
-        item_li.grad(neg, c) += dneg[b] * il;
+        user_ui_.grad(u, c) += dpos[b] * item_iu_.value(pos, c) +
+                               dneg[b] * item_iu_.value(neg, c);
+        item_iu_.grad(pos, c) += dpos[b] * uu;
+        item_iu_.grad(neg, c) += dneg[b] * uu;
+        item_il_.grad(prev, c) += dpos[b] * item_li_.value(pos, c) +
+                                  dneg[b] * item_li_.value(neg, c);
+        item_li_.grad(pos, c) += dpos[b] * il;
+        item_li_.grad(neg, c) += dneg[b] * il;
       }
     }
     return loss;
   }
+
+  std::size_t dim_;
+  std::size_t num_users_;
+  std::size_t num_items_;
+  linalg::Rng rng_;
+  nn::Parameter user_ui_;  // (n_u, d)
+  nn::Parameter item_iu_;  // (N, d)
+  nn::Parameter item_il_;  // (N, d) previous-item factors
+  nn::Parameter item_li_;  // (N, d) next-item factors
+  TrainResult result_;
 };
-
-FpmcRecommender::FpmcRecommender(const data::Dataset& dataset, std::size_t dim,
-                                 std::uint64_t seed)
-    : impl_(std::make_unique<Impl>(dataset, dim, seed)) {}
-FpmcRecommender::~FpmcRecommender() = default;
-
-std::size_t FpmcRecommender::num_items() const { return impl_->num_items; }
-
-Matrix FpmcRecommender::ScoreLastPositions(const data::Batch& batch) {
-  // FPMC's score is a sum of two inner products, not a single factored
-  // users*items^T, so it stays on the materialized reference path.
-  // whitenrec-lint: allow(full-logits)
-  Matrix scores(batch.batch_size, impl_->num_items);
-  for (std::size_t b = 0; b < batch.batch_size; ++b) {
-    const std::size_t user = batch.users[b];
-    const std::size_t prev = batch.items[batch.Flat(b, batch.last_position[b])];
-    WR_CHECK_LT(user, impl_->num_users);
-    // s = U_u Iu^T + Il_prev Li^T, vectorized over the catalog.
-    const std::vector<double> ui =
-        linalg::MatVec(impl_->item_iu.value, impl_->user_ui.value.Row(user));
-    const std::vector<double> li =
-        linalg::MatVec(impl_->item_li.value, impl_->item_il.value.Row(prev));
-    double* row = scores.RowPtr(b);
-    for (std::size_t i = 0; i < impl_->num_items; ++i) row[i] = ui[i] + li[i];
-  }
-  return scores;
-}
-
-std::size_t FpmcRecommender::NumParameters() {
-  std::size_t n = 0;
-  for (nn::Parameter* p : impl_->Parameters()) n += p->NumElements();
-  return n;
-}
-
-const TrainResult& FpmcRecommender::Fit(const data::Split& split,
-                                        const TrainConfig& config) {
-  Impl& im = *impl_;
-  std::vector<std::array<std::size_t, 3>> triples;
-  for (std::size_t u = 0; u < split.train.size() && u < im.num_users; ++u) {
-    const auto& seq = split.train[u];
-    for (std::size_t t = 1; t < seq.size(); ++t) {
-      triples.push_back({u, seq[t - 1], seq[t]});
-    }
-  }
-  // Each epoch reshuffles the previous epoch's order of the triples.
-  std::vector<std::size_t> order(triples.size());
-  std::iota(order.begin(), order.end(), 0);
-
-  TrainTask task;
-  task.recommender = this;
-  task.max_len = 8;  // FPMC reads only the most recent item
-  task.params = im.Parameters();
-  task.rngs = {{"model", &im.rng}};
-  task.sample_order = &order;
-  task.run_epoch = [&](nn::Adam* optimizer) {
-    return ShuffledPass(
-        triples, &order, &im.rng, config.batch_size, optimizer,
-        [&im](const std::vector<std::array<std::size_t, 3>>& batch) {
-          return im.Step(batch);
-        });
-  };
-  im.result = TrainRecommender(task, split, config);
-  return im.result;
-}
-
-std::unique_ptr<FpmcRecommender> MakeFpmc(const data::Dataset& dataset,
-                                          std::size_t dim) {
-  return std::make_unique<FpmcRecommender>(dataset, dim);
-}
 
 // ---------------------------------------------------------------------------
 // Caser
 // ---------------------------------------------------------------------------
 
-struct CaserRecommender::Impl {
-  SasRecConfig config;
-  std::size_t num_items;
-  std::size_t num_h;  // horizontal filters per height
-  std::size_t num_v;  // vertical filters
-  std::vector<std::size_t> heights = {2, 3, 4};
-  linalg::Rng rng;
-
-  nn::Parameter emb;       // (N, d) input embeddings
-  nn::Parameter out_emb;   // (N, d) output embeddings
-  // Horizontal filter bank: one parameter per height, shape (num_h, h*d).
-  std::vector<nn::Parameter> h_filters;
-  nn::Parameter v_filter;  // (num_v, L)
-  std::unique_ptr<nn::Linear> fc;
-  std::unique_ptr<nn::ReLU> fc_relu;
-  TrainResult result;
-
-  // Forward caches.
-  std::vector<Matrix> cached_x;                   // per sequence (L, d)
-  std::vector<std::vector<std::size_t>> cached_items;  // gathered item ids
-  // argmax positions: [seq][height][filter] and pre-ReLU activations.
-  std::vector<std::vector<std::vector<std::size_t>>> cached_argmax;
-  std::vector<std::vector<std::vector<double>>> cached_hact;
-
-  Impl(const data::Dataset& dataset, const SasRecConfig& cfg, std::size_t nh,
-       std::size_t nv)
-      : config(cfg),
-        num_items(dataset.num_items),
-        num_h(nh),
-        num_v(nv),
-        rng(cfg.seed),
-        emb("caser.emb", rng.GaussianMatrix(dataset.num_items, cfg.hidden_dim,
-                                            0.02)),
-        out_emb("caser.out",
-                rng.GaussianMatrix(dataset.num_items, cfg.hidden_dim, 0.02)),
-        v_filter("caser.v", rng.GaussianMatrix(nv, cfg.max_len, 0.1)) {
-    for (std::size_t h : heights) {
-      h_filters.emplace_back(
+class CaserRecommender final : public TrainableRecommender {
+ public:
+  CaserRecommender(const data::Dataset& dataset, const SasRecConfig& cfg,
+                   std::size_t nh, std::size_t nv)
+      : config_(cfg),
+        num_items_(dataset.num_items),
+        num_h_(nh),
+        num_v_(nv),
+        rng_(cfg.seed),
+        emb_("caser.emb", rng_.GaussianMatrix(dataset.num_items,
+                                              cfg.hidden_dim, 0.02)),
+        out_emb_("caser.out", rng_.GaussianMatrix(dataset.num_items,
+                                                  cfg.hidden_dim, 0.02)),
+        v_filter_("caser.v", rng_.GaussianMatrix(nv, cfg.max_len, 0.1)) {
+    for (std::size_t h : heights_) {
+      h_filters_.emplace_back(
           "caser.h" + std::to_string(h),
-          rng.GaussianMatrix(num_h, h * cfg.hidden_dim, 0.1));
+          rng_.GaussianMatrix(num_h_, h * cfg.hidden_dim, 0.1));
     }
-    const std::size_t feat_dim = FeatureDim();
-    fc = std::make_unique<nn::Linear>(feat_dim, cfg.hidden_dim, &rng,
-                                      "caser.fc");
-    fc_relu = std::make_unique<nn::ReLU>();
+    fc_ = std::make_unique<nn::Linear>(FeatureDim(), cfg.hidden_dim, &rng_,
+                                       "caser.fc");
   }
 
-  std::size_t FeatureDim() const {
-    return heights.size() * num_h + num_v * config.hidden_dim;
+  std::string name() const override { return "Caser(ID)"; }
+  std::size_t num_items() const override { return num_items_; }
+
+  // Users are the convolutional representations; items the separate output
+  // embedding table.
+  bool ScoreFactors(const data::Batch& batch, Matrix* users,
+                    Matrix* items) override {
+    *users = ForwardReps(batch);
+    *items = out_emb_.value;
+    return true;
   }
 
-  std::vector<nn::Parameter*> Parameters() {
-    std::vector<nn::Parameter*> params = {&emb, &out_emb, &v_filter};
-    for (nn::Parameter& p : h_filters) params.push_back(&p);
-    fc->CollectParameters(&params);
+  std::vector<nn::Parameter*> Parameters() override {
+    std::vector<nn::Parameter*> params = {&emb_, &out_emb_, &v_filter_};
+    for (nn::Parameter& p : h_filters_) params.push_back(&p);
+    fc_->CollectParameters(&params);
     return params;
+  }
+
+  const TrainResult& Fit(const data::Split& split,
+                         const TrainConfig& config) override {
+    linalg::Rng shuffle_rng(config.seed);
+    TrainTask task;
+    task.recommender = this;
+    task.max_len = config_.max_len;
+    task.params = Parameters();
+    task.rngs = {{"shuffle", &shuffle_rng}};  // Caser has no dropout
+    task.run_epoch = WindowEpoch(
+        split, config_.max_len, config.batch_size, &shuffle_rng,
+        [this](const data::Batch& batch) { return TrainStep(batch); });
+    result_ = TrainRecommender(task, split, config);
+    return result_;
+  }
+
+ private:
+  std::size_t FeatureDim() const {
+    return heights_.size() * num_h_ + num_v_ * config_.hidden_dim;
   }
 
   // Builds the (L, d) left-padded embedding image of sequence b.
   Matrix SequenceImage(const data::Batch& batch, std::size_t b,
                        std::vector<std::size_t>* items_out) {
-    const std::size_t L = config.max_len;
-    const std::size_t d = config.hidden_dim;
+    const std::size_t L = config_.max_len;
+    const std::size_t d = config_.hidden_dim;
     Matrix x(L, d);
     std::vector<std::size_t> items;
     for (std::size_t t = 0; t <= batch.last_position[b]; ++t) {
@@ -228,7 +220,7 @@ struct CaserRecommender::Impl {
     }
     const std::size_t offset = L - items.size();
     for (std::size_t k = 0; k < items.size(); ++k) {
-      x.SetRow(offset + k, emb.value.Row(items[k]));
+      x.SetRow(offset + k, emb_.value.Row(items[k]));
     }
     *items_out = std::move(items);
     return x;
@@ -236,18 +228,18 @@ struct CaserRecommender::Impl {
 
   // Convolutional features of one image; fills per-sequence caches.
   std::vector<double> Features(const Matrix& x, std::size_t b) {
-    const std::size_t L = config.max_len;
-    const std::size_t d = config.hidden_dim;
+    const std::size_t L = config_.max_len;
+    const std::size_t d = config_.hidden_dim;
     std::vector<double> feats;
     feats.reserve(FeatureDim());
-    cached_argmax[b].assign(heights.size(), {});
-    cached_hact[b].assign(heights.size(), {});
-    for (std::size_t hi = 0; hi < heights.size(); ++hi) {
-      const std::size_t h = heights[hi];
-      const Matrix& w = h_filters[hi].value;
-      cached_argmax[b][hi].assign(num_h, 0);
-      cached_hact[b][hi].assign(num_h, 0.0);
-      for (std::size_t f = 0; f < num_h; ++f) {
+    cached_argmax_[b].assign(heights_.size(), {});
+    cached_hact_[b].assign(heights_.size(), {});
+    for (std::size_t hi = 0; hi < heights_.size(); ++hi) {
+      const std::size_t h = heights_[hi];
+      const Matrix& w = h_filters_[hi].value;
+      cached_argmax_[b][hi].assign(num_h_, 0);
+      cached_hact_[b][hi].assign(num_h_, 0.0);
+      for (std::size_t f = 0; f < num_h_; ++f) {
         double best = -1e300;
         std::size_t best_t = 0;
         for (std::size_t t = 0; t + h <= L; ++t) {
@@ -262,14 +254,14 @@ struct CaserRecommender::Impl {
             best_t = t;
           }
         }
-        cached_argmax[b][hi][f] = best_t;
-        cached_hact[b][hi][f] = best;
+        cached_argmax_[b][hi][f] = best_t;
+        cached_hact_[b][hi][f] = best;
         feats.push_back(std::max(best, 0.0));  // ReLU after max-pool
       }
     }
     // Vertical filters: weighted sums over time per dimension.
-    for (std::size_t f = 0; f < num_v; ++f) {
-      const double* wf = v_filter.value.RowPtr(f);
+    for (std::size_t f = 0; f < num_v_; ++f) {
+      const double* wf = v_filter_.value.RowPtr(f);
       for (std::size_t c = 0; c < d; ++c) {
         double acc = 0.0;
         for (std::size_t t = 0; t < L; ++t) acc += wf[t] * x(t, c);
@@ -282,17 +274,17 @@ struct CaserRecommender::Impl {
   // Backward of Features: dfeats -> filter grads + dX.
   void FeaturesBackward(const std::vector<double>& dfeats, const Matrix& x,
                         std::size_t b, Matrix* dx) {
-    const std::size_t L = config.max_len;
-    const std::size_t d = config.hidden_dim;
+    const std::size_t L = config_.max_len;
+    const std::size_t d = config_.hidden_dim;
     std::size_t idx = 0;
-    for (std::size_t hi = 0; hi < heights.size(); ++hi) {
-      const std::size_t h = heights[hi];
-      for (std::size_t f = 0; f < num_h; ++f) {
+    for (std::size_t hi = 0; hi < heights_.size(); ++hi) {
+      const std::size_t h = heights_[hi];
+      for (std::size_t f = 0; f < num_h_; ++f) {
         double g = dfeats[idx++];
-        if (cached_hact[b][hi][f] <= 0.0) continue;  // ReLU gate
-        const std::size_t t = cached_argmax[b][hi][f];
-        double* wg = h_filters[hi].grad.RowPtr(f);
-        const double* wf = h_filters[hi].value.RowPtr(f);
+        if (cached_hact_[b][hi][f] <= 0.0) continue;  // ReLU gate
+        const std::size_t t = cached_argmax_[b][hi][f];
+        double* wg = h_filters_[hi].grad.RowPtr(f);
+        const double* wf = h_filters_[hi].value.RowPtr(f);
         for (std::size_t r = 0; r < h; ++r) {
           const double* xr = x.RowPtr(t + r);
           double* dxr = dx->RowPtr(t + r);
@@ -303,9 +295,9 @@ struct CaserRecommender::Impl {
         }
       }
     }
-    for (std::size_t f = 0; f < num_v; ++f) {
-      const double* wf = v_filter.value.RowPtr(f);
-      double* wg = v_filter.grad.RowPtr(f);
+    for (std::size_t f = 0; f < num_v_; ++f) {
+      const double* wf = v_filter_.value.RowPtr(f);
+      double* wg = v_filter_.grad.RowPtr(f);
       for (std::size_t c = 0; c < d; ++c) {
         const double g = dfeats[idx++];
         for (std::size_t t = 0; t < L; ++t) {
@@ -319,29 +311,29 @@ struct CaserRecommender::Impl {
   // Full forward to user representations (batch, d).
   Matrix ForwardReps(const data::Batch& batch) {
     const std::size_t B = batch.batch_size;
-    cached_x.assign(B, Matrix());
-    cached_items.assign(B, {});
-    cached_argmax.assign(B, {});
-    cached_hact.assign(B, {});
+    cached_x_.assign(B, Matrix());
+    cached_items_.assign(B, {});
+    cached_argmax_.assign(B, {});
+    cached_hact_.assign(B, {});
     Matrix feats(B, FeatureDim());
     for (std::size_t b = 0; b < B; ++b) {
-      cached_x[b] = SequenceImage(batch, b, &cached_items[b]);
-      feats.SetRow(b, Features(cached_x[b], b));
+      cached_x_[b] = SequenceImage(batch, b, &cached_items_[b]);
+      feats.SetRow(b, Features(cached_x_[b], b));
     }
-    return fc_relu->Forward(fc->Forward(feats));
+    return fc_relu_.Forward(fc_->Forward(feats));
   }
 
   void BackwardReps(const Matrix& dreps) {
-    const Matrix dfeats = fc->Backward(fc_relu->Backward(dreps));
+    const Matrix dfeats = fc_->Backward(fc_relu_.Backward(dreps));
     for (std::size_t b = 0; b < dfeats.rows(); ++b) {
-      Matrix dx(config.max_len, config.hidden_dim);
-      FeaturesBackward(dfeats.Row(b), cached_x[b], b, &dx);
+      Matrix dx(config_.max_len, config_.hidden_dim);
+      FeaturesBackward(dfeats.Row(b), cached_x_[b], b, &dx);
       // Scatter dx rows back into the embedding table (left padding offset).
-      const std::size_t offset = config.max_len - cached_items[b].size();
-      for (std::size_t k = 0; k < cached_items[b].size(); ++k) {
-        double* g = emb.grad.RowPtr(cached_items[b][k]);
+      const std::size_t offset = config_.max_len - cached_items_[b].size();
+      for (std::size_t k = 0; k < cached_items_[b].size(); ++k) {
+        double* g = emb_.grad.RowPtr(cached_items_[b][k]);
         const double* src = dx.RowPtr(offset + k);
-        for (std::size_t c = 0; c < config.hidden_dim; ++c) g[c] += src[c];
+        for (std::size_t c = 0; c < config_.hidden_dim; ++c) g[c] += src[c];
       }
     }
   }
@@ -349,7 +341,6 @@ struct CaserRecommender::Impl {
   // One CE step: predict each sequence's final target.
   double TrainStep(const data::Batch& batch) {
     const Matrix reps = ForwardReps(batch);
-    const Matrix logits = linalg::MatMulTransB(reps, out_emb.value);
     std::vector<std::size_t> targets(batch.batch_size, 0);
     std::vector<double> weights(batch.batch_size, 0.0);
     for (std::size_t b = 0; b < batch.batch_size; ++b) {
@@ -359,60 +350,48 @@ struct CaserRecommender::Impl {
         weights[b] = 1.0;
       }
     }
-    Matrix dlogits;
-    const double loss =
-        nn::SoftmaxCrossEntropy(logits, targets, weights, &dlogits);
-    const Matrix dreps = linalg::MatMul(dlogits, out_emb.value);
-    linalg::MatMulTransAAcc(dlogits, reps, &out_emb.grad);
+    Matrix dreps;
+    const double loss = nn::StreamingSoftmaxCrossEntropy(
+        reps, out_emb_.value, targets, weights, &dreps, &out_emb_.grad);
     BackwardReps(dreps);
     return loss;
   }
 
-  Matrix Score(const data::Batch& batch) {
-    const Matrix reps = ForwardReps(batch);
-    return linalg::MatMulTransB(reps, out_emb.value);
-  }
+  SasRecConfig config_;
+  std::size_t num_items_;
+  std::size_t num_h_;  // horizontal filters per height
+  std::size_t num_v_;  // vertical filters
+  std::vector<std::size_t> heights_ = {2, 3, 4};
+  linalg::Rng rng_;
+
+  nn::Parameter emb_;      // (N, d) input embeddings
+  nn::Parameter out_emb_;  // (N, d) output embeddings
+  // Horizontal filter bank: one parameter per height, shape (num_h, h*d).
+  std::vector<nn::Parameter> h_filters_;
+  nn::Parameter v_filter_;  // (num_v, L)
+  std::unique_ptr<nn::Linear> fc_;
+  nn::ReLU fc_relu_;
+  TrainResult result_;
+
+  // Forward caches.
+  std::vector<Matrix> cached_x_;                        // per sequence (L, d)
+  std::vector<std::vector<std::size_t>> cached_items_;  // gathered item ids
+  // argmax positions: [seq][height][filter] and pre-ReLU activations.
+  std::vector<std::vector<std::vector<std::size_t>>> cached_argmax_;
+  std::vector<std::vector<std::vector<double>>> cached_hact_;
 };
 
-CaserRecommender::CaserRecommender(const data::Dataset& dataset,
-                                   const SasRecConfig& config,
-                                   std::size_t horizontal_filters,
-                                   std::size_t vertical_filters)
-    : impl_(std::make_unique<Impl>(dataset, config, horizontal_filters,
-                                   vertical_filters)) {}
-CaserRecommender::~CaserRecommender() = default;
+}  // namespace
 
-std::size_t CaserRecommender::num_items() const { return impl_->num_items; }
-
-Matrix CaserRecommender::ScoreLastPositions(const data::Batch& batch) {
-  return impl_->Score(batch);
+std::unique_ptr<TrainableRecommender> MakeFpmc(const data::Dataset& dataset,
+                                               std::size_t dim) {
+  return std::make_unique<FpmcRecommender>(dataset, dim, /*seed=*/17);
 }
 
-std::size_t CaserRecommender::NumParameters() {
-  std::size_t n = 0;
-  for (nn::Parameter* p : impl_->Parameters()) n += p->NumElements();
-  return n;
-}
-
-const TrainResult& CaserRecommender::Fit(const data::Split& split,
-                                         const TrainConfig& config) {
-  Impl& im = *impl_;
-  linalg::Rng shuffle_rng(config.seed);
-  TrainTask task;
-  task.recommender = this;
-  task.max_len = im.config.max_len;
-  task.params = im.Parameters();
-  task.rngs = {{"shuffle", &shuffle_rng}};  // Caser has no dropout
-  task.run_epoch = WindowEpoch(
-      split, im.config.max_len, config.batch_size, &shuffle_rng,
-      [&im](const data::Batch& batch) { return im.TrainStep(batch); });
-  im.result = TrainRecommender(task, split, config);
-  return im.result;
-}
-
-std::unique_ptr<CaserRecommender> MakeCaser(const data::Dataset& dataset,
-                                            const SasRecConfig& config) {
-  return std::make_unique<CaserRecommender>(dataset, config);
+std::unique_ptr<TrainableRecommender> MakeCaser(const data::Dataset& dataset,
+                                                const SasRecConfig& config) {
+  return std::make_unique<CaserRecommender>(dataset, config,
+                                            /*nh=*/4, /*nv=*/2);
 }
 
 }  // namespace seqrec

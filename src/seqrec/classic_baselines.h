@@ -2,7 +2,6 @@
 #define WHITENREC_SEQREC_CLASSIC_BASELINES_H_
 
 #include <memory>
-#include <string>
 
 #include "data/dataset.h"
 #include "seqrec/trainer.h"
@@ -18,24 +17,10 @@ namespace seqrec {
 // FPMC (Rendle et al.): score(u, prev, i) = <v_u, v_i^(UI)> +
 // <v_prev^(IL), v_i^(LI)>, trained with BPR over sampled negatives. The
 // sequence signal is a first-order Markov transition from the most recent
-// item.
-class FpmcRecommender : public Recommender {
- public:
-  FpmcRecommender(const data::Dataset& dataset, std::size_t dim,
-                  std::uint64_t seed = 17);
-  ~FpmcRecommender() override;
-
-  std::string name() const override { return "FPMC(ID)"; }
-  std::size_t num_items() const override;
-  linalg::Matrix ScoreLastPositions(const data::Batch& batch) override;
-
-  const TrainResult& Fit(const data::Split& split, const TrainConfig& config);
-  std::size_t NumParameters();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
+// item. It scores as one inner product over the two factor pairs placed
+// side by side.
+std::unique_ptr<TrainableRecommender> MakeFpmc(const data::Dataset& dataset,
+                                               std::size_t dim);
 
 // Caser (Tang & Wang): the last L item embeddings form an L x d "image";
 // horizontal convolutions (heights 2..4, max-pooled over time) capture
@@ -43,29 +28,8 @@ class FpmcRecommender : public Recommender {
 // aggregation. Features feed a fully connected layer whose output scores
 // the catalog against a separate output item embedding. Trained with
 // full-softmax cross-entropy on the next item of each window.
-class CaserRecommender : public Recommender {
- public:
-  CaserRecommender(const data::Dataset& dataset, const SasRecConfig& config,
-                   std::size_t horizontal_filters = 4,
-                   std::size_t vertical_filters = 2);
-  ~CaserRecommender() override;
-
-  std::string name() const override { return "Caser(ID)"; }
-  std::size_t num_items() const override;
-  linalg::Matrix ScoreLastPositions(const data::Batch& batch) override;
-
-  const TrainResult& Fit(const data::Split& split, const TrainConfig& config);
-  std::size_t NumParameters();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-std::unique_ptr<FpmcRecommender> MakeFpmc(const data::Dataset& dataset,
-                                          std::size_t dim);
-std::unique_ptr<CaserRecommender> MakeCaser(const data::Dataset& dataset,
-                                            const SasRecConfig& config);
+std::unique_ptr<TrainableRecommender> MakeCaser(const data::Dataset& dataset,
+                                                const SasRecConfig& config);
 
 }  // namespace seqrec
 }  // namespace whitenrec

@@ -2,7 +2,6 @@
 #define WHITENREC_SEQREC_EXTENDED_BASELINES_H_
 
 #include <memory>
-#include <string>
 
 #include "data/dataset.h"
 #include "seqrec/trainer.h"
@@ -19,48 +18,14 @@ namespace seqrec {
 
 // GRU4Rec: ID embeddings -> GRU -> inner-product prediction, trained with
 // the same all-position full-softmax cross-entropy as the SASRec backbone.
-class Gru4RecRecommender : public Recommender {
- public:
-  Gru4RecRecommender(const data::Dataset& dataset, const SasRecConfig& config);
-  ~Gru4RecRecommender() override;
-
-  std::string name() const override { return "GRU4Rec(ID)"; }
-  std::size_t num_items() const override;
-  linalg::Matrix ScoreLastPositions(const data::Batch& batch) override;
-
-  const TrainResult& Fit(const data::Split& split, const TrainConfig& config);
-  std::size_t NumParameters();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
+std::unique_ptr<TrainableRecommender> MakeGru4Rec(const data::Dataset& dataset,
+                                                  const SasRecConfig& config);
 
 // BERT4Rec: ID embeddings -> bidirectional Transformer trained with a
 // masked-item (cloze) objective; inference appends a [mask] token after the
 // context and ranks the catalog at that position.
-class Bert4RecRecommender : public Recommender {
- public:
-  Bert4RecRecommender(const data::Dataset& dataset, const SasRecConfig& config,
-                      double mask_prob = 0.3);
-  ~Bert4RecRecommender() override;
-
-  std::string name() const override { return "BERT4Rec(ID)"; }
-  std::size_t num_items() const override;
-  linalg::Matrix ScoreLastPositions(const data::Batch& batch) override;
-
-  const TrainResult& Fit(const data::Split& split, const TrainConfig& config);
-  std::size_t NumParameters();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-std::unique_ptr<Gru4RecRecommender> MakeGru4Rec(const data::Dataset& dataset,
-                                                const SasRecConfig& config);
-std::unique_ptr<Bert4RecRecommender> MakeBert4Rec(const data::Dataset& dataset,
-                                                  const SasRecConfig& config);
+std::unique_ptr<TrainableRecommender> MakeBert4Rec(
+    const data::Dataset& dataset, const SasRecConfig& config);
 
 }  // namespace seqrec
 }  // namespace whitenrec

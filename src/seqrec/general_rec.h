@@ -2,8 +2,6 @@
 #define WHITENREC_SEQREC_GENERAL_REC_H_
 
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "data/dataset.h"
 #include "seqrec/trainer.h"
@@ -23,32 +21,12 @@ namespace seqrec {
 // confidences, lowest-confidence edges pruned, propagation detached from the
 // gradient; BM3's bootstrap losses are realized as symmetric InfoNCE terms
 // (user <-> positive item, and ID-view <-> text-view of the same item).
-class GeneralRecommender : public Recommender {
- public:
-  enum class Kind { kGrcn, kBm3 };
-
-  GeneralRecommender(Kind kind, const data::Dataset& dataset,
-                     std::size_t dim, std::uint64_t seed);
-  ~GeneralRecommender() override;
-
-  std::string name() const override;
-  std::size_t num_items() const override;
-  linalg::Matrix ScoreLastPositions(const data::Batch& batch) override;
-
-  const TrainResult& Fit(const data::Split& split, const TrainConfig& config);
-  std::size_t NumParameters();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-std::unique_ptr<GeneralRecommender> MakeGrcn(const data::Dataset& dataset,
-                                             std::size_t dim,
-                                             std::uint64_t seed = 11);
-std::unique_ptr<GeneralRecommender> MakeBm3(const data::Dataset& dataset,
-                                            std::size_t dim,
-                                            std::uint64_t seed = 12);
+std::unique_ptr<TrainableRecommender> MakeGrcn(const data::Dataset& dataset,
+                                               std::size_t dim,
+                                               std::uint64_t seed = 11);
+std::unique_ptr<TrainableRecommender> MakeBm3(const data::Dataset& dataset,
+                                              std::size_t dim,
+                                              std::uint64_t seed = 12);
 
 }  // namespace seqrec
 }  // namespace whitenrec

@@ -35,12 +35,6 @@ std::vector<nn::Parameter*> SasRecModel::Parameters() {
   return params;
 }
 
-std::size_t SasRecModel::NumParameters() {
-  std::size_t n = 0;
-  for (nn::Parameter* p : Parameters()) n += p->NumElements();
-  return n;
-}
-
 Matrix SasRecModel::EncodeItems(bool train) { return encoder_->Forward(train); }
 
 Matrix SasRecModel::EmbedInputs(const data::Batch& batch, const Matrix& v,

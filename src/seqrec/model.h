@@ -46,7 +46,6 @@ class SasRecModel {
   linalg::Rng* rng() { return &rng_; }
 
   std::vector<nn::Parameter*> Parameters();
-  std::size_t NumParameters();
 
   // --- Granular API ------------------------------------------------------
   // Item representations V (num_items, d).

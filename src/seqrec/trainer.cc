@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/parallel.h"
 #include "seqrec/checkpoint.h"
 #include "eval/alignment_uniformity.h"
 #include "eval/conditioning.h"
@@ -108,7 +107,6 @@ eval::MetricAccumulator RankInstances(
     std::size_t max_len, std::size_t batch_size,
     std::vector<std::size_t> ks) {
   eval::MetricAccumulator acc(std::move(ks));
-  const std::size_t num_items = recommender->num_items();
   const std::vector<data::Batch> batches =
       data::MakeEvalBatches(instances, max_len, batch_size);
   Matrix users;
@@ -116,35 +114,11 @@ eval::MetricAccumulator RankInstances(
   std::size_t inst_base = 0;
   for (const data::Batch& batch : batches) {
     std::vector<std::size_t> ranks(batch.batch_size);
-    if (recommender->ScoreFactors(batch, &users, &item_table)) {
-      RankBatchStreaming(batch, users, item_table, instances, inst_base,
-                         train_sequences, &ranks);
-    } else {
-      // Scores that are not an inner product (FPMC, Caser, GRU4Rec, ...)
-      // arrive as a full score matrix. Rank every user of the batch in
-      // parallel (each user's rank is an independent full-catalog sweep),
-      // then accumulate serially in instance order so the metric sums never
-      // depend on the thread count.
-      const Matrix scores = recommender->ScoreLastPositions(batch);
-      core::ParallelFor(0, batch.batch_size, 1, [&](std::size_t b0,
-                                                    std::size_t b1) {
-        // One allocation per chunk (not per user): the exclusion scratch is
-        // reused across the chunk via assign().
-        // whitenrec-analyze: allow(hot-alloc)
-        std::vector<char> excluded(num_items, 0);
-        for (std::size_t b = b0; b < b1; ++b) {
-          const data::EvalInstance& inst = instances[inst_base + b];
-          excluded.assign(num_items, 0);
-          if (inst.user < train_sequences.size()) {
-            for (std::size_t item : train_sequences[inst.user]) {
-              excluded[item] = 1;
-            }
-          }
-          ranks[b] = eval::RankOfTarget(scores.RowPtr(b), num_items,
-                                        inst.target, excluded);
-        }
-      });
-    }
+    const bool factored =
+        recommender->ScoreFactors(batch, &users, &item_table);
+    WR_CHECK(factored);
+    RankBatchStreaming(batch, users, item_table, instances, inst_base,
+                       train_sequences, &ranks);
     for (std::size_t b = 0; b < batch.batch_size; ++b) acc.AddRank(ranks[b]);
     inst_base += batch.batch_size;
   }
@@ -168,6 +142,20 @@ void RestoreParams(const std::vector<Matrix>& snapshot,
 }
 
 }  // namespace
+
+Matrix Recommender::ScoreLastPositions(const data::Batch& batch) {
+  Matrix users;
+  Matrix items;
+  const bool factored = ScoreFactors(batch, &users, &items);
+  WR_CHECK(factored);
+  return linalg::MatMulTransB(users, items);
+}
+
+std::size_t TrainableRecommender::NumParameters() {
+  std::size_t n = 0;
+  for (const nn::Parameter* p : Parameters()) n += p->NumElements();
+  return n;
+}
 
 TrainResult TrainRecommender(const TrainTask& task, const data::Split& split,
                              const TrainConfig& config) {
@@ -379,9 +367,7 @@ const TrainResult& SasRecRecommender::Fit(const data::Split& split,
   TrainTask task;
   task.recommender = this;
   task.max_len = max_len;
-  task.params = model->Parameters();
-  task.params.insert(task.params.end(), extra_params_.begin(),
-                     extra_params_.end());
+  task.params = Parameters();
   task.rngs = {{"shuffle", &shuffle_rng},
                {"analysis", &analysis_rng},
                {"model", model->rng()}};
@@ -421,10 +407,10 @@ const TrainResult& SasRecRecommender::Fit(const data::Split& split,
   return result_;
 }
 
-std::size_t SasRecRecommender::NumParameters() const {
-  std::size_t n = model_->NumParameters();
-  for (const nn::Parameter* p : extra_params_) n += p->NumElements();
-  return n;
+std::vector<nn::Parameter*> SasRecRecommender::Parameters() {
+  std::vector<nn::Parameter*> params = model_->Parameters();
+  params.insert(params.end(), extra_params_.begin(), extra_params_.end());
+  return params;
 }
 
 std::vector<std::vector<std::size_t>> TopKRecommendations(
@@ -433,16 +419,14 @@ std::vector<std::vector<std::size_t>> TopKRecommendations(
     std::size_t max_len, std::size_t k, std::size_t batch_size,
     linalg::Scorer* scorer) {
   WR_CHECK_GT(k, 0u);
-  const std::size_t num_items = recommender->num_items();
   std::vector<std::vector<std::size_t>> out;
   out.reserve(instances.size());
   const std::vector<data::Batch> batches =
       data::MakeEvalBatches(instances, max_len, batch_size);
-  // Factorized batches route through the Scorer seam (linalg/scorer.h): the
-  // exact streaming scorer by default (identical lists to the full-score
-  // selection below — same strict total order), or an injected `scorer`
-  // such as retrieval's IVF backend. The scorer indexes the item table once:
-  // eval re-encodes a bitwise-identical table per batch into the same Matrix
+  // Batches route through the Scorer seam (linalg/scorer.h): the exact
+  // streaming scorer by default, or an injected `scorer` such as
+  // retrieval's IVF backend. The scorer indexes the item table once: eval
+  // re-encodes a bitwise-identical table per batch into the same Matrix
   // object, so the borrowed table stays valid and current across batches.
   std::unique_ptr<linalg::Scorer> owned_scorer;
   bool scorer_ready = false;
@@ -451,70 +435,39 @@ std::vector<std::vector<std::size_t>> TopKRecommendations(
   std::size_t inst_base = 0;
   for (const data::Batch& batch : batches) {
     const std::size_t rows = batch.batch_size;
-    std::vector<std::vector<std::size_t>> lists(rows);
-    if (recommender->ScoreFactors(batch, &users, &item_table)) {
-      // One bounded selector per user: O(k) ranking state per row, never a
-      // full score row, for the exact and the IVF backend alike.
-      std::vector<std::vector<std::size_t>> exclusions(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        const data::EvalInstance& inst = instances[inst_base + b];
-        if (inst.user < train_sequences.size()) {
-          exclusions[b] = train_sequences[inst.user];
-          std::sort(exclusions[b].begin(), exclusions[b].end());
-        }
+    const bool factored =
+        recommender->ScoreFactors(batch, &users, &item_table);
+    WR_CHECK(factored);
+    // One bounded selector per user: O(k) ranking state per row, never a
+    // full score row, for the exact and the IVF backend alike.
+    std::vector<std::vector<std::size_t>> exclusions(rows);
+    for (std::size_t b = 0; b < rows; ++b) {
+      const data::EvalInstance& inst = instances[inst_base + b];
+      if (inst.user < train_sequences.size()) {
+        exclusions[b] = train_sequences[inst.user];
+        std::sort(exclusions[b].begin(), exclusions[b].end());
       }
-      std::vector<linalg::TopKSelector> selectors;
-      selectors.reserve(rows);
-      for (std::size_t b = 0; b < rows; ++b) selectors.emplace_back(k);
-      if (!scorer_ready) {
-        if (scorer == nullptr) {
-          owned_scorer = linalg::MakeExactScorer();
-          scorer = owned_scorer.get();
-        }
-        scorer->Rebuild(item_table);
-        scorer_ready = true;
-      }
-      scorer->TopKBatch(users, exclusions, &selectors);
-      for (std::size_t b = 0; b < rows; ++b) {
-        const std::vector<linalg::ScoredItem> top =
-            selectors[b].SortedDescending();
-        lists[b].reserve(top.size());
-        for (const linalg::ScoredItem& si : top) lists[b].push_back(si.item);
-      }
-    } else {
-      const Matrix scores = recommender->ScoreLastPositions(batch);
-      core::ParallelFor(0, rows, 1, [&](std::size_t b0, std::size_t b1) {
-        // Non-factorized recommenders: per-chunk scratch, reused across the
-        // chunk; factorized ones go through the Scorer instead.
-        // whitenrec-analyze: allow(hot-alloc)
-        std::vector<char> excluded(num_items, 0);
-        std::vector<linalg::ScoredItem> cands;
-        cands.reserve(num_items);
-        for (std::size_t b = b0; b < b1; ++b) {
-          const data::EvalInstance& inst = instances[inst_base + b];
-          excluded.assign(num_items, 0);
-          if (inst.user < train_sequences.size()) {
-            for (std::size_t item : train_sequences[inst.user]) {
-              excluded[item] = 1;
-            }
-          }
-          cands.clear();
-          const double* row = scores.RowPtr(b);
-          for (std::size_t i = 0; i < num_items; ++i) {
-            if (!excluded[i]) cands.push_back(linalg::ScoredItem{row[i], i});
-          }
-          const std::size_t take = std::min(k, cands.size());
-          std::partial_sort(cands.begin(),
-                            cands.begin() + static_cast<std::ptrdiff_t>(take),
-                            cands.end(), linalg::RanksBefore);
-          lists[b].reserve(take);
-          for (std::size_t i = 0; i < take; ++i) {
-            lists[b].push_back(cands[i].item);
-          }
-        }
-      });
     }
-    for (std::size_t b = 0; b < rows; ++b) out.push_back(std::move(lists[b]));
+    std::vector<linalg::TopKSelector> selectors;
+    selectors.reserve(rows);
+    for (std::size_t b = 0; b < rows; ++b) selectors.emplace_back(k);
+    if (!scorer_ready) {
+      if (scorer == nullptr) {
+        owned_scorer = linalg::MakeExactScorer();
+        scorer = owned_scorer.get();
+      }
+      scorer->Rebuild(item_table);
+      scorer_ready = true;
+    }
+    scorer->TopKBatch(users, exclusions, &selectors);
+    for (std::size_t b = 0; b < rows; ++b) {
+      const std::vector<linalg::ScoredItem> top =
+          selectors[b].SortedDescending();
+      std::vector<std::size_t> list;
+      list.reserve(top.size());
+      for (const linalg::ScoredItem& si : top) list.push_back(si.item);
+      out.push_back(std::move(list));
+    }
     inst_base += rows;
   }
   return out;

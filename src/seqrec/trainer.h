@@ -84,26 +84,40 @@ using StepFn = std::function<double(SasRecModel*, const data::Batch&)>;
 // Named RNG streams; checkpoints save and restore them in list order.
 using RngStreams = std::vector<std::pair<std::string, linalg::Rng*>>;
 
-// Generic recommender interface used by benches: anything that can score
-// the full catalog for a batch of contexts.
+// Anything that ranks the catalog for a batch of contexts. Every score is
+// an inner product (paper Fig. 1's prediction layer): ScoreFactors fills
+// *users (batch_size, d) and *items (num_items, d) with
+// scores = users * items^T, and every ranking path (EvaluateRanking,
+// TopKRecommendations, serving) streams that product tile by tile instead
+// of materializing it.
 class Recommender {
  public:
   virtual ~Recommender() = default;
   virtual std::string name() const = 0;
   virtual std::size_t num_items() const = 0;
-  // Scores (batch_size, num_items) for each sequence's last position.
-  virtual linalg::Matrix ScoreLastPositions(const data::Batch& batch) = 0;
-  // Factored scores: fills *users (batch_size, d) and *items (num_items, d)
-  // with scores = users * items^T and returns true. Recommenders whose
-  // scores are not an inner product return false (the default), and the
-  // streaming evaluation path falls back to ScoreLastPositions for them.
+  // Fills the factors of each sequence's last position and returns true.
+  // The bool is kept for existing overrides (perfbench's ModelView); the
+  // ranking paths check it.
   virtual bool ScoreFactors(const data::Batch& batch, linalg::Matrix* users,
-                            linalg::Matrix* items) {
-    (void)batch;
-    (void)users;
-    (void)items;
-    return false;
-  }
+                            linalg::Matrix* items) = 0;
+  // The full (batch_size, num_items) score matrix users * items^T, for
+  // tests and sampled metrics; full ranking never calls it.
+  virtual linalg::Matrix ScoreLastPositions(const data::Batch& batch);
+};
+
+// A recommender this library trains: every model factory returns one, and
+// every Fit runs TrainRecommender below.
+class TrainableRecommender : public Recommender {
+ public:
+  // Trains on split.train, early-stopping on validation N@20, and leaves
+  // the best epoch's parameters in place when config.restore_best is set.
+  virtual const TrainResult& Fit(const data::Split& split,
+                                 const TrainConfig& config) = 0;
+  // Everything Fit updates, in a fixed order: what a checkpoint saves and
+  // nn::LoadParameters restores.
+  virtual std::vector<nn::Parameter*> Parameters() = 0;
+  // Total scalar count over Parameters().
+  std::size_t NumParameters();
 };
 
 // One model's share of a training run. TrainRecommender owns the epoch loop
@@ -170,21 +184,22 @@ std::function<double(nn::Adam*)> WindowEpoch(
 // SASRec-backbone recommender: owns the model and trains it through
 // TrainRecommender. Extra trainable parameters from auxiliary tasks can be
 // added before Fit().
-class SasRecRecommender : public Recommender {
+class SasRecRecommender : public TrainableRecommender {
  public:
   SasRecRecommender(std::string name, std::unique_ptr<ItemEncoder> encoder,
                     const SasRecConfig& model_config);
 
   std::string name() const override { return name_; }
   std::size_t num_items() const override { return model_->num_items(); }
-  linalg::Matrix ScoreLastPositions(const data::Batch& batch) override {
-    return model_->ScoreLastPositions(batch);
-  }
   bool ScoreFactors(const data::Batch& batch, linalg::Matrix* users,
                     linalg::Matrix* items) override {
     model_->ScoreFactors(batch, users, items);
     return true;
   }
+  const TrainResult& Fit(const data::Split& split,
+                         const TrainConfig& config) override;
+  // The model's parameters, then the extra ones in the order added.
+  std::vector<nn::Parameter*> Parameters() override;
 
   SasRecModel* model() { return model_.get(); }
   void AddExtraParameters(const std::vector<nn::Parameter*>& params);
@@ -194,10 +209,6 @@ class SasRecRecommender : public Recommender {
     step_ = std::move(step);
     step_rngs_ = std::move(rngs);
   }
-
-  const TrainResult& Fit(const data::Split& split, const TrainConfig& config);
-  const TrainResult& train_result() const { return result_; }
-  std::size_t NumParameters() const;
 
  private:
   std::string name_;
@@ -210,16 +221,15 @@ class SasRecRecommender : public Recommender {
 
 // Top-K recommendation lists: for each instance, the K best-scoring items
 // (excluding the user's training items), ordered by score descending with
-// ties broken toward the smaller item id. Factorizable recommenders route
-// through the linalg::Scorer seam — by default the exact streaming bounded
-// top-K selector (O(K) state per user, score panels consumed tile-by-tile),
-// whose lists are IDENTICAL to selecting from the full score row
+// ties broken toward the smaller item id. The factors route through the
+// linalg::Scorer seam — by default the exact streaming bounded top-K
+// selector (O(K) state per user, score panels consumed tile-by-tile), whose
+// lists are IDENTICAL to selecting from the full score row
 // (tests/topk_test.cc). A caller-injected `scorer` (e.g.
 // retrieval::MakeScorer for the sublinear IVF index; recall-vs-exact
 // reported by bench_ann) is rebuilt on this eval's item table and replaces
 // the exact one — injection keeps seqrec below the backend modules in the
-// include-graph layering (tools/analyze). Recommenders without factored
-// scores are ranked from ScoreLastPositions.
+// include-graph layering (tools/analyze).
 std::vector<std::vector<std::size_t>> TopKRecommendations(
     Recommender* recommender, const std::vector<data::EvalInstance>& instances,
     const std::vector<std::vector<std::size_t>>& train_sequences,

@@ -4,6 +4,8 @@
 //     boundary, single bit-flips, missing files — all must surface as typed
 //     errors, never crashes or silently wrong state)
 //   - full-state checkpoints (bitwise save/load round trip)
+//   - a trained model's Parameters(), saved and loaded into a fresh model
+//     from the same factory, reproducing its test scores bitwise
 //   - kill-and-resume at every epoch boundary reproducing the uninterrupted
 //     run's TrainResult bitwise (timing fields excluded), for one model of
 //     each training family
@@ -15,6 +17,7 @@
 // it must hold under any injected fault schedule (a failed save degrades to
 // more retraining, never to a different result).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -24,7 +27,6 @@
 #include <memory>
 #include <ostream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,9 +38,8 @@
 #include "nn/serialize.h"
 #include "seqrec/baselines.h"
 #include "seqrec/checkpoint.h"
-#include "seqrec/classic_baselines.h"
-#include "seqrec/general_rec.h"
 #include "seqrec/trainer.h"
+#include "all_models.h"
 
 namespace whitenrec {
 namespace seqrec {
@@ -541,7 +542,7 @@ SasRecConfig TinyModelConfig() {
 
 struct RunOutput {
   TrainResult result;
-  std::vector<Matrix> params;  // final parameter values (SASRec models)
+  std::vector<Matrix> params;  // final values of every learned parameter
   Matrix test_scores;          // full-catalog scores of a test batch
   EvalResult test_eval;
 };
@@ -549,9 +550,9 @@ struct RunOutput {
 // One full training trial of `rec` from identical initial conditions. With
 // `resume` and a populated `checkpoint_dir` the run continues from the
 // newest loadable generation.
-template <typename Rec>
-RunOutput FitAndCollect(Rec* rec, const std::string& checkpoint_dir,
-                        std::size_t epochs, bool resume) {
+RunOutput FitAndCollect(TrainableRecommender* rec,
+                        const std::string& checkpoint_dir, std::size_t epochs,
+                        bool resume) {
   const data::Split split = data::LeaveOneOutSplit(TinyData().dataset);
   TrainConfig config;
   config.epochs = epochs;
@@ -563,10 +564,8 @@ RunOutput FitAndCollect(Rec* rec, const std::string& checkpoint_dir,
   config.resume = resume;
   RunOutput out;
   out.result = rec->Fit(split, config);
-  if constexpr (std::is_same_v<Rec, SasRecRecommender>) {
-    for (const nn::Parameter* p : rec->model()->Parameters()) {
-      out.params.push_back(p->value);
-    }
+  for (const nn::Parameter* p : rec->Parameters()) {
+    out.params.push_back(p->value);
   }
   const std::size_t max_len = TinyModelConfig().max_len;
   out.test_scores = rec->ScoreLastPositions(
@@ -621,25 +620,28 @@ void ExpectSameParams(const std::vector<Matrix>& want,
 // One model per training family: the SASRec backbone with the plain and
 // with an auxiliary-task step, a separate sequence model, a BPR model over a
 // carried triple order, and a general model over a carried pair order.
-struct ResumeCase {
-  std::string name;
-  std::function<RunOutput(const std::string&, std::size_t, bool)> run;
+std::vector<ModelFactory> TrainingFamilies() {
+  const std::vector<std::string> names = {"SasRecId", "Cl4SRec", "Fdsa",
+                                          "Fpmc", "Grcn"};
+  std::vector<ModelFactory> families;
+  for (ModelFactory& factory : AllModelFactories(TinyModelConfig())) {
+    if (std::find(names.begin(), names.end(), factory.name) != names.end()) {
+      families.push_back(std::move(factory));
+    }
+  }
+  return families;
+}
+
+class TrainResumeTest : public ::testing::TestWithParam<ModelFactory> {
+ protected:
+  // One full training trial of a fresh model from the family's factory.
+  static RunOutput Run(const std::string& checkpoint_dir, std::size_t epochs,
+                       bool resume) {
+    const std::unique_ptr<TrainableRecommender> rec =
+        GetParam().make(TinyData().dataset);
+    return FitAndCollect(rec.get(), checkpoint_dir, epochs, resume);
+  }
 };
-
-template <typename Make>
-ResumeCase Family(std::string name, Make make) {
-  return {std::move(name),
-          [make](const std::string& dir, std::size_t epochs, bool resume) {
-            auto rec = make(TinyData().dataset);
-            return FitAndCollect(rec.get(), dir, epochs, resume);
-          }};
-}
-
-void PrintTo(const ResumeCase& family, std::ostream* os) {
-  *os << family.name;
-}
-
-class TrainResumeTest : public ::testing::TestWithParam<ResumeCase> {};
 
 // The tentpole guarantee: kill the run at EVERY epoch boundary, resume, and
 // the completed run must be bitwise identical to one that never died —
@@ -648,8 +650,8 @@ class TrainResumeTest : public ::testing::TestWithParam<ResumeCase> {};
 // and unreadable generations must degrade to extra retraining, never to a
 // different result.
 TEST_P(TrainResumeTest, KillAtEveryEpochBoundaryResumesBitwise) {
-  const ResumeCase& family = GetParam();
-  const RunOutput uninterrupted = family.run("", kSweepEpochs, false);
+  const ModelFactory& family = GetParam();
+  const RunOutput uninterrupted = Run("", kSweepEpochs, false);
   ASSERT_EQ(uninterrupted.result.epochs.size(), kSweepEpochs);
   for (std::size_t kill = 1; kill < kSweepEpochs; ++kill) {
     const std::string dir =
@@ -659,7 +661,7 @@ TEST_P(TrainResumeTest, KillAtEveryEpochBoundaryResumesBitwise) {
     // abandon the process state. Only the checkpoint directory survives.
     const std::uint64_t faults_before =
         core::FaultInjector::Global().stats().injected();
-    (void)family.run(dir, kill, false);
+    (void)Run(dir, kill, false);
     // A model that ignored checkpoint_dir would pass the comparison below
     // by retraining from scratch; the generation on disk rules that out
     // whenever no injected fault could have eaten the writes.
@@ -668,7 +670,7 @@ TEST_P(TrainResumeTest, KillAtEveryEpochBoundaryResumesBitwise) {
           << family.name << " left no generation after " << kill
           << " epochs";
     }
-    const RunOutput resumed = family.run(dir, kSweepEpochs, true);
+    const RunOutput resumed = Run(dir, kSweepEpochs, true);
     ExpectSameResult(uninterrupted.result, resumed.result);
     ExpectSameParams(uninterrupted.params, resumed.params);
     EXPECT_TRUE(MatrixBitsEqual(uninterrupted.test_scores,
@@ -681,26 +683,44 @@ TEST_P(TrainResumeTest, KillAtEveryEpochBoundaryResumesBitwise) {
   }
 }
 
+// Parameters() holds everything Fit learns: saved with nn::SaveParameters
+// and loaded into a fresh model from the same factory, they reproduce the
+// trained model's test scores bitwise.
+TEST_P(TrainResumeTest, SavedParametersReloadIntoAFreshModelBitwise) {
+  core::ScopedFaultConfig cfg(1, 0.0);  // asserts successful I/O
+  const ModelFactory& family = GetParam();
+  const data::Split split = data::LeaveOneOutSplit(TinyData().dataset);
+  const std::unique_ptr<TrainableRecommender> trained =
+      family.make(TinyData().dataset);
+  const RunOutput want = FitAndCollect(trained.get(), "", 3, false);
+  const std::string path = TempPath("reload_" + family.name + ".wrc");
+  ASSERT_TRUE(nn::SaveParameters(path, trained->Parameters()).ok());
+
+  const std::unique_ptr<TrainableRecommender> fresh =
+      family.make(TinyData().dataset);
+  // Zero epochs move no parameter, but Fit reads the split as the trained
+  // model's did: GRCN builds its interaction graph from it.
+  TrainConfig no_epochs;
+  no_epochs.epochs = 0;
+  fresh->Fit(split, no_epochs);
+  const std::size_t max_len = TinyModelConfig().max_len;
+  const data::Batch batch =
+      data::MakeEvalBatches(split.test, max_len, /*batch_size=*/64)[0];
+  EXPECT_FALSE(MatrixBitsEqual(fresh->ScoreLastPositions(batch),
+                               want.test_scores));
+  ASSERT_TRUE(nn::LoadParameters(path, fresh->Parameters()).ok());
+  EXPECT_TRUE(MatrixBitsEqual(fresh->ScoreLastPositions(batch),
+                              want.test_scores));
+  const EvalResult reloaded =
+      EvaluateRanking(fresh.get(), split.test, split.train, max_len);
+  EXPECT_TRUE(BitsEqual(reloaded.ndcg20, want.test_eval.ndcg20));
+  EXPECT_TRUE(BitsEqual(reloaded.recall50, want.test_eval.recall50));
+  std::filesystem::remove(path);
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Families, TrainResumeTest,
-    ::testing::Values(
-        Family("SasRecId",
-               [](const data::Dataset& ds) {
-                 return MakeSasRecId(ds, TinyModelConfig());
-               }),
-        Family("Cl4SRec",
-               [](const data::Dataset& ds) {
-                 return MakeCl4SRec(ds, TinyModelConfig());
-               }),
-        Family("Fdsa",
-               [](const data::Dataset& ds) {
-                 return MakeFdsa(ds, TinyModelConfig());
-               }),
-        Family("Fpmc",
-               [](const data::Dataset& ds) { return MakeFpmc(ds, 16); }),
-        Family("Grcn",
-               [](const data::Dataset& ds) { return MakeGrcn(ds, 16); })),
-    [](const ::testing::TestParamInfo<ResumeCase>& family) {
+    Families, TrainResumeTest, ::testing::ValuesIn(TrainingFamilies()),
+    [](const ::testing::TestParamInfo<ModelFactory>& family) {
       return family.param.name;
     });
 

@@ -6,7 +6,6 @@
 // reproducibility". Also exercised under ThreadSanitizer via check-tsan.
 
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -105,7 +104,7 @@ const data::GeneratedData& TinyData() {
 struct RunOutcome {
   std::vector<double> losses;
   std::vector<double> valid_ndcg;
-  std::vector<Matrix> params;  // SASRec models expose their parameters
+  std::vector<Matrix> params;  // every learned parameter, in order
   Matrix test_scores;          // full-catalog scores of a test batch
   seqrec::EvalResult eval;
 };
@@ -125,8 +124,8 @@ seqrec::SasRecConfig TinyModelConfig() {
 // One fresh 3-epoch training of `rec` + full eval at `threads`. Everything
 // stochastic (init, shuffling, dropout) is seeded, so any divergence between
 // runs can only come from the parallel kernels.
-template <typename Rec>
-RunOutcome RunTraining(std::unique_ptr<Rec> rec, std::size_t threads) {
+RunOutcome RunTraining(std::unique_ptr<seqrec::TrainableRecommender> rec,
+                       std::size_t threads) {
   ScopedThreads guard(threads);
   const data::Split split = data::LeaveOneOutSplit(TinyData().dataset);
   seqrec::TrainConfig tc;
@@ -142,10 +141,8 @@ RunOutcome RunTraining(std::unique_ptr<Rec> rec, std::size_t threads) {
     out.losses.push_back(log.train_loss);
     out.valid_ndcg.push_back(log.valid_ndcg20);
   }
-  if constexpr (std::is_same_v<Rec, seqrec::SasRecRecommender>) {
-    for (nn::Parameter* p : rec->model()->Parameters()) {
-      out.params.push_back(p->value);
-    }
+  for (const nn::Parameter* p : rec->Parameters()) {
+    out.params.push_back(p->value);
   }
   const std::size_t max_len = TinyModelConfig().max_len;
   out.test_scores = rec->ScoreLastPositions(
@@ -190,7 +187,7 @@ TEST(ThreadDeterminismTest, TrainEvalBitwiseIdenticalAcrossThreadCounts) {
 }
 
 // The shared training loop beyond the SASRec backbone: FDSA's two
-// Transformer streams and its non-factored scores.
+// Transformer streams, its summed item table and the streaming loss.
 TEST(ThreadDeterminismTest, FdsaTrainEvalBitwiseIdenticalAcrossThreadCounts) {
   std::vector<RunOutcome> runs;
   for (std::size_t t : kThreadCounts) {

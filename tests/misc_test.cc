@@ -17,11 +17,9 @@
 #include "data/split.h"
 #include "linalg/stats.h"
 #include "seqrec/baselines.h"
-#include "seqrec/classic_baselines.h"
-#include "seqrec/extended_baselines.h"
-#include "seqrec/general_rec.h"
 #include "text/catalog.h"
 #include "text/sim_plm.h"
+#include "all_models.h"
 
 namespace whitenrec {
 namespace {
@@ -399,29 +397,7 @@ TEST(TrainerBehaviourTest, WeightDecayShrinksParameterNorm) {
   EXPECT_LT(norm_after(decayed), norm_after(plain));
 }
 
-// One entry per model factory: trains a fresh model and returns its
-// TrainResult plus the validation N@20 of the parameters Fit left behind.
-struct ModelCase {
-  std::string name;
-  std::function<seqrec::TrainResult(const seqrec::TrainConfig&, double*)> fit;
-};
-
-template <typename Make>
-ModelCase Model(std::string name, Make make) {
-  return {std::move(name), [make](const seqrec::TrainConfig& tc,
-                                  double* valid_after) {
-            const data::Split split = data::LeaveOneOutSplit(TinyData().dataset);
-            auto rec = make(TinyData().dataset);
-            seqrec::TrainResult result = rec->Fit(split, tc);
-            *valid_after = seqrec::ValidationNdcg20(rec.get(), split.valid,
-                                                    split.train, 8);
-            return result;
-          }};
-}
-
-void PrintTo(const ModelCase& model, std::ostream* os) { *os << model.name; }
-
-class TrainerBehaviourTest : public ::testing::TestWithParam<ModelCase> {};
+class TrainerBehaviourTest : public ::testing::TestWithParam<ModelFactory> {};
 
 // With restore_best, validating after Fit reproduces the best recorded N@20
 // bitwise: the restore is a byte copy and validation is a pure function of
@@ -434,8 +410,12 @@ TEST_P(TrainerBehaviourTest, RestoreBestKeepsValidationMetric) {
   tc.learning_rate = 1e-2;
   tc.patience = 2;
   tc.restore_best = true;
-  double after = -1.0;
-  const seqrec::TrainResult result = GetParam().fit(tc, &after);
+  const data::Split split = data::LeaveOneOutSplit(TinyData().dataset);
+  const std::unique_ptr<seqrec::TrainableRecommender> rec =
+      GetParam().make(TinyData().dataset);
+  const seqrec::TrainResult result = rec->Fit(split, tc);
+  const double after =
+      seqrec::ValidationNdcg20(rec.get(), split.valid, split.train, 8);
   ASSERT_FALSE(result.epochs.empty());
   std::ostringstream curve;
   for (const seqrec::EpochLog& log : result.epochs) {
@@ -449,76 +429,10 @@ TEST_P(TrainerBehaviourTest, RestoreBestKeepsValidationMetric) {
   EXPECT_GT(result.avg_epoch_seconds, 0.0);
 }
 
-WhitenRecConfig TinyWhitenConfig() { return WhitenRecConfig(); }
-
 INSTANTIATE_TEST_SUITE_P(
     AllModels, TrainerBehaviourTest,
-    ::testing::Values(
-        Model("SasRecId",
-              [](const data::Dataset& ds) {
-                return seqrec::MakeSasRecId(ds, TinyConfig());
-              }),
-        Model("SasRecText",
-              [](const data::Dataset& ds) {
-                return seqrec::MakeSasRecText(ds, TinyConfig());
-              }),
-        Model("SasRecTextId",
-              [](const data::Dataset& ds) {
-                return seqrec::MakeSasRecTextId(ds, TinyConfig());
-              }),
-        Model("WhitenRec",
-              [](const data::Dataset& ds) {
-                return seqrec::MakeWhitenRec(ds, TinyConfig(),
-                                             TinyWhitenConfig());
-              }),
-        Model("WhitenRecPlus",
-              [](const data::Dataset& ds) {
-                return seqrec::MakeWhitenRecPlus(ds, TinyConfig(),
-                                                 TinyWhitenConfig());
-              }),
-        Model("UniSRec",
-              [](const data::Dataset& ds) {
-                return seqrec::MakeUniSRec(ds, TinyConfig(), false);
-              }),
-        Model("UniSRecTextId",
-              [](const data::Dataset& ds) {
-                return seqrec::MakeUniSRec(ds, TinyConfig(), true);
-              }),
-        Model("Cl4SRec",
-              [](const data::Dataset& ds) {
-                return seqrec::MakeCl4SRec(ds, TinyConfig());
-              }),
-        Model("S3Rec",
-              [](const data::Dataset& ds) {
-                return seqrec::MakeS3Rec(ds, TinyConfig());
-              }),
-        Model("VqRec",
-              [](const data::Dataset& ds) {
-                return seqrec::MakeVqRec(ds, TinyConfig());
-              }),
-        Model("Fdsa",
-              [](const data::Dataset& ds) {
-                return seqrec::MakeFdsa(ds, TinyConfig());
-              }),
-        Model("Gru4Rec",
-              [](const data::Dataset& ds) {
-                return seqrec::MakeGru4Rec(ds, TinyConfig());
-              }),
-        Model("Bert4Rec",
-              [](const data::Dataset& ds) {
-                return seqrec::MakeBert4Rec(ds, TinyConfig());
-              }),
-        Model("Fpmc",
-              [](const data::Dataset& ds) { return seqrec::MakeFpmc(ds, 16); }),
-        Model("Caser",
-              [](const data::Dataset& ds) {
-                return seqrec::MakeCaser(ds, TinyConfig());
-              }),
-        Model("Grcn",
-              [](const data::Dataset& ds) { return seqrec::MakeGrcn(ds, 16); }),
-        Model("Bm3",
-              [](const data::Dataset& ds) { return seqrec::MakeBm3(ds, 16); })),
-    [](const ::testing::TestParamInfo<ModelCase>& model) {
+    ::testing::ValuesIn(AllModelFactories(TinyConfig())),
+    [](const ::testing::TestParamInfo<ModelFactory>& model) {
       return model.param.name;
     });
 

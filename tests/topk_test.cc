@@ -4,8 +4,8 @@
 // order — including adversarial ties and ±inf — regardless of feed order or
 // tile width; the streaming evaluation paths must produce bitwise-identical
 // ranks, metrics, and recommendation lists to the full-score-row oracle
-// (the ScoreLastPositions branch, reached through a wrapper that declines
-// ScoreFactors) at every thread count and tile width; and the nth_element
+// (each batch's ScoreLastPositions matrix, ranked row by row here) for every
+// model factory at every thread count and tile width; and the nth_element
 // popularity head split must match a full-sort reference; and the exact
 // scorer, which streams over an item table packed once at Rebuild, must
 // return bitwise the lists of a reference-GEMM + partial_sort oracle at every
@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -31,8 +32,8 @@
 #include "linalg/rng.h"
 #include "linalg/scorer.h"
 #include "linalg/topk.h"
-#include "seqrec/baselines.h"
 #include "seqrec/trainer.h"
+#include "all_models.h"
 #include "scoped_knobs.h"
 
 namespace whitenrec {
@@ -98,10 +99,27 @@ void CheckSelectorAgainstReference(const std::vector<double>& scores,
   }
 }
 
+// Selects the top k of one full score row: the non-excluded scores
+// compacted in ascending id order and selected by partial_sort. Compaction
+// keeps ids ascending, so ties still break toward the smaller id.
+// `exclusions` is sorted.
+std::vector<ScoredItem> SelectFromRow(const double* row, std::size_t n,
+                                      const std::vector<std::size_t>& exclusions,
+                                      std::size_t k) {
+  std::vector<double> kept;
+  std::vector<std::size_t> ids;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (std::binary_search(exclusions.begin(), exclusions.end(), j)) continue;
+    kept.push_back(row[j]);
+    ids.push_back(j);
+  }
+  std::vector<ScoredItem> top = SelectTopK(kept.data(), kept.size(), k);
+  for (ScoredItem& si : top) si.item = ids[si.item];
+  return top;
+}
+
 // Oracle for Scorer::TopKBatch: the full score matrix from the reference
-// loops, then per row the non-excluded scores compacted in ascending id
-// order and selected by partial_sort. Compaction keeps ids ascending, so
-// ties still break toward the smaller id.
+// loops, then SelectFromRow on every row.
 std::vector<std::vector<ScoredItem>> OracleTopK(
     const Matrix& users, const Matrix& items,
     const std::vector<std::vector<std::size_t>>& exclusions, std::size_t k) {
@@ -109,18 +127,10 @@ std::vector<std::vector<ScoredItem>> OracleTopK(
   linalg::NaiveMatMulTransBAcc(users, items, &scores);
   std::vector<std::vector<ScoredItem>> out(users.rows());
   for (std::size_t r = 0; r < users.rows(); ++r) {
-    std::vector<double> kept;
-    std::vector<std::size_t> ids;
-    for (std::size_t j = 0; j < items.rows(); ++j) {
-      if (!exclusions.empty() &&
-          std::binary_search(exclusions[r].begin(), exclusions[r].end(), j)) {
-        continue;
-      }
-      kept.push_back(scores(r, j));
-      ids.push_back(j);
-    }
-    out[r] = SelectTopK(kept.data(), kept.size(), k);
-    for (ScoredItem& si : out[r]) si.item = ids[si.item];
+    out[r] = SelectFromRow(scores.RowPtr(r), items.rows(),
+                           exclusions.empty() ? std::vector<std::size_t>{}
+                                              : exclusions[r],
+                           k);
   }
   return out;
 }
@@ -305,7 +315,7 @@ TEST(PopularityHeadSetTest, EmptyAndDegenerateInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming vs. full-score-row evaluation (end to end)
+// Streaming vs. full-score-row evaluation, every model (end to end)
 // ---------------------------------------------------------------------------
 
 const data::GeneratedData& TinyData() {
@@ -330,22 +340,97 @@ SasRecConfig TinyModelConfig() {
   return config;
 }
 
-// The oracle: forwards everything to `inner` but declines ScoreFactors, so
-// ranking and top-K take the ScoreLastPositions branch — the full
-// (batch, num_items) score matrix, ranked row by row — instead of the
-// streaming one.
-class FullScoreRowOracle : public Recommender {
- public:
-  explicit FullScoreRowOracle(Recommender* inner) : inner_(inner) {}
-  std::string name() const override { return inner_->name(); }
-  std::size_t num_items() const override { return inner_->num_items(); }
-  Matrix ScoreLastPositions(const data::Batch& batch) override {
-    return inner_->ScoreLastPositions(batch);
-  }
+constexpr std::size_t kMaxLen = 8;
 
- private:
-  Recommender* inner_;
-};
+// The instance's training items, sorted: what every ranking excludes.
+std::vector<std::size_t> SortedExclusions(
+    const data::EvalInstance& inst,
+    const std::vector<std::vector<std::size_t>>& train_sequences) {
+  std::vector<std::size_t> excl;
+  if (inst.user < train_sequences.size()) excl = train_sequences[inst.user];
+  std::sort(excl.begin(), excl.end());
+  return excl;
+}
+
+// The oracles rank full score rows: each batch's (batch, num_items) matrix
+// from ScoreLastPositions, one row per instance in instance order.
+void ForEachScoreRow(
+    Recommender* rec, const std::vector<data::EvalInstance>& instances,
+    const std::function<void(const data::EvalInstance&, const double*)>&
+        per_row) {
+  std::size_t next = 0;
+  for (const data::Batch& batch :
+       data::MakeEvalBatches(instances, kMaxLen, /*batch_size=*/256)) {
+    const Matrix scores = rec->ScoreLastPositions(batch);
+    for (std::size_t b = 0; b < batch.batch_size; ++b) {
+      per_row(instances[next++], scores.RowPtr(b));
+    }
+  }
+}
+
+EvalResult OracleEvaluateRanking(
+    Recommender* rec, const std::vector<data::EvalInstance>& instances,
+    const std::vector<std::vector<std::size_t>>& train_sequences) {
+  const std::size_t n = rec->num_items();
+  eval::MetricAccumulator acc({20, 50});
+  ForEachScoreRow(rec, instances, [&](const data::EvalInstance& inst,
+                                      const double* row) {
+    std::vector<char> excluded(n, 0);
+    for (std::size_t item : SortedExclusions(inst, train_sequences)) {
+      excluded[item] = 1;
+    }
+    acc.AddRank(eval::RankOfTarget(row, n, inst.target, excluded));
+  });
+  EvalResult r;
+  r.recall20 = acc.RecallAt(20);
+  r.ndcg20 = acc.NdcgAt(20);
+  r.recall50 = acc.RecallAt(50);
+  r.ndcg50 = acc.NdcgAt(50);
+  r.count = acc.count();
+  return r;
+}
+
+// Head = the most-interacted 20% of items (EvaluateRankingByPopularity's
+// default), tail the rest; each stratum ranked by the oracle above.
+StratifiedEvalResult OracleByPopularity(
+    Recommender* rec, const std::vector<data::EvalInstance>& instances,
+    const std::vector<std::vector<std::size_t>>& train_sequences) {
+  const std::size_t n = rec->num_items();
+  std::vector<std::size_t> pop(n, 0);
+  for (const auto& seq : train_sequences) {
+    for (std::size_t item : seq) ++pop[item];
+  }
+  const std::vector<char> is_head = eval::PopularityHeadSet(
+      pop, std::max<std::size_t>(
+               1, static_cast<std::size_t>(0.2 * static_cast<double>(n))));
+  std::vector<data::EvalInstance> head;
+  std::vector<data::EvalInstance> tail;
+  for (const data::EvalInstance& inst : instances) {
+    (is_head[inst.target] ? head : tail).push_back(inst);
+  }
+  StratifiedEvalResult out;
+  if (!head.empty()) out.head = OracleEvaluateRanking(rec, head, train_sequences);
+  if (!tail.empty()) out.tail = OracleEvaluateRanking(rec, tail, train_sequences);
+  return out;
+}
+
+std::vector<std::vector<std::size_t>> OracleTopKLists(
+    Recommender* rec, const std::vector<data::EvalInstance>& instances,
+    const std::vector<std::vector<std::size_t>>& train_sequences,
+    std::size_t k) {
+  std::vector<std::vector<std::size_t>> lists;
+  ForEachScoreRow(rec, instances, [&](const data::EvalInstance& inst,
+                                      const double* row) {
+    std::vector<std::size_t> list;
+    for (const ScoredItem& si :
+         SelectFromRow(row, rec->num_items(),
+                       SortedExclusions(inst, train_sequences), k)) {
+      list.push_back(si.item);
+    }
+    lists.push_back(std::move(list));
+  });
+  return lists;
+}
 
 void ExpectSameEval(const EvalResult& a, const EvalResult& b) {
   EXPECT_EQ(a.recall20, b.recall20);
@@ -355,62 +440,67 @@ void ExpectSameEval(const EvalResult& a, const EvalResult& b) {
   EXPECT_EQ(a.count, b.count);
 }
 
-TEST(FusedEvalTest, EvaluateRankingMatchesMaterializedBitwise) {
-  const data::Dataset& ds = TinyData().dataset;
-  auto rec = MakeSasRecId(ds, TinyModelConfig());
-  const data::Split split = data::LeaveOneOutSplit(ds);
+// Every model at its initial parameters (trained weights add nothing to a
+// parity check), swept over thread counts and score-tile widths.
+class FusedEvalTest : public ::testing::TestWithParam<ModelFactory> {
+ protected:
+  void SetUp() override {
+    split_ = data::LeaveOneOutSplit(TinyData().dataset);
+    rec_ = GetParam().make(TinyData().dataset);
+    // Zero epochs move no parameter, but Fit reads the split: GRCN builds
+    // its interaction graph from it.
+    TrainConfig no_epochs;
+    no_epochs.epochs = 0;
+    rec_->Fit(split_, no_epochs);
+  }
 
-  FullScoreRowOracle oracle(rec.get());
+  data::Split split_;
+  std::unique_ptr<TrainableRecommender> rec_;
+};
+
+TEST_P(FusedEvalTest, EvaluateRankingMatchesMaterializedBitwise) {
   const EvalResult ref =
-      EvaluateRanking(&oracle, split.test, split.train, 8);
+      OracleEvaluateRanking(rec_.get(), split_.test, split_.train);
   for (const std::size_t threads : kThreadCounts) {
     ScopedThreads t(threads);
     for (const std::size_t tile : {7u, 64u, 256u, 100000u}) {
       ScopedScoreTile st(tile);
       const EvalResult streamed =
-          EvaluateRanking(rec.get(), split.test, split.train, 8);
+          EvaluateRanking(rec_.get(), split_.test, split_.train, kMaxLen);
       ExpectSameEval(streamed, ref);
     }
   }
 }
 
-TEST(FusedEvalTest, StratifiedEvalMatchesMaterializedBitwise) {
-  const data::Dataset& ds = TinyData().dataset;
-  auto rec = MakeSasRecId(ds, TinyModelConfig());
-  const data::Split split = data::LeaveOneOutSplit(ds);
-
-  FullScoreRowOracle oracle(rec.get());
+TEST_P(FusedEvalTest, StratifiedEvalMatchesMaterializedBitwise) {
   const StratifiedEvalResult ref =
-      EvaluateRankingByPopularity(&oracle, split.test, split.train, 8);
+      OracleByPopularity(rec_.get(), split_.test, split_.train);
   for (const std::size_t threads : kThreadCounts) {
     ScopedThreads t(threads);
     for (const std::size_t tile : {7u, 64u, 256u, 100000u}) {
       ScopedScoreTile st(tile);
-      const StratifiedEvalResult streamed =
-          EvaluateRankingByPopularity(rec.get(), split.test, split.train, 8);
+      const StratifiedEvalResult streamed = EvaluateRankingByPopularity(
+          rec_.get(), split_.test, split_.train, kMaxLen);
       ExpectSameEval(streamed.head, ref.head);
       ExpectSameEval(streamed.tail, ref.tail);
     }
   }
 }
 
-TEST(FusedEvalTest, TopKRecommendationsIdenticalLists) {
-  const data::Dataset& ds = TinyData().dataset;
-  auto rec = MakeSasRecId(ds, TinyModelConfig());
-  const data::Split split = data::LeaveOneOutSplit(ds);
-
-  FullScoreRowOracle oracle(rec.get());
+TEST_P(FusedEvalTest, TopKRecommendationsIdenticalLists) {
+  // The oracle ranks fp64 score rows; the exact scorer must too.
+  ScopedItemQuantKind fp32(linalg::ItemQuantKind::kFp32);
   const std::vector<std::vector<std::size_t>> ref =
-      TopKRecommendations(&oracle, split.test, split.train, 8, 20);
-  ASSERT_EQ(ref.size(), split.test.size());
+      OracleTopKLists(rec_.get(), split_.test, split_.train, 20);
+  ASSERT_EQ(ref.size(), split_.test.size());
   for (const auto& list : ref) EXPECT_EQ(list.size(), 20u);
 
   for (const std::size_t threads : kThreadCounts) {
     ScopedThreads t(threads);
     for (const std::size_t tile : {13u, 256u}) {
       ScopedScoreTile st(tile);
-      const auto streamed =
-          TopKRecommendations(rec.get(), split.test, split.train, 8, 20);
+      const auto streamed = TopKRecommendations(rec_.get(), split_.test,
+                                                split_.train, kMaxLen, 20);
       ASSERT_EQ(streamed.size(), ref.size());
       for (std::size_t u = 0; u < ref.size(); ++u) {
         EXPECT_EQ(streamed[u], ref[u]) << "user " << u
@@ -421,21 +511,25 @@ TEST(FusedEvalTest, TopKRecommendationsIdenticalLists) {
   }
 }
 
-TEST(FusedEvalTest, RecommendationsExcludeTrainingItems) {
-  const data::Dataset& ds = TinyData().dataset;
-  auto rec = MakeSasRecId(ds, TinyModelConfig());
-  const data::Split split = data::LeaveOneOutSplit(ds);
+TEST_P(FusedEvalTest, RecommendationsExcludeTrainingItems) {
   const auto lists =
-      TopKRecommendations(rec.get(), split.test, split.train, 8, 20);
+      TopKRecommendations(rec_.get(), split_.test, split_.train, kMaxLen, 20);
   for (std::size_t u = 0; u < lists.size(); ++u) {
-    const std::size_t user = split.test[u].user;
+    const std::size_t user = split_.test[u].user;
     for (const std::size_t item : lists[u]) {
-      for (const std::size_t trained : split.train[user]) {
+      for (const std::size_t trained : split_.train[user]) {
         EXPECT_NE(item, trained) << "user " << user;
       }
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModels, FusedEvalTest,
+    ::testing::ValuesIn(AllModelFactories(TinyModelConfig())),
+    [](const ::testing::TestParamInfo<ModelFactory>& model) {
+      return model.param.name;
+    });
 
 // ---------------------------------------------------------------------------
 // Exact scorer over the packed item table vs. the reference oracle

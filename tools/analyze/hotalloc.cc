@@ -19,10 +19,9 @@
 // the pass scans the body of their definition instead: a Matrix or
 // std::vector built there is per-call heap traffic on the index build.
 //
-// Declared reference paths (the materialized scoring fallback, tests) carry
-// a `whitenrec-analyze: allow(hot-alloc)` annotation stating why the
-// allocation is intended; everything else either hoists the buffer or takes
-// it from the Workspace arena. Scope: src/ only — tests and benches
+// A declared reference path carries a `whitenrec-analyze: allow(hot-alloc)`
+// annotation stating why the allocation is intended; everything else either
+// hoists the buffer or takes it from the Workspace arena. Scope: src/ only — tests and benches
 // construct scratch wherever convenient.
 
 namespace whitenrec {

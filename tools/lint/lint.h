@@ -48,8 +48,9 @@ struct Finding {
 //   full-logits       Matrix allocation in src/ with num_items as a column
 //                     (non-leading) dimension — a (rows, num_items) score or
 //                     logits buffer. The streaming layer (linalg/gemm.h)
-//                     exists so hot paths never materialize these; code
-//                     that must (non-factorized baselines, k-means) carries
+//                     exists so hot paths never materialize these; every
+//                     model scores through it. A buffer that must exist
+//                     (the k-means builder's per-item assignment) carries
 //                     a whitenrec-lint: allow(full-logits) annotation.
 //                     Checked call shapes: `Matrix x(r, ..num_items..)`,
 //                     `Matrix(r, ..num_items..)`, `.Resize(r, ..)`,
