@@ -237,6 +237,39 @@ void BM_SasRecTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SasRecTrainStep);
 
+// One 256-instance ScoreFactors batch at perfbench's shape (Toys at scale 1,
+// WhitenRec with a ZCA + MLP-2 head, d = 32, 2 blocks, 2 heads, L = 12, one
+// thread): the item-table eval plus the last-position sequence forward that
+// every validation and test batch pays before ranking.
+void BM_SasRecEvalBatch(benchmark::State& state) {
+  const std::size_t saved = core::NumThreads();
+  core::SetNumThreads(1);
+  const data::GeneratedData gen =
+      data::GenerateDataset(data::ToysProfile(1.0));
+  const data::Split split = data::LeaveOneOutSplit(gen.dataset);
+  seqrec::SasRecConfig mc;
+  mc.hidden_dim = 32;
+  mc.num_blocks = 2;
+  mc.num_heads = 2;
+  mc.ffn_hidden = 64;
+  mc.max_len = 12;
+  auto rec = seqrec::MakeWhitenRec(gen.dataset, mc, WhitenRecConfig());
+  const data::Batch batch =
+      data::MakeEvalBatches(split.test, mc.max_len, 256)[0];
+  linalg::Matrix users;
+  linalg::Matrix items;
+  for (auto _ : state) {
+    rec->model()->ScoreFactors(batch, &users, &items);
+    benchmark::DoNotOptimize(users.data());
+    benchmark::DoNotOptimize(items.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch.batch_size));
+  core::SetNumThreads(saved);
+}
+BENCHMARK(BM_SasRecEvalBatch);
+
 // The exact scorer at serving batch sizes: `rows` users against a 6000-item,
 // d = 32 table packed once at Rebuild, top-10 per row with an 11-item
 // history excluded — the serve_catalog shape. gflops counts the scoring

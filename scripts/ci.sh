@@ -12,6 +12,7 @@
 #   6. check-faults — crash-safety suite under a WHITENREC_FAULT_RATE sweep
 #   7. check-asan   — GEMM + linalg + top-K + retrieval + whitening
 #      (whitening_test, whitening_ext_test) + extended-model (extended_test)
+#      + SASRec-model (seqrec_test, the eval forward's differential tests)
 #      suites under AddressSanitizer/UBSan
 #   8. check-tsan   — parallel (x20) + determinism suites under ThreadSanitizer
 #   9. check-serve  — serving suite, randomized-traffic soak under TSan,

@@ -100,26 +100,31 @@ enum ThreadWorkspaceSlot : std::size_t {
   kWsLossRowMax = 2,    // streaming CE: per-row running max (calling thread)
   kWsLossRowSum = 3,    // streaming CE: per-row scaled exp sum
   kWsLossRowTarget = 4, // streaming CE: per-row target logit
-  kWsStepProbs = 5,     // session step: one attention probability row
+  kWsEvalProbs = 5,     // eval forwards: one attention probability row
   kWsLossProbs = 0,     // softmax probabilities (Mat slots, distinct space)
   kWsStreamBTile = 1,   // streaming scorer: current B (item) tile
   kWsStreamPanel = 2,   // streaming scorer: current score panel
   kWsLossDvTile = 3,    // streaming CE: per-tile dV accumulator
-  // Session step forward (seqrec::SasRecModel::EncodeSequenceStep down
-  // through nn::TransformerEncoder::ForwardStepInto): one slot per live
-  // (1, d) temporary, so a step allocates nothing once the slots are warm.
-  kWsStepInput = 4,     // embedded input row
-  kWsStepBlockA = 5,    // encoder: block outputs, ping-ponged
-  kWsStepBlockB = 6,
-  kWsStepNorm = 7,      // block: LayerNorm output
-  kWsStepAttnOut = 8,   // block: attention output
-  kWsStepResidual = 9,  // block: x + attention
-  kWsStepFfnOut = 10,   // block: feed-forward output
-  kWsStepFfnHidden = 11,  // feed-forward: ReLU(fc1) row
-  kWsStepQ = 12,        // attention: projected q/k/v rows
-  kWsStepK = 13,
-  kWsStepV = 14,
-  kWsStepMixed = 15,    // attention: concatenated head outputs
+  // The cache-free SASRec eval forwards: the session step
+  // (seqrec::SasRecModel::EncodeSequenceStep down through
+  // nn::TransformerEncoder::ForwardStepInto, (1, d) temporaries) and the
+  // last-position eval (SasRecModel::EncodeLastPositions down through
+  // TransformerEncoder::ForwardLastRowsInto, one row per packed position).
+  // The two never nest, so they share one slot per live temporary, and a
+  // warm forward allocates nothing.
+  kWsEvalInput = 4,     // embedded input rows
+  kWsEvalBlockA = 5,    // encoder: block outputs, ping-ponged
+  kWsEvalBlockB = 6,
+  kWsEvalNorm = 7,      // block: LayerNorm output
+  kWsEvalAttnOut = 8,   // block: attention output
+  kWsEvalResidual = 9,  // block: x + attention
+  kWsEvalFfnOut = 10,   // block: feed-forward output
+  kWsEvalFfnHidden = 11,  // feed-forward: ReLU(fc1) rows
+  kWsEvalQ = 12,        // attention: projected q/k/v rows
+  kWsEvalK = 13,
+  kWsEvalV = 14,
+  kWsEvalMixed = 15,    // attention: concatenated head outputs
+  kWsEvalQueryIn = 16,  // attention: the query rows of a last-row pass
 };
 
 // Per-thread scratch arena. Worker threads and the calling thread each get

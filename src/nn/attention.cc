@@ -1,5 +1,6 @@
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/check.h"
@@ -10,6 +11,43 @@ namespace whitenrec {
 namespace nn {
 
 using linalg::Matrix;
+
+namespace {
+
+// One query row of one attention head: scores s_j = (q . k_j) * scale for
+// the n keys, a max-shifted softmax over them into probs[0, n), and the
+// probability-weighted sum of the values into out[0, head_dim). q, k, v and
+// out point at the head's column slice; key/value row j is at k + j * stride
+// and v + j * stride. All three forwards call this, so a row they share is
+// bitwise the same in each.
+void AttendRow(const double* q, const double* k, const double* v,
+               std::size_t stride, std::size_t n, std::size_t head_dim,
+               double scale, double* probs, double* out) {
+  double max_s = -1e300;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* kj = k + j * stride;
+    double s = 0.0;
+    for (std::size_t c = 0; c < head_dim; ++c) s += q[c] * kj[c];
+    s *= scale;
+    probs[j] = s;
+    if (s > max_s) max_s = s;
+  }
+  double sum = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    probs[j] = std::exp(probs[j] - max_s);
+    sum += probs[j];
+  }
+  const double inv = 1.0 / sum;
+  for (std::size_t j = 0; j < n; ++j) probs[j] *= inv;
+  for (std::size_t c = 0; c < head_dim; ++c) out[c] = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double pj = probs[j];
+    const double* vj = v + j * stride;
+    for (std::size_t c = 0; c < head_dim; ++c) out[c] += pj * vj[c];
+  }
+}
+
+}  // namespace
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t dim,
                                                std::size_t num_heads,
@@ -57,35 +95,14 @@ Matrix MultiHeadSelfAttention::Forward(const Matrix& x, std::size_t batch,
       const std::size_t off = h * head_dim_;
       Matrix& probs = cached_probs_[b * num_heads_ + h];
       probs.Resize(seq_len, seq_len);
-      // Masked scores + row softmax: causal attends to positions <= i,
-      // bidirectional to every position.
+      // Causal row i attends to positions <= i, bidirectional to every
+      // position; row i of probs keeps the probabilities for backward.
       for (std::size_t i = 0; i < seq_len; ++i) {
-        const std::size_t jmax = causal_ ? i : seq_len - 1;
-        const double* qi = cached_q_.RowPtr(base + i) + off;
-        double max_s = -1e300;
-        for (std::size_t j = 0; j <= jmax; ++j) {
-          const double* kj = cached_k_.RowPtr(base + j) + off;
-          double s = 0.0;
-          for (std::size_t c = 0; c < head_dim_; ++c) s += qi[c] * kj[c];
-          s *= scale;
-          probs(i, j) = s;
-          if (s > max_s) max_s = s;
-        }
-        double sum = 0.0;
-        for (std::size_t j = 0; j <= jmax; ++j) {
-          probs(i, j) = std::exp(probs(i, j) - max_s);
-          sum += probs(i, j);
-        }
-        const double inv = 1.0 / sum;
-        for (std::size_t j = 0; j <= jmax; ++j) probs(i, j) *= inv;
-        // Mix values: out_i = sum_j probs_ij * v_j.
-        double* out = mixed.RowPtr(base + i) + off;
-        for (std::size_t c = 0; c < head_dim_; ++c) out[c] = 0.0;
-        for (std::size_t j = 0; j <= jmax; ++j) {
-          const double pij = probs(i, j);
-          const double* vj = cached_v_.RowPtr(base + j) + off;
-          for (std::size_t c = 0; c < head_dim_; ++c) out[c] += pij * vj[c];
-        }
+        const std::size_t n = causal_ ? i + 1 : seq_len;
+        AttendRow(cached_q_.RowPtr(base + i) + off,
+                  cached_k_.RowPtr(base) + off, cached_v_.RowPtr(base) + off,
+                  dim_, n, head_dim_, scale, probs.RowPtr(i),
+                  mixed.RowPtr(base + i) + off);
       }
     }
   });
@@ -134,9 +151,9 @@ void MultiHeadSelfAttention::ForwardStepInto(const Matrix& x_row,
   // temporary lives in the thread's workspace, so a warm step allocates
   // nothing beyond the cache's own amortized growth.
   linalg::Workspace& ws = linalg::ThreadLocalWorkspace();
-  Matrix& q_row = ws.MatRef(linalg::kWsStepQ);
-  Matrix& k_row = ws.MatRef(linalg::kWsStepK);
-  Matrix& v_row = ws.MatRef(linalg::kWsStepV);
+  Matrix& q_row = ws.MatRef(linalg::kWsEvalQ);
+  Matrix& k_row = ws.MatRef(linalg::kWsEvalK);
+  Matrix& v_row = ws.MatRef(linalg::kWsEvalV);
   wq_.ForwardEvalInto(x_row, &q_row);
   wk_.ForwardEvalInto(x_row, &k_row);
   wv_.ForwardEvalInto(x_row, &v_row);
@@ -144,38 +161,95 @@ void MultiHeadSelfAttention::ForwardStepInto(const Matrix& x_row,
 
   const std::size_t i = kv->len - 1;  // position being appended
   const double scale = 1.0 / std::sqrt(static_cast<double>(head_dim_));
-  Matrix& mixed = ws.Mat(linalg::kWsStepMixed, 1, dim_);
-  // Row i of the causal attention, head by head — the same masked-score /
-  // softmax / value-mix loops as Forward, reading K/V from the cache. Each
-  // head writes probs[0, i] before reading it.
-  double* probs = ws.Buf(linalg::kWsStepProbs, i + 1).data();
+  Matrix& mixed = ws.Mat(linalg::kWsEvalMixed, 1, dim_);
+  // Row i of the causal attention, head by head, over the cached K/V rows.
+  double* probs = ws.Buf(linalg::kWsEvalProbs, i + 1).data();
   for (std::size_t h = 0; h < num_heads_; ++h) {
     const std::size_t off = h * head_dim_;
-    const double* qi = q_row.RowPtr(0) + off;
-    double max_s = -1e300;
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double* kj = kv->k.RowPtr(j) + off;
-      double s = 0.0;
-      for (std::size_t c = 0; c < head_dim_; ++c) s += qi[c] * kj[c];
-      s *= scale;
-      probs[j] = s;
-      if (s > max_s) max_s = s;
-    }
-    double sum = 0.0;
-    for (std::size_t j = 0; j <= i; ++j) {
-      probs[j] = std::exp(probs[j] - max_s);
-      sum += probs[j];
-    }
-    const double inv = 1.0 / sum;
-    for (std::size_t j = 0; j <= i; ++j) probs[j] *= inv;
-    double* out = mixed.RowPtr(0) + off;
-    for (std::size_t c = 0; c < head_dim_; ++c) out[c] = 0.0;
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double pij = probs[j];
-      const double* vj = kv->v.RowPtr(j) + off;
-      for (std::size_t c = 0; c < head_dim_; ++c) out[c] += pij * vj[c];
-    }
+    AttendRow(q_row.RowPtr(0) + off, kv->k.RowPtr(0) + off,
+              kv->v.RowPtr(0) + off, kv->k.cols(), i + 1, head_dim_, scale,
+              probs, mixed.RowPtr(0) + off);
   }
+  WR_CHECK_FINITE(mixed);
+  wo_.ForwardEvalInto(mixed, y);
+}
+
+void GatherLastRowsInto(const Matrix& x,
+                        const std::vector<std::size_t>& starts, Matrix* out) {
+  WR_CHECK(out != &x);
+  WR_CHECK(!starts.empty());
+  WR_CHECK_EQ(starts.back(), x.rows());
+  const std::size_t num_seqs = starts.size() - 1;
+  out->Resize(num_seqs, x.cols());
+  for (std::size_t s = 0; s < num_seqs; ++s) {
+    WR_CHECK_LT(starts[s], starts[s + 1]);
+    const double* src = x.RowPtr(starts[s + 1] - 1);
+    double* dst = out->RowPtr(s);
+    for (std::size_t c = 0; c < x.cols(); ++c) dst[c] = src[c];
+  }
+}
+
+void MultiHeadSelfAttention::ForwardPackedInto(
+    const Matrix& x, const std::vector<std::size_t>& starts, bool last_only,
+    Matrix* y) const {
+  WR_CHECK(causal_);
+  WR_CHECK(!starts.empty());
+  WR_CHECK_EQ(starts.back(), x.rows());
+  WR_CHECK_EQ(x.cols(), dim_);
+  WR_CHECK_FINITE(x);
+  const std::size_t num_seqs = starts.size() - 1;
+  std::size_t max_len = 0;
+  for (std::size_t s = 0; s < num_seqs; ++s) {
+    WR_CHECK_LT(starts[s], starts[s + 1]);
+    max_len = std::max(max_len, starts[s + 1] - starts[s]);
+  }
+
+  // Every row is a key and a value; only the rows read downstream are
+  // queries. A GEMM row is bitwise the same whichever rows share its call
+  // (canonical ascending-k accumulation), so projecting the packed rows, or
+  // only their last rows, reproduces Forward's rows.
+  linalg::Workspace& ws = linalg::ThreadLocalWorkspace();
+  Matrix& q = ws.MatRef(linalg::kWsEvalQ);
+  Matrix& k = ws.MatRef(linalg::kWsEvalK);
+  Matrix& v = ws.MatRef(linalg::kWsEvalV);
+  wk_.ForwardEvalInto(x, &k);
+  wv_.ForwardEvalInto(x, &v);
+  if (last_only) {
+    Matrix& query_in = ws.MatRef(linalg::kWsEvalQueryIn);
+    GatherLastRowsInto(x, starts, &query_in);
+    wq_.ForwardEvalInto(query_in, &q);
+  } else {
+    wq_.ForwardEvalInto(x, &q);
+  }
+
+  const double scale = 1.0 / std::sqrt(static_cast<double>(head_dim_));
+  Matrix& mixed = ws.Mat(linalg::kWsEvalMixed, q.rows(), dim_);
+  // Pair (s, h) writes only sequence s's query rows in head h's columns, so
+  // chunks never collide and the result is independent of the thread count.
+  // Each worker takes its probability row from its own workspace.
+  core::ParallelFor(0, num_seqs * num_heads_, 1, [&](std::size_t p0,
+                                                     std::size_t p1) {
+    double* probs =
+        linalg::ThreadLocalWorkspace().Buf(linalg::kWsEvalProbs, max_len)
+            .data();
+    for (std::size_t p = p0; p < p1; ++p) {
+      const std::size_t s = p / num_heads_;
+      const std::size_t off = (p % num_heads_) * head_dim_;
+      const std::size_t first = starts[s];
+      const std::size_t len = starts[s + 1] - first;
+      const double* ks = k.RowPtr(first) + off;
+      const double* vs = v.RowPtr(first) + off;
+      if (last_only) {
+        AttendRow(q.RowPtr(s) + off, ks, vs, dim_, len, head_dim_, scale,
+                  probs, mixed.RowPtr(s) + off);
+        continue;
+      }
+      for (std::size_t i = 0; i < len; ++i) {
+        AttendRow(q.RowPtr(first + i) + off, ks, vs, dim_, i + 1, head_dim_,
+                  scale, probs, mixed.RowPtr(first + i) + off);
+      }
+    }
+  });
   WR_CHECK_FINITE(mixed);
   wo_.ForwardEvalInto(mixed, y);
 }

@@ -32,6 +32,13 @@ struct AttentionKvCache {
   void Append(const linalg::Matrix& k_row, const linalg::Matrix& v_row);
 };
 
+// Copies the last row of each sequence packed in x (row starts[s + 1] - 1,
+// with starts laid out as in MultiHeadSelfAttention::ForwardPackedInto)
+// into row s of *out.
+void GatherLastRowsInto(const linalg::Matrix& x,
+                        const std::vector<std::size_t>& starts,
+                        linalg::Matrix* out);
+
 class MultiHeadSelfAttention : public Layer {
  public:
   MultiHeadSelfAttention(std::size_t dim, std::size_t num_heads,
@@ -45,13 +52,26 @@ class MultiHeadSelfAttention : public Layer {
   // Incremental eval forward for one sequence: x_row is the (1, dim) input
   // of position kv->len; the K/V rows of positions [0, kv->len) are read
   // from the cache, the new position's K/V rows are appended, and *y
-  // receives the (1, dim) attention output. Requires `causal`. The score /
-  // softmax / value-mix loops are source-identical to Forward's row loops
-  // (and this library builds with -ffp-contract=off), so *y is bitwise
-  // identical to row kv->len of Forward over the same full sequence. Const
-  // and cache-free: safe to run concurrently across sessions.
+  // receives the (1, dim) attention output. Requires `causal`. Forward,
+  // this and ForwardPackedInto compute every query row through one
+  // score / softmax / value-mix routine (and this library builds with
+  // -ffp-contract=off), so *y is bitwise identical to row kv->len of
+  // Forward over the same full sequence. Const and cache-free: safe to run
+  // concurrently across sessions.
   void ForwardStepInto(const linalg::Matrix& x_row, AttentionKvCache* kv,
                        linalg::Matrix* y) const;
+
+  // Eval forward over sequences packed end to end: sequence s occupies rows
+  // [starts[s], starts[s + 1]) of x, every sequence holds at least one row,
+  // and starts.back() == x.rows(). K/V are projected for every row. With
+  // `last_only`, only each sequence's last row is a query and *y has one row
+  // per sequence; otherwise *y has a row per row of x. Requires `causal`:
+  // the packed rows stand for prefixes, which only causal attention leaves
+  // unchanged. Each output row is bitwise the matching row of Forward.
+  // Const and cache-free, parallel over (sequence, head) pairs.
+  void ForwardPackedInto(const linalg::Matrix& x,
+                         const std::vector<std::size_t>& starts,
+                         bool last_only, linalg::Matrix* y) const;
 
   void CollectParameters(std::vector<Parameter*>* out) override;
 

@@ -83,12 +83,16 @@ void Linear::CollectParameters(std::vector<Parameter*>* out) {
   out->push_back(&bias_);
 }
 
+void ReluInPlace(Matrix* m) {
+  for (std::size_t i = 0; i < m->size(); ++i) {
+    if (m->data()[i] < 0.0) m->data()[i] = 0.0;
+  }
+}
+
 Matrix ReLU::Forward(const Matrix& x) {
   cached_input_ = x;
   Matrix y = x;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y.data()[i] < 0.0) y.data()[i] = 0.0;
-  }
+  ReluInPlace(&y);
   return y;
 }
 
@@ -131,6 +135,32 @@ LayerNorm::LayerNorm(std::size_t dim, std::string name, double eps)
       gamma_(name + ".gamma", Matrix(1, dim, 1.0)),
       beta_(name + ".beta", Matrix(1, dim)) {}
 
+namespace {
+
+// Normalizes one row: xhat = (x - mean) * inv_std, then
+// y = gamma * xhat + beta, and returns inv_std. `xhat` may alias `yrow`
+// (the eval forward keeps no xhat). The training and eval forwards both call
+// it, so their rows agree bitwise.
+double NormalizeRow(const double* row, std::size_t d, double eps,
+                    const double* g, const double* b, double* xhat,
+                    double* yrow) {
+  double mean = 0.0;
+  for (std::size_t c = 0; c < d; ++c) mean += row[c];
+  mean /= static_cast<double>(d);
+  double var = 0.0;
+  for (std::size_t c = 0; c < d; ++c) {
+    const double diff = row[c] - mean;
+    var += diff * diff;
+  }
+  var /= static_cast<double>(d);
+  const double inv_std = 1.0 / std::sqrt(var + eps);
+  for (std::size_t c = 0; c < d; ++c) xhat[c] = (row[c] - mean) * inv_std;
+  for (std::size_t c = 0; c < d; ++c) yrow[c] = g[c] * xhat[c] + b[c];
+  return inv_std;
+}
+
+}  // namespace
+
 Matrix LayerNorm::Forward(const Matrix& x) {
   const std::size_t d = x.cols();
   WR_CHECK_EQ(d, gamma_.value.cols());
@@ -141,24 +171,8 @@ Matrix LayerNorm::Forward(const Matrix& x) {
   const double* g = gamma_.value.RowPtr(0);
   const double* b = beta_.value.RowPtr(0);
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    const double* row = x.RowPtr(r);
-    double mean = 0.0;
-    for (std::size_t c = 0; c < d; ++c) mean += row[c];
-    mean /= static_cast<double>(d);
-    double var = 0.0;
-    for (std::size_t c = 0; c < d; ++c) {
-      const double diff = row[c] - mean;
-      var += diff * diff;
-    }
-    var /= static_cast<double>(d);
-    const double inv_std = 1.0 / std::sqrt(var + eps_);
-    cached_inv_std_[r] = inv_std;
-    double* xhat = cached_xhat_.RowPtr(r);
-    double* yrow = y.RowPtr(r);
-    for (std::size_t c = 0; c < d; ++c) {
-      xhat[c] = (row[c] - mean) * inv_std;
-      yrow[c] = g[c] * xhat[c] + b[c];
-    }
+    cached_inv_std_[r] = NormalizeRow(x.RowPtr(r), d, eps_, g, b,
+                                      cached_xhat_.RowPtr(r), y.RowPtr(r));
   }
   WR_CHECK_FINITE(y);
   return y;
@@ -171,26 +185,8 @@ void LayerNorm::ForwardEvalInto(const Matrix& x, Matrix* y) const {
   y->Resize(x.rows(), d);
   const double* g = gamma_.value.RowPtr(0);
   const double* b = beta_.value.RowPtr(0);
-  // Row loops mirror Forward exactly (same summation order, same
-  // normalize-then-affine expression) so each output row is bitwise
-  // identical to the training-path row; only the backward caches differ.
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    const double* row = x.RowPtr(r);
-    double mean = 0.0;
-    for (std::size_t c = 0; c < d; ++c) mean += row[c];
-    mean /= static_cast<double>(d);
-    double var = 0.0;
-    for (std::size_t c = 0; c < d; ++c) {
-      const double diff = row[c] - mean;
-      var += diff * diff;
-    }
-    var /= static_cast<double>(d);
-    const double inv_std = 1.0 / std::sqrt(var + eps_);
-    double* yrow = y->RowPtr(r);
-    for (std::size_t c = 0; c < d; ++c) {
-      const double xhat = (row[c] - mean) * inv_std;
-      yrow[c] = g[c] * xhat + b[c];
-    }
+    NormalizeRow(x.RowPtr(r), d, eps_, g, b, y->RowPtr(r), y->RowPtr(r));
   }
   WR_CHECK_FINITE(*y);
 }

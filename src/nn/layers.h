@@ -76,6 +76,10 @@ class Linear : public Layer {
   linalg::Matrix cached_input_;
 };
 
+// max(x, 0) elementwise, in place: the one clamp behind ReLU::Forward and
+// the cache-free eval forwards.
+void ReluInPlace(linalg::Matrix* m);
+
 // Elementwise ReLU.
 class ReLU : public Layer {
  public:
@@ -111,9 +115,9 @@ class LayerNorm : public Layer {
   linalg::Matrix Backward(const linalg::Matrix& dy);
   void CollectParameters(std::vector<Parameter*>* out) override;
 
-  // Eval-only, cache-free forward with row-for-row the same arithmetic as
-  // Forward (same per-row mean/var/normalize loops). Safe to call
-  // concurrently; used by the incremental serving forward.
+  // Eval-only, cache-free forward through the same per-row routine as
+  // Forward, so each row is bitwise Forward's. Safe to call concurrently;
+  // used by the eval forwards.
   void ForwardEvalInto(const linalg::Matrix& x, linalg::Matrix* y) const;
 
   Parameter& gamma() { return gamma_; }

@@ -22,12 +22,9 @@ Matrix FeedForward::Backward(const Matrix& dy) {
 
 void FeedForward::ForwardEvalInto(const Matrix& x, Matrix* y) const {
   Matrix& hidden = linalg::ThreadLocalWorkspace().MatRef(
-      linalg::kWsStepFfnHidden);
+      linalg::kWsEvalFfnHidden);
   fc1_.ForwardEvalInto(x, &hidden);
-  // ReLU clamp, elementwise (no FP arithmetic beyond the compare).
-  for (std::size_t i = 0; i < hidden.size(); ++i) {
-    if (hidden.data()[i] < 0.0) hidden.data()[i] = 0.0;
-  }
+  ReluInPlace(&hidden);
   fc2_.ForwardEvalInto(hidden, y);
 }
 
@@ -61,14 +58,39 @@ void TransformerBlock::ForwardStepInto(const Matrix& x_row,
   // h = x + Attn(LN1(x)); y = h + FFN(LN2(h)) — dropout is identity in eval
   // mode, so the residual adds below are exactly Forward(train=false)'s.
   linalg::Workspace& ws = linalg::ThreadLocalWorkspace();
-  Matrix& ln = ws.MatRef(linalg::kWsStepNorm);
-  Matrix& attn_out = ws.MatRef(linalg::kWsStepAttnOut);
-  Matrix& h = ws.MatRef(linalg::kWsStepResidual);
-  Matrix& ffn_out = ws.MatRef(linalg::kWsStepFfnOut);
+  Matrix& ln = ws.MatRef(linalg::kWsEvalNorm);
+  Matrix& attn_out = ws.MatRef(linalg::kWsEvalAttnOut);
+  Matrix& h = ws.MatRef(linalg::kWsEvalResidual);
   ln1_.ForwardEvalInto(x_row, &ln);
   attn_.ForwardStepInto(ln, kv, &attn_out);
   h = x_row;
   h += attn_out;
+  FeedForwardResidualInto(h, y);
+}
+
+void TransformerBlock::ForwardPackedInto(const Matrix& x,
+                                         const std::vector<std::size_t>& starts,
+                                         bool last_only, Matrix* y) const {
+  linalg::Workspace& ws = linalg::ThreadLocalWorkspace();
+  Matrix& ln = ws.MatRef(linalg::kWsEvalNorm);
+  Matrix& attn_out = ws.MatRef(linalg::kWsEvalAttnOut);
+  Matrix& h = ws.MatRef(linalg::kWsEvalResidual);
+  ln1_.ForwardEvalInto(x, &ln);
+  attn_.ForwardPackedInto(ln, starts, last_only, &attn_out);
+  if (last_only) {
+    GatherLastRowsInto(x, starts, &h);
+  } else {
+    h = x;
+  }
+  h += attn_out;
+  FeedForwardResidualInto(h, y);
+}
+
+void TransformerBlock::FeedForwardResidualInto(const Matrix& h,
+                                               Matrix* y) const {
+  linalg::Workspace& ws = linalg::ThreadLocalWorkspace();
+  Matrix& ln = ws.MatRef(linalg::kWsEvalNorm);
+  Matrix& ffn_out = ws.MatRef(linalg::kWsEvalFfnOut);
   ln2_.ForwardEvalInto(h, &ln);
   ffn_.ForwardEvalInto(ln, &ffn_out);
   *y = h;
@@ -123,13 +145,36 @@ void TransformerEncoder::ForwardStepInto(const Matrix& x_row,
   // Block outputs ping-pong between two workspace slots; block 0 reads the
   // input row in place.
   linalg::Workspace& ws = linalg::ThreadLocalWorkspace();
-  Matrix* outs[2] = {&ws.MatRef(linalg::kWsStepBlockA),
-                     &ws.MatRef(linalg::kWsStepBlockB)};
+  Matrix* outs[2] = {&ws.MatRef(linalg::kWsEvalBlockA),
+                     &ws.MatRef(linalg::kWsEvalBlockB)};
   const Matrix* h = &x_row;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     Matrix* next = outs[b % 2];
     blocks_[b]->ForwardStepInto(*h, &cache->blocks[b], next);
     h = next;
+  }
+  final_ln_.ForwardEvalInto(*h, y);
+}
+
+void TransformerEncoder::ForwardLastRowsInto(
+    const Matrix& x, const std::vector<std::size_t>& starts, Matrix* y) const {
+  WR_CHECK(y != &x);
+  // Same ping-pong as ForwardStepInto; the last block keeps only the rows
+  // the final LayerNorm reads.
+  linalg::Workspace& ws = linalg::ThreadLocalWorkspace();
+  Matrix* outs[2] = {&ws.MatRef(linalg::kWsEvalBlockA),
+                     &ws.MatRef(linalg::kWsEvalBlockB)};
+  const Matrix* h = &x;
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    Matrix* next = outs[b % 2];
+    blocks_[b]->ForwardPackedInto(*h, starts,
+                                  /*last_only=*/b + 1 == blocks_.size(),
+                                  next);
+    h = next;
+  }
+  if (blocks_.empty()) {
+    GatherLastRowsInto(x, starts, outs[0]);
+    h = outs[0];
   }
   final_ln_.ForwardEvalInto(*h, y);
 }

@@ -54,9 +54,22 @@ class TransformerBlock : public Layer {
   void ForwardStepInto(const linalg::Matrix& x_row, AttentionKvCache* kv,
                        linalg::Matrix* y) const;
 
+  // Eval forward over packed sequences (layout and `last_only` as in
+  // MultiHeadSelfAttention::ForwardPackedInto): with `last_only` the
+  // attention queries, residuals, LN2 and FFN run on each sequence's last
+  // row only. Rows are bitwise those of Forward(train=false). Const and
+  // cache-free.
+  void ForwardPackedInto(const linalg::Matrix& x,
+                         const std::vector<std::size_t>& starts,
+                         bool last_only, linalg::Matrix* y) const;
+
   void CollectParameters(std::vector<Parameter*>* out) override;
 
  private:
+  // y = h + FFN(LN2(h)): the second residual half of both eval forwards.
+  void FeedForwardResidualInto(const linalg::Matrix& h,
+                               linalg::Matrix* y) const;
+
   LayerNorm ln1_;
   MultiHeadSelfAttention attn_;
   Dropout drop1_;
@@ -97,6 +110,17 @@ class TransformerEncoder : public Layer {
   // first use. Const and cache-free: safe concurrently across sessions.
   void ForwardStepInto(const linalg::Matrix& x_row, StepCache* cache,
                        linalg::Matrix* y) const;
+
+  // Last-position eval forward over causal sequences packed end to end
+  // (sequence s is rows [starts[s], starts[s + 1]) of x, at least one row
+  // each): blocks 0..B-2 run on every packed row, the last block computes
+  // K/V for every row but its query, residual, LN2, FFN and the final
+  // LayerNorm only for each sequence's last row. *y receives one row per
+  // sequence, bitwise that sequence's last row of Forward(train=false).
+  // Const and cache-free: no layer cache, no RNG.
+  void ForwardLastRowsInto(const linalg::Matrix& x,
+                           const std::vector<std::size_t>& starts,
+                           linalg::Matrix* y) const;
 
   void CollectParameters(std::vector<Parameter*>* out) override;
 

@@ -121,11 +121,46 @@ Matrix GatherLastPositions(const Matrix& h, const data::Batch& batch) {
   return out;
 }
 
+void SasRecModel::EncodeLastPositions(const data::Batch& batch,
+                                      const Matrix& v, Matrix* users) const {
+  WR_CHECK(users != nullptr);
+  WR_CHECK_EQ(v.cols(), config_.hidden_dim);
+  WR_CHECK_EQ(batch.last_position.size(), batch.batch_size);
+  // Batches are right-padded and attention is causal, so the rows after a
+  // sequence's last position never reach it: pack each prefix
+  // [0, last_position] end to end and drop the rest.
+  std::vector<std::size_t> starts(batch.batch_size + 1, 0);
+  for (std::size_t b = 0; b < batch.batch_size; ++b) {
+    WR_CHECK_LT(batch.last_position[b], batch.seq_len);
+    WR_CHECK_LT(batch.last_position[b], config_.max_len);
+    starts[b + 1] = starts[b] + batch.last_position[b] + 1;
+  }
+  // Embedded input rows, exactly EmbedInputs' gather + positional add in
+  // eval mode (dropout identity); a padded row inside a prefix is zeroed as
+  // EmbedInputs zeroes it.
+  const Matrix& pos = pos_emb_.table().value;
+  Matrix& x = linalg::ThreadLocalWorkspace().Mat(
+      linalg::kWsEvalInput, starts.back(), config_.hidden_dim);
+  for (std::size_t b = 0; b < batch.batch_size; ++b) {
+    for (std::size_t t = 0; t <= batch.last_position[b]; ++t) {
+      const std::size_t flat = batch.Flat(b, t);
+      if (batch.input_mask[flat] == 0.0) continue;  // stays zero
+      const std::size_t item = batch.items[flat];
+      WR_CHECK_LT(item, v.rows());
+      double* row = x.RowPtr(starts[b] + t);
+      for (std::size_t c = 0; c < config_.hidden_dim; ++c) {
+        row[c] = v(item, c) + pos(t, c);
+      }
+    }
+  }
+  transformer_.ForwardLastRowsInto(x, starts, users);
+}
+
 Matrix SasRecModel::ScoreLastPositions(const data::Batch& batch) {
-  const Matrix v = EncodeItems(/*train=*/false);
-  const Matrix h = EncodeSequences(batch, v, /*train=*/false);
-  const Matrix s = GatherLastPositions(h, batch);
-  return linalg::MatMulTransB(s, v);
+  Matrix users;
+  Matrix items;
+  ScoreFactors(batch, &users, &items);
+  return linalg::MatMulTransB(users, items);
 }
 
 void SasRecModel::ScoreFactors(const data::Batch& batch, Matrix* users,
@@ -133,8 +168,7 @@ void SasRecModel::ScoreFactors(const data::Batch& batch, Matrix* users,
   WR_CHECK(users != nullptr);
   WR_CHECK(items != nullptr);
   *items = EncodeItems(/*train=*/false);
-  const Matrix h = EncodeSequences(batch, *items, /*train=*/false);
-  *users = GatherLastPositions(h, batch);
+  EncodeLastPositions(batch, *items, users);
 }
 
 void SasRecModel::EncodeSequenceStep(const Matrix& v, std::size_t item,
@@ -149,7 +183,7 @@ void SasRecModel::EncodeSequenceStep(const Matrix& v, std::size_t item,
   // EmbedInputs' gather + add for an unpadded position in eval mode
   // (dropout identity, mask all-valid).
   const Matrix& pos = pos_emb_.table().value;
-  Matrix& x = linalg::ThreadLocalWorkspace().Mat(linalg::kWsStepInput, 1,
+  Matrix& x = linalg::ThreadLocalWorkspace().Mat(linalg::kWsEvalInput, 1,
                                                  config_.hidden_dim);
   for (std::size_t c = 0; c < config_.hidden_dim; ++c) {
     x(0, c) = v(item, c) + pos(t, c);
@@ -159,8 +193,9 @@ void SasRecModel::EncodeSequenceStep(const Matrix& v, std::size_t item,
 
 Matrix SasRecModel::UserRepresentations(const data::Batch& batch) {
   const Matrix v = EncodeItems(/*train=*/false);
-  const Matrix h = EncodeSequences(batch, v, /*train=*/false);
-  return GatherLastPositions(h, batch);
+  Matrix users;
+  EncodeLastPositions(batch, v, &users);
+  return users;
 }
 
 }  // namespace seqrec

@@ -50,7 +50,10 @@ class SasRecModel {
   // --- Granular API ------------------------------------------------------
   // Item representations V (num_items, d).
   linalg::Matrix EncodeItems(bool train);
-  // Hidden states H (batch*L, d) for a batch given V.
+  // Hidden states H (batch*L, d) for a batch given V: the training forward,
+  // which fills every layer's backward cache (and, with train, draws
+  // dropout masks). With train=false it is the oracle the two eval forwards
+  // below are tested against; the library ranks through them instead.
   linalg::Matrix EncodeSequences(const data::Batch& batch,
                                  const linalg::Matrix& v, bool train);
   // Full-softmax CE over all positions with a target; fills dH and adds the
@@ -72,9 +75,26 @@ class SasRecModel {
   // optimizer.
   double TrainStep(const data::Batch& batch);
 
-  // Scores (batch_size, num_items) for the last position of each sequence;
-  // eval mode, no caches disturbed for training. This materializes the full
-  // score matrix by contract; streaming consumers use ScoreFactors instead.
+  // --- Eval ---------------------------------------------------------------
+  // Every eval entry point below runs a const, cache-free forward: it writes
+  // no layer cache (a training step's forward/backward pair may straddle
+  // it) and draws no random number. EncodeItems(false) likewise runs the
+  // item encoder's cache-free eval.
+
+  // The last-position eval forward: *users receives one (1, hidden_dim) row
+  // per sequence, bitwise the row GatherLastPositions(EncodeSequences(batch,
+  // v, false), batch) would give. It relies on batches being right-padded:
+  // only each prefix [0, last_position] is packed and run through the
+  // blocks, and the last block computes its query side (attention, FFN,
+  // final LayerNorm) for the last row alone. Padded rows inside a prefix
+  // are zeroed as in EmbedInputs. Parallel over sequences, with every
+  // temporary in the thread's workspace.
+  void EncodeLastPositions(const data::Batch& batch, const linalg::Matrix& v,
+                           linalg::Matrix* users) const;
+
+  // Scores (batch_size, num_items) for the last position of each sequence.
+  // This materializes the full score matrix by contract; streaming
+  // consumers use ScoreFactors instead.
   linalg::Matrix ScoreLastPositions(const data::Batch& batch);
 
   // The factored form of ScoreLastPositions: *users receives the last-
@@ -85,7 +105,7 @@ class SasRecModel {
   void ScoreFactors(const data::Batch& batch, linalg::Matrix* users,
                     linalg::Matrix* items);
 
-  // Last-position user representations (batch_size, d), eval mode.
+  // Last-position user representations (batch_size, d).
   linalg::Matrix UserRepresentations(const data::Batch& batch);
 
   // --- Incremental serving forward ---------------------------------------
@@ -98,15 +118,15 @@ class SasRecModel {
     void Clear() { cache.Clear(); }
   };
 
-  // Appends one item at position state->len() and writes the (1, hidden_dim)
-  // final hidden row into *h_row — bitwise identical to the corresponding
-  // row of EncodeSequences(train=false) over the same unpadded sequence
-  // (tests/serving_test.cc sweeps this). `v` is the item table from
-  // EncodeItems(false), passed in so the serving layer can cache it across
-  // requests. Requires state->len() < config().max_len; on window overflow
-  // the caller clears the state and replays the truncated window. Const and
-  // touches no training caches, so distinct sessions may step concurrently
-  // from ParallelFor chunks.
+  // The one-row step forward: appends one item at position state->len() and
+  // writes the (1, hidden_dim) final hidden row into *h_row — bitwise
+  // identical to the corresponding row of EncodeSequences(train=false) over
+  // the same unpadded sequence (tests/serving_test.cc sweeps this). `v` is
+  // the item table from EncodeItems(false), passed in so the serving layer
+  // can cache it across requests. Requires state->len() < config().max_len;
+  // on window overflow the caller clears the state and replays the truncated
+  // window. Const and touches no training caches, so distinct sessions may
+  // step concurrently from ParallelFor chunks.
   void EncodeSequenceStep(const linalg::Matrix& v, std::size_t item,
                           SessionStepState* state,
                           linalg::Matrix* h_row) const;

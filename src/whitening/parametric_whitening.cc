@@ -24,16 +24,25 @@ ParametricWhitening::ParametricWhitening(std::size_t in_dim,
   for (std::size_t c = 0; c < in_dim; ++c) beta_.value(0, c) = init_mean[c];
 }
 
-Matrix ParametricWhitening::Forward(const Matrix& x) {
+Matrix ParametricWhitening::Centered(const Matrix& x) const {
   WR_CHECK_EQ(x.cols(), beta_.value.cols());
   WR_CHECK_FINITE(x);
-  cached_centered_ = x;
+  Matrix centered = x;
   const double* b = beta_.value.RowPtr(0);
-  for (std::size_t r = 0; r < cached_centered_.rows(); ++r) {
-    double* row = cached_centered_.RowPtr(r);
-    for (std::size_t c = 0; c < cached_centered_.cols(); ++c) row[c] -= b[c];
+  for (std::size_t r = 0; r < centered.rows(); ++r) {
+    double* row = centered.RowPtr(r);
+    for (std::size_t c = 0; c < centered.cols(); ++c) row[c] -= b[c];
   }
+  return centered;
+}
+
+Matrix ParametricWhitening::Forward(const Matrix& x) {
+  cached_centered_ = Centered(x);
   return linalg::MatMul(cached_centered_, weight_.value);
+}
+
+Matrix ParametricWhitening::ForwardEval(const Matrix& x) const {
+  return linalg::MatMul(Centered(x), weight_.value);
 }
 
 Matrix ParametricWhitening::Backward(const Matrix& dy) {
@@ -67,21 +76,28 @@ MoEPwEncoder::MoEPwEncoder(Matrix features, std::size_t out_dim,
   }
 }
 
-Matrix MoEPwEncoder::Forward(bool /*train*/) {
-  cached_gate_probs_ = gate_->Forward(features_);
-  nn::RowSoftmaxInPlace(&cached_gate_probs_);
-  cached_expert_out_.clear();
+Matrix MoEPwEncoder::Forward(bool train) {
+  Matrix probs;
+  if (train) {
+    probs = gate_->Forward(features_);
+  } else {
+    gate_->ForwardEvalInto(features_, &probs);
+  }
+  nn::RowSoftmaxInPlace(&probs);
+  if (train) cached_expert_out_.clear();
   Matrix out(features_.rows(), out_dim_);
   for (std::size_t e = 0; e < experts_.size(); ++e) {
-    cached_expert_out_.push_back(experts_[e]->Forward(features_));
-    const Matrix& eo = cached_expert_out_.back();
+    Matrix eo = train ? experts_[e]->Forward(features_)
+                      : experts_[e]->ForwardEval(features_);
     for (std::size_t r = 0; r < out.rows(); ++r) {
-      const double g = cached_gate_probs_(r, e);
+      const double g = probs(r, e);
       double* orow = out.RowPtr(r);
       const double* erow = eo.RowPtr(r);
       for (std::size_t c = 0; c < out_dim_; ++c) orow[c] += g * erow[c];
     }
+    if (train) cached_expert_out_.push_back(std::move(eo));
   }
+  if (train) cached_gate_probs_ = std::move(probs);
   return out;
 }
 
@@ -133,16 +149,18 @@ PwEnsembleEncoder::PwEnsembleEncoder(Matrix features, std::size_t out_dim,
       head_(features_.cols(), out_dim, head, rng, 4, name + ".head"),
       name_(name) {}
 
-Matrix PwEnsembleEncoder::Forward(bool /*train*/) {
+Matrix PwEnsembleEncoder::Forward(bool train) {
   const std::size_t n = features_.rows();
-  const Matrix z1 = pw_full_.Forward(features_);
-  const Matrix z2 = pw_relaxed_.Forward(features_);
+  const Matrix z1 = train ? pw_full_.Forward(features_)
+                          : pw_full_.ForwardEval(features_);
+  const Matrix z2 = train ? pw_relaxed_.Forward(features_)
+                          : pw_relaxed_.ForwardEval(features_);
   Matrix stacked(2 * n, features_.cols());
   for (std::size_t r = 0; r < n; ++r) {
     stacked.SetRow(r, z1.Row(r));
     stacked.SetRow(n + r, z2.Row(r));
   }
-  const Matrix h = head_.Forward(stacked);
+  const Matrix h = train ? head_.Forward(stacked) : head_.ForwardEval(stacked);
   Matrix v(n, out_dim_);
   for (std::size_t r = 0; r < n; ++r) {
     const double* top = h.RowPtr(r);

@@ -27,11 +27,15 @@ class ParametricWhitening : public nn::Layer {
 
   linalg::Matrix Forward(const linalg::Matrix& x);
   linalg::Matrix Backward(const linalg::Matrix& dy);
+  // Forward's arithmetic without its cache.
+  linalg::Matrix ForwardEval(const linalg::Matrix& x) const;
   void CollectParameters(std::vector<nn::Parameter*>* out) override;
 
   std::size_t out_dim() const { return weight_.value.cols(); }
 
  private:
+  linalg::Matrix Centered(const linalg::Matrix& x) const;  // x - beta
+
   nn::Parameter beta_;    // (1, in_dim)
   nn::Parameter weight_;  // (in_dim, out_dim)
   linalg::Matrix cached_centered_;
@@ -40,6 +44,7 @@ class ParametricWhitening : public nn::Layer {
 // UniSRec's item encoder: a Mixture-of-Experts adaptor whose experts are PW
 // layers over the frozen text features, softmax-gated per item. (UniSRec's
 // pre-training stage is removed, as in the paper's fair-comparison setup.)
+// Like every encoder here, Forward(false) fills no backward cache.
 class MoEPwEncoder : public ItemEncoder {
  public:
   MoEPwEncoder(linalg::Matrix features, std::size_t out_dim,

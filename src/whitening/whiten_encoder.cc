@@ -41,6 +41,18 @@ std::size_t NumHiddenLayers(HeadKind kind) {
   return 0;
 }
 
+// out += diag(probs[:, e]) * expert_out: expert e's gated share of the MoE
+// head output, shared by the training and eval forwards.
+void AddGatedExpert(const Matrix& probs, std::size_t e,
+                    const Matrix& expert_out, Matrix* out) {
+  for (std::size_t r = 0; r < out->rows(); ++r) {
+    const double g = probs(r, e);
+    double* orow = out->RowPtr(r);
+    const double* erow = expert_out.RowPtr(r);
+    for (std::size_t c = 0; c < out->cols(); ++c) orow[c] += g * erow[c];
+  }
+}
+
 }  // namespace
 
 ProjectionHead::ProjectionHead(std::size_t in_dim, std::size_t out_dim,
@@ -88,13 +100,34 @@ Matrix ProjectionHead::Forward(const Matrix& x) {
     // Each expert Linear caches only its last forward; since all experts see
     // the same input x, per-expert caching remains valid for backward.
     cached_expert_out_.push_back(experts_[e]->Forward(x));
-    const Matrix& eo = cached_expert_out_.back();
-    for (std::size_t r = 0; r < out.rows(); ++r) {
-      const double g = cached_gate_probs_(r, e);
-      double* orow = out.RowPtr(r);
-      const double* erow = eo.RowPtr(r);
-      for (std::size_t c = 0; c < out_dim_; ++c) orow[c] += g * erow[c];
+    AddGatedExpert(cached_gate_probs_, e, cached_expert_out_.back(), &out);
+  }
+  return out;
+}
+
+Matrix ProjectionHead::ForwardEval(const Matrix& x) const {
+  WR_CHECK_EQ(x.cols(), in_dim_);
+  if (kind_ != HeadKind::kMoe) {
+    // Ping-pong between two buffers; the last layer writes the result.
+    Matrix out;
+    Matrix hidden[2];
+    const Matrix* h = &x;
+    for (std::size_t i = 0; i < linears_.size(); ++i) {
+      Matrix* next = i + 1 == linears_.size() ? &out : &hidden[i % 2];
+      linears_[i]->ForwardEvalInto(*h, next);
+      if (i < relus_.size()) nn::ReluInPlace(next);
+      h = next;
     }
+    return out;
+  }
+  Matrix probs;
+  gate_->ForwardEvalInto(x, &probs);
+  nn::RowSoftmaxInPlace(&probs);
+  Matrix out(x.rows(), out_dim_);
+  Matrix expert_out;
+  for (std::size_t e = 0; e < experts_.size(); ++e) {
+    experts_[e]->ForwardEvalInto(x, &expert_out);
+    AddGatedExpert(probs, e, expert_out, &out);
   }
   return out;
 }
@@ -156,8 +189,8 @@ TextFeatureEncoder::TextFeatureEncoder(Matrix features, std::size_t out_dim,
       head_(features_.cols(), out_dim, head, rng, 4, name + ".head"),
       name_(std::move(name)) {}
 
-Matrix TextFeatureEncoder::Forward(bool /*train*/) {
-  return head_.Forward(features_);
+Matrix TextFeatureEncoder::Forward(bool train) {
+  return train ? head_.Forward(features_) : head_.ForwardEval(features_);
 }
 
 void TextFeatureEncoder::Backward(const Matrix& dv) {
@@ -212,30 +245,35 @@ Matrix WhitenRecPlusEncoder::StackedInput() const {
   return stacked;
 }
 
-Matrix WhitenRecPlusEncoder::Forward(bool /*train*/) {
+Matrix WhitenRecPlusEncoder::Forward(bool train) {
   const std::size_t n = z_full_.rows();
   if (ensemble_ == EnsembleKind::kConcat) {
     Matrix concat(n, z_full_.cols() * 2);
     concat.SetColSlice(0, z_full_);
     concat.SetColSlice(z_full_.cols(), z_relaxed_);
-    return head_.Forward(concat);
+    return train ? head_.Forward(concat) : head_.ForwardEval(concat);
   }
   // Shared head over the row-stacked branches: one forward per step.
-  cached_h_ = head_.Forward(StackedInput());
+  Matrix h = train ? head_.Forward(StackedInput())
+                   : head_.ForwardEval(StackedInput());
+  Matrix v(n, out_dim_);
   if (ensemble_ == EnsembleKind::kSum) {
-    Matrix v(n, out_dim_);
     for (std::size_t r = 0; r < n; ++r) {
-      const double* top = cached_h_.RowPtr(r);
-      const double* bot = cached_h_.RowPtr(n + r);
+      const double* top = h.RowPtr(r);
+      const double* bot = h.RowPtr(n + r);
       double* vrow = v.RowPtr(r);
       for (std::size_t c = 0; c < out_dim_; ++c) vrow[c] = top[c] + bot[c];
     }
     return v;
   }
   // kAttn: per-item softmax attention over the two branch outputs.
-  const Matrix scores = attn_scorer_->Forward(cached_h_);  // (2n, 1)
-  cached_alpha_ = Matrix(n, 2);
-  Matrix v(n, out_dim_);
+  Matrix scores;  // (2n, 1)
+  if (train) {
+    scores = attn_scorer_->Forward(h);
+  } else {
+    attn_scorer_->ForwardEvalInto(h, &scores);
+  }
+  Matrix alpha(n, 2);
   for (std::size_t r = 0; r < n; ++r) {
     const double s1 = scores(r, 0);
     const double s2 = scores(n + r, 0);
@@ -244,14 +282,18 @@ Matrix WhitenRecPlusEncoder::Forward(bool /*train*/) {
     const double e2 = std::exp(s2 - m);
     const double a1 = e1 / (e1 + e2);
     const double a2 = 1.0 - a1;
-    cached_alpha_(r, 0) = a1;
-    cached_alpha_(r, 1) = a2;
-    const double* top = cached_h_.RowPtr(r);
-    const double* bot = cached_h_.RowPtr(n + r);
+    alpha(r, 0) = a1;
+    alpha(r, 1) = a2;
+    const double* top = h.RowPtr(r);
+    const double* bot = h.RowPtr(n + r);
     double* vrow = v.RowPtr(r);
     for (std::size_t c = 0; c < out_dim_; ++c) {
       vrow[c] = a1 * top[c] + a2 * bot[c];
     }
+  }
+  if (train) {
+    cached_h_ = std::move(h);
+    cached_alpha_ = std::move(alpha);
   }
   return v;
 }

@@ -30,8 +30,13 @@ class ProjectionHead {
                  linalg::Rng* rng, std::size_t num_experts = 4,
                  std::string name = "head");
 
+  // Training forward: caches what Backward needs.
   linalg::Matrix Forward(const linalg::Matrix& x);
   linalg::Matrix Backward(const linalg::Matrix& dy);
+  // Eval forward: the same arithmetic through Linear::ForwardEvalInto and an
+  // in-place ReLU (MoE: the same gate softmax and expert mix), bitwise equal
+  // to Forward, touching no cache. Const, so safe beside a training step.
+  linalg::Matrix ForwardEval(const linalg::Matrix& x) const;
   void CollectParameters(std::vector<nn::Parameter*>* out);
 
   std::size_t in_dim() const { return in_dim_; }
@@ -63,7 +68,11 @@ const char* EnsembleKindName(EnsembleKind kind);
 
 // WhitenRec item encoder: frozen (whitened) text features -> projection
 // head. With raw features this is SASRec^T's encoder; construction helpers
-// below pick the right preprocessing.
+// below pick the right preprocessing. Forward(train) honours its flag, as
+// every head-wrapping encoder here does: Forward(true) fills the head's
+// backward caches, Forward(false) runs ProjectionHead::ForwardEval and
+// writes none, so evaluating or re-encoding the catalog for serving never
+// disturbs a training step.
 class TextFeatureEncoder : public ItemEncoder {
  public:
   TextFeatureEncoder(linalg::Matrix features, std::size_t out_dim,

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include "eval/metrics.h"
 #include "linalg/gemm.h"
 #include "nn/loss.h"
+#include "scoped_knobs.h"
 #include "seqrec/baselines.h"
 #include "seqrec/general_rec.h"
 #include "seqrec/item_encoder.h"
@@ -204,6 +207,11 @@ TEST(SasRecModelTest, TrainStepReturnsFiniteLoss) {
   EXPECT_NEAR(loss, std::log(static_cast<double>(ds.num_items)), 1.5);
 }
 
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 // Largest |got - want| / max(1, |want|) over all elements.
 double MaxRelDiff(const Matrix& got, const Matrix& want) {
   EXPECT_EQ(got.rows(), want.rows());
@@ -299,8 +307,196 @@ TEST(SasRecModelTest, PaddingDoesNotAffectScores) {
   const auto long_batches = data::MakeEvalBatches({inst}, 8, 4);
   const Matrix s1 = rec->model()->ScoreLastPositions(short_batches[0]);
   const Matrix s2 = rec->model()->ScoreLastPositions(long_batches[0]);
-  for (std::size_t c = 0; c < s1.cols(); ++c)
-    EXPECT_NEAR(s1(0, c), s2(0, c), 1e-9);
+  EXPECT_TRUE(SameBits(s1, s2));
+}
+
+// ---------------------------------------------------------------------------
+// Eval forward: EncodeLastPositions against the training-forward oracle
+// ---------------------------------------------------------------------------
+
+// One context of every length 1..max_len + 2; the last two are longer than
+// the window and keep only their most recent max_len items.
+std::vector<data::EvalInstance> MixedLengthInstances(std::size_t max_len,
+                                                     std::size_t num_items) {
+  std::vector<data::EvalInstance> out;
+  for (std::size_t len = 1; len <= max_len + 2; ++len) {
+    data::EvalInstance inst{len, {}, 0};
+    for (std::size_t t = 0; t < len; ++t) {
+      inst.input.push_back(1 + (len * 7 + t * 13) % (num_items - 1));
+    }
+    out.push_back(inst);
+  }
+  return out;
+}
+
+// The oracle: the training forward in eval mode over the whole padded batch,
+// then the last valid row of each sequence.
+Matrix OracleLastPositions(SasRecModel* model, const data::Batch& batch,
+                           const Matrix& v) {
+  return GatherLastPositions(model->EncodeSequences(batch, v, false), batch);
+}
+
+struct EvalForwardShape {
+  std::size_t num_blocks;
+  std::size_t num_heads;
+};
+
+class EvalForwardTest : public ::testing::TestWithParam<EvalForwardShape> {};
+
+TEST_P(EvalForwardTest, LastPositionsMatchTrainingForwardBitwise) {
+  const data::Dataset& ds = TinyData().dataset;
+  SasRecConfig config = TinyModelConfig();
+  config.num_blocks = GetParam().num_blocks;
+  config.num_heads = GetParam().num_heads;
+  config.dropout = 0.3;  // eval must ignore it
+  auto rec = MakeSasRecText(ds, config);
+  SasRecModel* model = rec->model();
+  // One training step moves the weights off their initialization.
+  const data::Split split = data::LeaveOneOutSplit(ds);
+  Rng rng(17);
+  const std::vector<data::Batch> train =
+      data::MakeTrainBatches(split.train, config.max_len, 32, &rng);
+  nn::Adam::Options opts;
+  opts.learning_rate = 1e-2;
+  nn::Adam adam(model->Parameters(), opts);
+  model->TrainStep(train[0]);
+  adam.Step();
+
+  std::vector<data::Batch> batches;
+  batches.push_back(data::MakeEvalBatches(
+      MixedLengthInstances(config.max_len, ds.num_items), config.max_len,
+      64)[0]);
+  batches.push_back(data::MakeEvalBatches(
+      {data::EvalInstance{0, {3, 5, 7}, 0}}, config.max_len, 1)[0]);
+  batches.push_back(data::MakeEvalBatches(
+      {data::EvalInstance{0, {9}, 0}}, config.max_len, 1)[0]);
+  // A padded row inside a prefix is zeroed, as EmbedInputs zeroes it.
+  data::Batch holed = batches[0];
+  for (std::size_t b = 0; b < holed.batch_size; ++b) {
+    if (holed.last_position[b] >= 2) holed.input_mask[holed.Flat(b, 1)] = 0.0;
+  }
+  batches.push_back(holed);
+  batches.push_back(train[1]);  // every position carries a target
+
+  const Matrix v = model->EncodeItems(/*train=*/false);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ScopedThreads scoped(threads);
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+      const data::Batch& batch = batches[i];
+      const Matrix want = OracleLastPositions(model, batch, v);
+      Matrix got;
+      model->EncodeLastPositions(batch, v, &got);
+      EXPECT_TRUE(SameBits(got, want))
+          << "batch " << i << " threads " << threads;
+      EXPECT_TRUE(SameBits(model->UserRepresentations(batch), want))
+          << "batch " << i << " threads " << threads;
+      Matrix users;
+      Matrix items;
+      model->ScoreFactors(batch, &users, &items);
+      EXPECT_TRUE(SameBits(users, want));
+      EXPECT_TRUE(SameBits(items, v));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BlocksAndHeads, EvalForwardTest,
+    ::testing::Values(EvalForwardShape{1, 1}, EvalForwardShape{1, 2},
+                      EvalForwardShape{1, 4}, EvalForwardShape{3, 1},
+                      EvalForwardShape{3, 2}, EvalForwardShape{3, 4}),
+    [](const ::testing::TestParamInfo<EvalForwardShape>& shape) {
+      return "blocks" + std::to_string(shape.param.num_blocks) + "_heads" +
+             std::to_string(shape.param.num_heads);
+    });
+
+// Evaluation writes no training state: ScoreFactors and UserRepresentations
+// on another batch between a step's forward and its backward leave the
+// loss and every gradient bitwise where an uninterrupted step puts them, and
+// draw no dropout randomness (the second step would diverge otherwise).
+TEST(EvalStateTest, EvalBetweenForwardAndBackwardLeavesGradientsBitwise) {
+  const data::Dataset& ds = TinyData().dataset;
+  SasRecConfig config = TinyModelConfig();
+  config.num_blocks = 2;
+  config.dropout = 0.2;
+  auto plain = MakeSasRecText(ds, config);
+  auto interrupted = MakeSasRecText(ds, config);
+  const data::Split split = data::LeaveOneOutSplit(ds);
+  Rng rng(19);
+  const std::vector<data::Batch> train =
+      data::MakeTrainBatches(split.train, config.max_len, 32, &rng);
+  const data::Batch eval_batch =
+      data::MakeEvalBatches(split.valid, config.max_len, 16)[0];
+
+  auto step = [&](SasRecModel* model, const data::Batch& batch,
+                  bool evaluate) {
+    for (nn::Parameter* p : model->Parameters()) p->ZeroGrad();
+    const Matrix v = model->EncodeItems(/*train=*/true);
+    const Matrix h = model->EncodeSequences(batch, v, /*train=*/true);
+    if (evaluate) {
+      Matrix users;
+      Matrix items;
+      model->ScoreFactors(eval_batch, &users, &items);
+      EXPECT_EQ(model->UserRepresentations(eval_batch).rows(),
+                eval_batch.batch_size);
+    }
+    Matrix dh;
+    Matrix dv;
+    const double loss = model->SequenceLossAndGrad(batch, h, v, &dh, &dv);
+    model->BackwardSequences(batch, dh, &dv);
+    model->BackwardItems(dv);
+    return loss;
+  };
+  for (std::size_t i = 0; i < 2; ++i) {
+    const double want = step(plain->model(), train[i], false);
+    const double got = step(interrupted->model(), train[i], true);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0) << "step " << i;
+    const std::vector<nn::Parameter*> a = plain->model()->Parameters();
+    const std::vector<nn::Parameter*> b = interrupted->model()->Parameters();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t p = 0; p < a.size(); ++p) {
+      EXPECT_TRUE(SameBits(b[p]->grad, a[p]->grad))
+          << a[p]->name << " step " << i;
+    }
+  }
+}
+
+// CL4SRec's stop-gradient view runs an eval pass inside every training
+// step. With the eval forward in that place, training reproduces the run
+// that uses the training forward's eval mode there, bitwise.
+TEST(EvalStateTest, EvalInsideTrainingStepsTrainsAsTheOracle) {
+  const data::Dataset& ds = TinyData().dataset;
+  const data::Split split = data::LeaveOneOutSplit(ds);
+  auto fit = [&](bool oracle) {
+    auto rec = MakeSasRecId(ds, TinyModelConfig());
+    rec->SetStep([oracle](SasRecModel* model, const data::Batch& batch) {
+      Matrix z;
+      if (oracle) {
+        const Matrix v = model->EncodeItems(/*train=*/false);
+        z = OracleLastPositions(model, batch, v);
+      } else {
+        z = model->UserRepresentations(batch);
+      }
+      return model->TrainStep(batch) + 1e-3 * z.FrobeniusNorm();
+    });
+    return rec->Fit(split, TinyTrainConfig());
+  };
+  const TrainResult want = fit(true);
+  const TrainResult got = fit(false);
+  EXPECT_EQ(got.best_epoch, want.best_epoch);
+  EXPECT_EQ(std::memcmp(&got.best_valid_ndcg20, &want.best_valid_ndcg20,
+                        sizeof(double)),
+            0);
+  ASSERT_EQ(got.epochs.size(), want.epochs.size());
+  for (std::size_t e = 0; e < got.epochs.size(); ++e) {
+    EXPECT_EQ(std::memcmp(&got.epochs[e].train_loss,
+                          &want.epochs[e].train_loss, sizeof(double)),
+              0)
+        << "epoch " << e;
+    EXPECT_EQ(std::memcmp(&got.epochs[e].valid_ndcg20,
+                          &want.epochs[e].valid_ndcg20, sizeof(double)),
+              0)
+        << "epoch " << e;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -400,6 +401,45 @@ TEST_P(HeadKindTest, GradCheck) {
     EXPECT_LT(MaxParamGradError(p, p->grad, loss), 2e-4) << p->name;
 }
 
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The eval forward is the training forward's arithmetic without its caches:
+// bitwise equal outputs, and a ForwardEval between a step's Forward and
+// Backward leaves the gradients bitwise where an uninterrupted step puts
+// them.
+TEST_P(HeadKindTest, ForwardEvalMatchesForwardBitwiseAndWritesNoCache) {
+  Rng rng_a(50);
+  Rng rng_b(50);
+  ProjectionHead head(6, 4, GetParam(), &rng_a);
+  ProjectionHead twin(6, 4, GetParam(), &rng_b);
+  Rng data_rng(51);
+  const Matrix x = data_rng.GaussianMatrix(9, 6, 1.0);
+  const Matrix other = data_rng.GaussianMatrix(13, 6, 1.0);
+  const Matrix dy = data_rng.GaussianMatrix(9, 4, 1.0);
+  EXPECT_TRUE(SameBits(head.ForwardEval(x), head.Forward(x)));
+  EXPECT_TRUE(SameBits(head.ForwardEval(other), head.Forward(other)));
+
+  std::vector<nn::Parameter*> params;
+  head.CollectParameters(&params);
+  std::vector<nn::Parameter*> twin_params;
+  twin.CollectParameters(&twin_params);
+  for (nn::Parameter* p : params) p->ZeroGrad();
+  for (nn::Parameter* p : twin_params) p->ZeroGrad();
+  head.Forward(x);
+  EXPECT_EQ(head.ForwardEval(other).rows(), 13u);
+  const Matrix dx = head.Backward(dy);
+  twin.Forward(x);
+  EXPECT_TRUE(SameBits(dx, twin.Backward(dy)));
+  ASSERT_EQ(params.size(), twin_params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_TRUE(SameBits(params[i]->grad, twin_params[i]->grad))
+        << params[i]->name;
+  }
+}
+
 TEST_P(HeadKindTest, ParameterCountPositive) {
   Rng rng(49);
   ProjectionHead head(6, 4, GetParam(), &rng);
@@ -434,8 +474,10 @@ TEST(TextFeatureEncoderTest, ShapeAndGradientFlow) {
   TextFeatureEncoder enc(features, 4, HeadKind::kMlp2, &rng);
   EXPECT_EQ(enc.num_items(), 12u);
   EXPECT_EQ(enc.output_dim(), 4u);
-  const Matrix v = enc.Forward(false);
+  // Forward(false) is the cache-free eval; Backward needs Forward(true).
+  const Matrix v = enc.Forward(true);
   EXPECT_EQ(v.rows(), 12u);
+  EXPECT_TRUE(SameBits(enc.Forward(false), v));
   std::vector<nn::Parameter*> params;
   enc.CollectParameters(&params);
   for (nn::Parameter* p : params) p->ZeroGrad();
@@ -455,6 +497,14 @@ TEST_P(EnsembleKindTest, ForwardShape) {
   const Matrix v = enc.Forward(false);
   EXPECT_EQ(v.rows(), 10u);
   EXPECT_EQ(v.cols(), 4u);
+}
+
+TEST_P(EnsembleKindTest, EvalForwardMatchesTrainForwardBitwise) {
+  Rng rng(52);
+  const Matrix z1 = rng.GaussianMatrix(10, 6, 1.0);
+  const Matrix z2 = rng.GaussianMatrix(10, 6, 1.0);
+  WhitenRecPlusEncoder enc(z1, z2, 4, GetParam(), HeadKind::kMlp2, &rng);
+  EXPECT_TRUE(SameBits(enc.Forward(false), enc.Forward(true)));
 }
 
 TEST_P(EnsembleKindTest, GradCheckParameters) {
@@ -522,6 +572,20 @@ TEST(MoEPwEncoderTest, ForwardShapeAndGradFlow) {
   double norm = 0.0;
   for (nn::Parameter* p : params) norm += p->grad.FrobeniusNorm();
   EXPECT_GT(norm, 0.0);
+}
+
+TEST(MoEPwEncoderTest, EvalForwardMatchesTrainForwardBitwise) {
+  Rng rng(57);
+  const Matrix features = rng.GaussianMatrix(15, 6, 1.0);
+  MoEPwEncoder enc(features, 4, 3, &rng);
+  EXPECT_TRUE(SameBits(enc.Forward(false), enc.Forward(true)));
+}
+
+TEST(PwEnsembleEncoderTest, EvalForwardMatchesTrainForwardBitwise) {
+  Rng rng(58);
+  const Matrix features = rng.GaussianMatrix(5, 4, 1.0);
+  PwEnsembleEncoder enc(features, 3, HeadKind::kMlp1, &rng);
+  EXPECT_TRUE(SameBits(enc.Forward(false), enc.Forward(true)));
 }
 
 TEST(PwEnsembleEncoderTest, GradCheck) {
