@@ -67,6 +67,13 @@ linalg::Matrix GatherRows(const linalg::Matrix& table,
   return out;
 }
 
+void ZeroMaskedRows(const std::vector<double>& mask, linalg::Matrix* x) {
+  WR_CHECK_EQ(mask.size(), x->rows());
+  for (std::size_t r = 0; r < x->rows(); ++r) {
+    if (mask[r] == 0.0) std::fill_n(x->RowPtr(r), x->cols(), 0.0);
+  }
+}
+
 void ScatterAddRows(const linalg::Matrix& grads,
                     const std::vector<std::size_t>& indices,
                     linalg::Matrix* grad_table) {

@@ -30,6 +30,10 @@ void RowL2NormalizeInPlace(linalg::Matrix* m);
 linalg::Matrix GatherRows(const linalg::Matrix& table,
                           const std::vector<std::size_t>& indices);
 
+// Zeroes every row r of *x whose mask[r] is 0.0 (a padded position), in
+// the forward and the backward of an input layer alike.
+void ZeroMaskedRows(const std::vector<double>& mask, linalg::Matrix* x);
+
 // Scatter-add: for each k, grad_table->row(indices[k]) += grads.row(k).
 void ScatterAddRows(const linalg::Matrix& grads,
                     const std::vector<std::size_t>& indices,

@@ -8,6 +8,7 @@
 #include "nn/loss.h"
 #include "nn/tensor.h"
 #include "seqrec/item_encoder.h"
+#include "seqrec/sequence_input.h"
 
 namespace whitenrec {
 namespace seqrec {
@@ -476,12 +477,10 @@ class FdsaRecommender final : public TrainableRecommender {
     enc_text_ = std::make_unique<TextFeatureEncoder>(
         dataset.text_embeddings, cfg.hidden_dim, HeadKind::kMlp2, &rng_,
         "fdsa.text");
-    pos_id_ = std::make_unique<nn::Embedding>(cfg.max_len, cfg.hidden_dim,
-                                              &rng_, "fdsa.pos_id");
-    pos_text_ = std::make_unique<nn::Embedding>(cfg.max_len, cfg.hidden_dim,
-                                                &rng_, "fdsa.pos_text");
-    drop_id_ = std::make_unique<nn::Dropout>(cfg.dropout, &rng_);
-    drop_text_ = std::make_unique<nn::Dropout>(cfg.dropout, &rng_);
+    input_id_ = std::make_unique<SequenceInput>(
+        cfg.max_len, cfg.hidden_dim, cfg.dropout, &rng_, "fdsa.pos_id");
+    input_text_ = std::make_unique<SequenceInput>(
+        cfg.max_len, cfg.hidden_dim, cfg.dropout, &rng_, "fdsa.pos_text");
     trans_id_ = std::make_unique<nn::TransformerEncoder>(
         cfg.hidden_dim, cfg.num_blocks, cfg.num_heads, cfg.ffn_hidden,
         cfg.dropout, &rng_, "fdsa.trans_id");
@@ -496,12 +495,22 @@ class FdsaRecommender final : public TrainableRecommender {
   std::size_t num_items() const override { return enc_id_->num_items(); }
 
   // Users are the fused last-position states; both streams score against
-  // the summed item table.
+  // the summed item table. Each stream runs the last-position eval forward
+  // over its packed prefixes, and only those B last rows are fused: bitwise
+  // the last rows of the training forward in eval mode (both streams are
+  // causal), with no layer cache written.
   bool ScoreFactors(const data::Batch& batch, Matrix* users,
                     Matrix* items) override {
-    Matrix v_id, v_text;
-    const Matrix h = ForwardFused(batch, &v_id, &v_text, /*train=*/false);
-    *users = GatherLastPositions(h, batch);
+    Matrix v_id = enc_id_->Forward(/*train=*/false);
+    const Matrix v_text = enc_text_->Forward(/*train=*/false);
+    Matrix h_id;
+    Matrix h_text;
+    ForwardLastPositions(*input_id_, *trans_id_, batch, v_id, &h_id);
+    ForwardLastPositions(*input_text_, *trans_text_, batch, v_text, &h_text);
+    Matrix concat(batch.batch_size, 2 * config_.hidden_dim);
+    concat.SetColSlice(0, h_id);
+    concat.SetColSlice(config_.hidden_dim, h_text);
+    fusion_->ForwardEvalInto(concat, users);
     *items = std::move(v_id);
     *items += v_text;
     return true;
@@ -511,8 +520,8 @@ class FdsaRecommender final : public TrainableRecommender {
     std::vector<nn::Parameter*> params;
     enc_id_->CollectParameters(&params);
     enc_text_->CollectParameters(&params);
-    pos_id_->CollectParameters(&params);
-    pos_text_->CollectParameters(&params);
+    input_id_->CollectParameters(&params);
+    input_text_->CollectParameters(&params);
     trans_id_->CollectParameters(&params);
     trans_text_->CollectParameters(&params);
     fusion_->CollectParameters(&params);
@@ -521,74 +530,26 @@ class FdsaRecommender final : public TrainableRecommender {
 
   const TrainResult& Fit(const data::Split& split,
                          const TrainConfig& config) override {
-    linalg::Rng shuffle_rng(config.seed);
-    TrainTask task;
-    task.recommender = this;
-    task.max_len = config_.max_len;
-    task.params = Parameters();
-    task.rngs = {{"shuffle", &shuffle_rng}, {"model", &rng_}};
-    task.run_epoch = WindowEpoch(
-        split, config_.max_len, config.batch_size, &shuffle_rng,
+    result_ = FitWindows(
+        this, split, config, config_.max_len, {{"model", &rng_}},
         [this](const data::Batch& batch) { return TrainStep(batch); });
-    result_ = TrainRecommender(task, split, config);
     return result_;
   }
 
  private:
-  // One stream's input embedding: gather + positions + mask + dropout.
-  Matrix EmbedStream(const data::Batch& batch, const Matrix& v,
-                     nn::Embedding* pos, nn::Dropout* drop, bool train) {
-    Matrix x = nn::GatherRows(v, batch.items);
-    std::vector<std::size_t> positions(batch.items.size());
-    for (std::size_t b = 0; b < batch.batch_size; ++b) {
-      for (std::size_t t = 0; t < batch.seq_len; ++t) {
-        positions[batch.Flat(b, t)] = t;
-      }
-    }
-    x += pos->Forward(positions);
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      if (batch.input_mask[r] == 0.0) {
-        double* row = x.RowPtr(r);
-        for (std::size_t c = 0; c < x.cols(); ++c) row[c] = 0.0;
-      }
-    }
-    return drop->Forward(x, train);
-  }
-
-  void MaskAndScatter(const data::Batch& batch, Matrix dx, nn::Embedding* pos,
-                      Matrix* dv) {
-    for (std::size_t r = 0; r < dx.rows(); ++r) {
-      if (batch.input_mask[r] == 0.0) {
-        double* row = dx.RowPtr(r);
-        for (std::size_t c = 0; c < dx.cols(); ++c) row[c] = 0.0;
-      }
-    }
-    pos->Backward(dx);
-    nn::ScatterAddRows(dx, batch.items, dv);
-  }
-
-  // Joint forward producing fused hidden states; fills v_id/v_text/h.
-  Matrix ForwardFused(const data::Batch& batch, Matrix* v_id, Matrix* v_text,
-                      bool train) {
-    *v_id = enc_id_->Forward(train);
-    *v_text = enc_text_->Forward(train);
-    const Matrix x_id =
-        EmbedStream(batch, *v_id, pos_id_.get(), drop_id_.get(), train);
-    const Matrix x_text =
-        EmbedStream(batch, *v_text, pos_text_.get(), drop_text_.get(), train);
+  double TrainStep(const data::Batch& batch) {
+    const Matrix v_id = enc_id_->Forward(/*train=*/true);
+    const Matrix v_text = enc_text_->Forward(/*train=*/true);
+    const Matrix x_id = input_id_->Forward(batch, v_id, /*train=*/true);
+    const Matrix x_text = input_text_->Forward(batch, v_text, /*train=*/true);
     const Matrix h_id =
-        trans_id_->Forward(x_id, batch.batch_size, batch.seq_len, train);
+        trans_id_->Forward(x_id, batch.batch_size, batch.seq_len, true);
     const Matrix h_text =
-        trans_text_->Forward(x_text, batch.batch_size, batch.seq_len, train);
+        trans_text_->Forward(x_text, batch.batch_size, batch.seq_len, true);
     Matrix concat(h_id.rows(), 2 * config_.hidden_dim);
     concat.SetColSlice(0, h_id);
     concat.SetColSlice(config_.hidden_dim, h_text);
-    return fusion_->Forward(concat);
-  }
-
-  double TrainStep(const data::Batch& batch) {
-    Matrix v_id, v_text;
-    const Matrix h = ForwardFused(batch, &v_id, &v_text, /*train=*/true);
+    const Matrix h = fusion_->Forward(concat);
     Matrix v_sum = v_id;
     v_sum += v_text;
     Matrix dh;
@@ -600,15 +561,10 @@ class FdsaRecommender final : public TrainableRecommender {
     const Matrix dh_id = dconcat.ColSlice(0, config_.hidden_dim);
     const Matrix dh_text =
         dconcat.ColSlice(config_.hidden_dim, 2 * config_.hidden_dim);
-    Matrix dx_id = trans_id_->Backward(dh_id);
-    dx_id = drop_id_->Backward(dx_id);
-    Matrix dx_text = trans_text_->Backward(dh_text);
-    dx_text = drop_text_->Backward(dx_text);
-
     Matrix dv_id = dv;
     Matrix dv_text = std::move(dv);
-    MaskAndScatter(batch, std::move(dx_id), pos_id_.get(), &dv_id);
-    MaskAndScatter(batch, std::move(dx_text), pos_text_.get(), &dv_text);
+    input_id_->Backward(trans_id_->Backward(dh_id), &dv_id);
+    input_text_->Backward(trans_text_->Backward(dh_text), &dv_text);
     enc_id_->Backward(dv_id);
     enc_text_->Backward(dv_text);
     return loss;
@@ -618,10 +574,8 @@ class FdsaRecommender final : public TrainableRecommender {
   linalg::Rng rng_;
   std::unique_ptr<IdEncoder> enc_id_;
   std::unique_ptr<TextFeatureEncoder> enc_text_;
-  std::unique_ptr<nn::Embedding> pos_id_;
-  std::unique_ptr<nn::Embedding> pos_text_;
-  std::unique_ptr<nn::Dropout> drop_id_;
-  std::unique_ptr<nn::Dropout> drop_text_;
+  std::unique_ptr<SequenceInput> input_id_;
+  std::unique_ptr<SequenceInput> input_text_;
   std::unique_ptr<nn::TransformerEncoder> trans_id_;
   std::unique_ptr<nn::TransformerEncoder> trans_text_;
   std::unique_ptr<nn::Linear> fusion_;  // (2d -> d)

@@ -189,16 +189,10 @@ class CaserRecommender final : public TrainableRecommender {
 
   const TrainResult& Fit(const data::Split& split,
                          const TrainConfig& config) override {
-    linalg::Rng shuffle_rng(config.seed);
-    TrainTask task;
-    task.recommender = this;
-    task.max_len = config_.max_len;
-    task.params = Parameters();
-    task.rngs = {{"shuffle", &shuffle_rng}};  // Caser has no dropout
-    task.run_epoch = WindowEpoch(
-        split, config_.max_len, config.batch_size, &shuffle_rng,
+    // Caser has no dropout: no stream beyond the batch shuffle.
+    result_ = FitWindows(
+        this, split, config, config_.max_len, /*streams=*/{},
         [this](const data::Batch& batch) { return TrainStep(batch); });
-    result_ = TrainRecommender(task, split, config);
     return result_;
   }
 

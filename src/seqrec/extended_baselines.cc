@@ -7,6 +7,7 @@
 #include "nn/tensor.h"
 #include "nn/transformer.h"
 #include "seqrec/item_encoder.h"
+#include "seqrec/sequence_input.h"
 
 namespace whitenrec {
 namespace seqrec {
@@ -14,15 +15,6 @@ namespace seqrec {
 using linalg::Matrix;
 
 namespace {
-
-void MaskRows(const std::vector<double>& mask, Matrix* x) {
-  for (std::size_t r = 0; r < x->rows(); ++r) {
-    if (mask[r] == 0.0) {
-      double* row = x->RowPtr(r);
-      for (std::size_t c = 0; c < x->cols(); ++c) row[c] = 0.0;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // GRU4Rec
@@ -58,23 +50,16 @@ class Gru4RecRecommender final : public TrainableRecommender {
 
   const TrainResult& Fit(const data::Split& split,
                          const TrainConfig& config) override {
-    linalg::Rng shuffle_rng(config.seed);
-    TrainTask task;
-    task.recommender = this;
-    task.max_len = config_.max_len;
-    task.params = Parameters();
-    task.rngs = {{"shuffle", &shuffle_rng}, {"model", &rng_}};
-    task.run_epoch = WindowEpoch(
-        split, config_.max_len, config.batch_size, &shuffle_rng,
+    result_ = FitWindows(
+        this, split, config, config_.max_len, {{"model", &rng_}},
         [this](const data::Batch& batch) { return TrainStep(batch); });
-    result_ = TrainRecommender(task, split, config);
     return result_;
   }
 
  private:
   Matrix ForwardHidden(const data::Batch& batch, const Matrix& v, bool train) {
     Matrix x = nn::GatherRows(v, batch.items);
-    MaskRows(batch.input_mask, &x);
+    nn::ZeroMaskedRows(batch.input_mask, &x);
     x = input_dropout_->Forward(x, train);
     return gru_->Forward(x, batch.batch_size, batch.seq_len);
   }
@@ -89,7 +74,7 @@ class Gru4RecRecommender final : public TrainableRecommender {
 
     Matrix dx = gru_->Backward(dh);
     dx = input_dropout_->Backward(dx);
-    MaskRows(batch.input_mask, &dx);
+    nn::ZeroMaskedRows(batch.input_mask, &dx);
     nn::ScatterAddRows(dx, batch.items, &dv);
     encoder_->Backward(dv);
     return loss;
@@ -119,9 +104,8 @@ class Bert4RecRecommender final : public TrainableRecommender {
                       .GaussianMatrix(1, cfg.hidden_dim, 0.02)) {
     encoder_ = std::make_unique<IdEncoder>(dataset.num_items, cfg.hidden_dim,
                                            &rng_, "bert4rec.id");
-    pos_emb_ = std::make_unique<nn::Embedding>(cfg.max_len, cfg.hidden_dim,
-                                               &rng_, "bert4rec.pos");
-    input_dropout_ = std::make_unique<nn::Dropout>(cfg.dropout, &rng_);
+    input_ = std::make_unique<SequenceInput>(
+        cfg.max_len, cfg.hidden_dim, cfg.dropout, &rng_, "bert4rec.pos");
     transformer_ = std::make_unique<nn::TransformerEncoder>(
         cfg.hidden_dim, cfg.num_blocks, cfg.num_heads, cfg.ffn_hidden,
         cfg.dropout, &rng_, "bert4rec.trans", /*causal=*/false);
@@ -132,32 +116,27 @@ class Bert4RecRecommender final : public TrainableRecommender {
 
   // Inference: append a [mask] slot after the context (dropping the oldest
   // item when the window is full); users are the states at that slot.
+  // Bidirectional attention reads every row, padded ones included, so this
+  // runs the full forward in eval mode rather than a packed one.
   bool ScoreFactors(const data::Batch& batch, Matrix* users,
                     Matrix* items) override {
     data::Batch shifted = batch;
-    std::vector<char> is_masked(batch.items.size(), 0);
+    const std::size_t mask_row = num_items();
     for (std::size_t b = 0; b < batch.batch_size; ++b) {
       const std::size_t last = batch.last_position[b];
-      if (last + 1 < batch.seq_len) {
-        const std::size_t flat = batch.Flat(b, last + 1);
-        shifted.items[flat] = 0;
-        shifted.input_mask[flat] = 1.0;
-        is_masked[flat] = 1;
-        shifted.last_position[b] = last + 1;
-      } else {
-        // Shift the window left by one and mask the final slot.
+      if (last + 1 >= batch.seq_len) {
+        // Shift the window left by one to free the final slot.
         for (std::size_t t = 0; t + 1 < batch.seq_len; ++t) {
           shifted.items[batch.Flat(b, t)] = batch.items[batch.Flat(b, t + 1)];
         }
-        const std::size_t flat = batch.Flat(b, batch.seq_len - 1);
-        shifted.items[flat] = 0;
-        shifted.input_mask[flat] = 1.0;
-        is_masked[flat] = 1;
-        shifted.last_position[b] = batch.seq_len - 1;
       }
+      const std::size_t slot = std::min(last + 1, batch.seq_len - 1);
+      shifted.items[batch.Flat(b, slot)] = mask_row;
+      shifted.input_mask[batch.Flat(b, slot)] = 1.0;
+      shifted.last_position[b] = slot;
     }
     *items = encoder_->Forward(/*train=*/false);
-    const Matrix x = Embed(shifted, *items, is_masked, /*train=*/false);
+    const Matrix x = input_->Forward(shifted, InputTable(*items), false);
     const Matrix h = transformer_->Forward(x, shifted.batch_size,
                                            shifted.seq_len, false);
     *users = GatherLastPositions(h, shifted);
@@ -168,68 +147,26 @@ class Bert4RecRecommender final : public TrainableRecommender {
     std::vector<nn::Parameter*> params;
     encoder_->CollectParameters(&params);
     params.push_back(&mask_emb_);
-    pos_emb_->CollectParameters(&params);
+    input_->CollectParameters(&params);
     transformer_->CollectParameters(&params);
     return params;
   }
 
   const TrainResult& Fit(const data::Split& split,
                          const TrainConfig& config) override {
-    linalg::Rng shuffle_rng(config.seed);
-    TrainTask task;
-    task.recommender = this;
-    task.max_len = config_.max_len;
-    task.params = Parameters();
-    task.rngs = {{"shuffle", &shuffle_rng}, {"model", &rng_}};
-    task.run_epoch = WindowEpoch(
-        split, config_.max_len, config.batch_size, &shuffle_rng,
+    result_ = FitWindows(
+        this, split, config, config_.max_len, {{"model", &rng_}},
         [this](const data::Batch& batch) { return TrainStep(batch); });
-    result_ = TrainRecommender(task, split, config);
     return result_;
   }
 
  private:
-  // Embeds a batch whose `is_masked[r]` positions use the [mask] vector
-  // instead of their item embedding. Caches masking for backward.
-  Matrix Embed(const data::Batch& batch, const Matrix& v,
-               const std::vector<char>& is_masked, bool train) {
-    cached_is_masked_ = is_masked;
-    cached_input_mask_ = batch.input_mask;
-    cached_items_ = batch.items;
-    Matrix x = nn::GatherRows(v, batch.items);
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      if (is_masked[r]) {
-        std::copy(mask_emb_.value.RowPtr(0),
-                  mask_emb_.value.RowPtr(0) + x.cols(), x.RowPtr(r));
-      }
-    }
-    std::vector<std::size_t> positions(batch.items.size());
-    for (std::size_t b = 0; b < batch.batch_size; ++b) {
-      for (std::size_t t = 0; t < batch.seq_len; ++t) {
-        positions[batch.Flat(b, t)] = t;
-      }
-    }
-    x += pos_emb_->Forward(positions);
-    MaskRows(batch.input_mask, &x);
-    return input_dropout_->Forward(x, train);
-  }
-
-  void EmbedBackward(Matrix dx, Matrix* dv) {
-    dx = input_dropout_->Backward(dx);
-    MaskRows(cached_input_mask_, &dx);
-    pos_emb_->Backward(dx);
-    // Split the gradient between item rows and the shared mask vector.
-    for (std::size_t r = 0; r < dx.rows(); ++r) {
-      if (cached_is_masked_[r]) {
-        double* mg = mask_emb_.grad.RowPtr(0);
-        const double* row = dx.RowPtr(r);
-        for (std::size_t c = 0; c < dx.cols(); ++c) mg[c] += row[c];
-        // Zero so the scatter below skips this position.
-        double* zrow = dx.RowPtr(r);
-        for (std::size_t c = 0; c < dx.cols(); ++c) zrow[c] = 0.0;
-      }
-    }
-    nn::ScatterAddRows(dx, cached_items_, dv);
+  // The input layer's item table: the catalog rows V, then the [mask]
+  // vector as row num_items(), so a masked position is an item id.
+  Matrix InputTable(const Matrix& v) const {
+    Matrix table = v;
+    table.AppendRow(mask_emb_.value.Row(0));
+    return table;
   }
 
   // Cloze training: mask ~mask_prob of valid positions (at least one, always
@@ -237,7 +174,7 @@ class Bert4RecRecommender final : public TrainableRecommender {
   // predict the original items there.
   double TrainStep(const data::Batch& batch) {
     const std::size_t n = batch.items.size();
-    std::vector<char> is_masked(n, 0);
+    data::Batch input = batch;
     std::vector<std::size_t> targets(n, 0);
     std::vector<double> weights(n, 0.0);
     for (std::size_t b = 0; b < batch.batch_size; ++b) {
@@ -247,7 +184,7 @@ class Bert4RecRecommender final : public TrainableRecommender {
         const bool mask_here =
             t == batch.last_position[b] || rng_.Uniform() < mask_prob_;
         if (mask_here) {
-          is_masked[flat] = 1;
+          input.items[flat] = num_items();  // the [mask] row
           targets[flat] = batch.items[flat];
           weights[flat] = 1.0;
         }
@@ -255,15 +192,19 @@ class Bert4RecRecommender final : public TrainableRecommender {
     }
 
     const Matrix v = encoder_->Forward(/*train=*/true);
-    const Matrix x = Embed(batch, v, is_masked, /*train=*/true);
+    const Matrix x = input_->Forward(input, InputTable(v), /*train=*/true);
     const Matrix h =
         transformer_->Forward(x, batch.batch_size, batch.seq_len, true);
     Matrix dh;
     Matrix dv;
     const double loss =
         nn::StreamingSoftmaxCrossEntropy(h, v, targets, weights, &dh, &dv);
-    EmbedBackward(transformer_->Backward(dh), &dv);
-    encoder_->Backward(dv);
+    // The input gradient lands on the rows of InputTable(v): the catalog
+    // rows go to the encoder, the last one to the [mask] vector.
+    dv.AppendRow(std::vector<double>(dv.cols(), 0.0));
+    input_->Backward(transformer_->Backward(dh), &dv);
+    mask_emb_.grad += dv.RowSlice(num_items(), num_items() + 1);
+    encoder_->Backward(dv.RowSlice(0, num_items()));
     return loss;
   }
 
@@ -272,14 +213,9 @@ class Bert4RecRecommender final : public TrainableRecommender {
   linalg::Rng rng_;
   std::unique_ptr<IdEncoder> encoder_;
   nn::Parameter mask_emb_;
-  std::unique_ptr<nn::Embedding> pos_emb_;
-  std::unique_ptr<nn::Dropout> input_dropout_;
+  std::unique_ptr<SequenceInput> input_;
   std::unique_ptr<nn::TransformerEncoder> transformer_;
   TrainResult result_;
-
-  std::vector<char> cached_is_masked_;
-  std::vector<double> cached_input_mask_;
-  std::vector<std::size_t> cached_items_;
 };
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "linalg/workspace.h"
 #include "nn/optimizer.h"
 #include "nn/transformer.h"
+#include "seqrec/sequence_input.h"
 
 namespace whitenrec {
 namespace seqrec {
@@ -34,8 +35,10 @@ struct SasRecConfig {
 // layer trained with full-softmax cross-entropy over the catalog.
 //
 // The granular Encode*/Loss*/Backward* methods are public so that baseline
-// variants (CL4SRec, S3-Rec, FDSA) can compose additional objectives around
-// the same backbone; TrainStep() is the plain SASRec step.
+// variants (CL4SRec, S3-Rec) can compose additional objectives around the
+// same backbone; TrainStep() is the plain SASRec step. FDSA and BERT4Rec
+// build their own encoders but share this model's input layer,
+// SequenceInput.
 class SasRecModel {
  public:
   SasRecModel(std::unique_ptr<ItemEncoder> encoder, const SasRecConfig& config);
@@ -81,14 +84,13 @@ class SasRecModel {
   // it) and draws no random number. EncodeItems(false) likewise runs the
   // item encoder's cache-free eval.
 
-  // The last-position eval forward: *users receives one (1, hidden_dim) row
-  // per sequence, bitwise the row GatherLastPositions(EncodeSequences(batch,
-  // v, false), batch) would give. It relies on batches being right-padded:
-  // only each prefix [0, last_position] is packed and run through the
-  // blocks, and the last block computes its query side (attention, FFN,
-  // final LayerNorm) for the last row alone. Padded rows inside a prefix
-  // are zeroed as in EmbedInputs. Parallel over sequences, with every
-  // temporary in the thread's workspace.
+  // The last-position eval forward (ForwardLastPositions): *users receives
+  // one (1, hidden_dim) row per sequence, bitwise the row
+  // GatherLastPositions(EncodeSequences(batch, v, false), batch) would give.
+  // It relies on batches being right-padded: only each prefix
+  // [0, last_position] runs through the blocks, and the last block computes
+  // its query side (attention, FFN, final LayerNorm) for the last row alone.
+  // Parallel over sequences, with every temporary in the thread's workspace.
   void EncodeLastPositions(const data::Batch& batch, const linalg::Matrix& v,
                            linalg::Matrix* users) const;
 
@@ -132,20 +134,11 @@ class SasRecModel {
                           linalg::Matrix* h_row) const;
 
  private:
-  // Gathers item rows, adds positional embeddings, masks padding.
-  linalg::Matrix EmbedInputs(const data::Batch& batch, const linalg::Matrix& v,
-                             bool train);
-
   std::unique_ptr<ItemEncoder> encoder_;
   SasRecConfig config_;
   linalg::Rng rng_;
-  nn::Embedding pos_emb_;
-  nn::Dropout input_dropout_;
+  SequenceInput input_;
   nn::TransformerEncoder transformer_;
-
-  // Cache for BackwardSequences (the batch's input mask and item indices).
-  std::vector<double> cached_input_mask_;
-  std::vector<std::size_t> cached_items_;
 
   // Scratch reused across training steps: dH and the (num_items, d) dV live
   // here and are reshaped rather than reallocated.

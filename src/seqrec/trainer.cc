@@ -333,17 +333,27 @@ double MeanStepLoss(std::size_t num_batches, nn::Adam* optimizer,
                           : loss_sum / static_cast<double>(num_batches);
 }
 
-std::function<double(nn::Adam*)> WindowEpoch(
-    const data::Split& split, std::size_t max_len, std::size_t batch_size,
-    linalg::Rng* shuffle, std::function<double(const data::Batch&)> step) {
-  return [&split, max_len, batch_size, shuffle,
-          step = std::move(step)](nn::Adam* optimizer) {
-    const std::vector<data::Batch> batches =
-        data::MakeTrainBatches(split.train, max_len, batch_size, shuffle);
+TrainResult FitWindows(TrainableRecommender* recommender,
+                       const data::Split& split, const TrainConfig& config,
+                       std::size_t max_len, const RngStreams& streams,
+                       const std::function<double(const data::Batch&)>& step,
+                       std::function<void(EpochLog* log)> analyze) {
+  linalg::Rng shuffle_rng(config.seed);
+  TrainTask task;
+  task.recommender = recommender;
+  task.max_len = max_len;
+  task.params = recommender->Parameters();
+  task.rngs = {{"shuffle", &shuffle_rng}};
+  task.rngs.insert(task.rngs.end(), streams.begin(), streams.end());
+  task.run_epoch = [&](nn::Adam* optimizer) {
+    const std::vector<data::Batch> batches = data::MakeTrainBatches(
+        split.train, max_len, config.batch_size, &shuffle_rng);
     return MeanStepLoss(batches.size(), optimizer, [&](std::size_t i) {
       return step(batches[i]);
     });
   };
+  task.analyze = std::move(analyze);
+  return TrainRecommender(task, split, config);
 }
 
 SasRecRecommender::SasRecRecommender(std::string name,
@@ -361,23 +371,10 @@ const TrainResult& SasRecRecommender::Fit(const data::Split& split,
                                           const TrainConfig& config) {
   SasRecModel* model = model_.get();
   const std::size_t max_len = model->config().max_len;
-  linalg::Rng shuffle_rng(config.seed);
   linalg::Rng analysis_rng(config.seed + 17);
-
-  TrainTask task;
-  task.recommender = this;
-  task.max_len = max_len;
-  task.params = Parameters();
-  task.rngs = {{"shuffle", &shuffle_rng},
-               {"analysis", &analysis_rng},
-               {"model", model->rng()}};
-  task.rngs.insert(task.rngs.end(), step_rngs_.begin(), step_rngs_.end());
-  task.run_epoch = WindowEpoch(
-      split, max_len, config.batch_size, &shuffle_rng,
-      [this, model](const data::Batch& batch) {
-        return step_ ? step_(model, batch) : model->TrainStep(batch);
-      });
-  task.analyze = [&](EpochLog* log) {
+  RngStreams streams = {{"analysis", &analysis_rng}, {"model", model->rng()}};
+  streams.insert(streams.end(), step_rngs_.begin(), step_rngs_.end());
+  auto analyze = [&](EpochLog* log) {
     const Matrix v = model->EncodeItems(/*train=*/false);
     log->condition_number = eval::ItemEmbeddingConditionNumber(v);
     // User representations + positives over the validation instances.
@@ -403,7 +400,12 @@ const TrainResult& SasRecRecommender::Fit(const data::Split& split,
     log->l_uniform_user = au.l_uniform_user;
     log->l_uniform_item = au.l_uniform_item;
   };
-  result_ = TrainRecommender(task, split, config);
+  result_ = FitWindows(
+      this, split, config, max_len, streams,
+      [this, model](const data::Batch& batch) {
+        return step_ ? step_(model, batch) : model->TrainStep(batch);
+      },
+      analyze);
   return result_;
 }
 

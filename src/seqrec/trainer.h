@@ -175,14 +175,19 @@ double ShuffledPass(const std::vector<T>& samples,
                       });
 }
 
-// run_epoch for models trained on data::MakeTrainBatches windows: each
-// epoch draws its batches from `shuffle` and passes each one to `step`.
-std::function<double(nn::Adam*)> WindowEpoch(
-    const data::Split& split, std::size_t max_len, std::size_t batch_size,
-    linalg::Rng* shuffle, std::function<double(const data::Batch&)> step);
+// The Fit of every model trained on data::MakeTrainBatches windows with one
+// `step` per batch (SASRec models, FDSA, GRU4Rec, BERT4Rec, Caser): runs
+// TrainRecommender on recommender->Parameters(), validating on `max_len`
+// contexts. Each epoch's batches are drawn from a stream seeded with
+// config.seed, checkpointed as `shuffle` ahead of `streams`.
+TrainResult FitWindows(TrainableRecommender* recommender,
+                       const data::Split& split, const TrainConfig& config,
+                       std::size_t max_len, const RngStreams& streams,
+                       const std::function<double(const data::Batch&)>& step,
+                       std::function<void(EpochLog* log)> analyze = nullptr);
 
 // SASRec-backbone recommender: owns the model and trains it through
-// TrainRecommender. Extra trainable parameters from auxiliary tasks can be
+// FitWindows. Extra trainable parameters from auxiliary tasks can be
 // added before Fit().
 class SasRecRecommender : public TrainableRecommender {
  public:

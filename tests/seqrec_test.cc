@@ -11,6 +11,7 @@
 #include "eval/alignment_uniformity.h"
 #include "eval/conditioning.h"
 #include "eval/metrics.h"
+#include "grad_check.h"
 #include "linalg/gemm.h"
 #include "nn/loss.h"
 #include "scoped_knobs.h"
@@ -18,6 +19,7 @@
 #include "seqrec/general_rec.h"
 #include "seqrec/item_encoder.h"
 #include "seqrec/model.h"
+#include "seqrec/sequence_input.h"
 #include "seqrec/trainer.h"
 
 namespace whitenrec {
@@ -26,6 +28,8 @@ namespace {
 
 using linalg::Matrix;
 using linalg::Rng;
+using ::whitenrec::testing::MaxParamGradError;
+using ::whitenrec::testing::WeightedSum;
 
 // Shared tiny dataset for model tests (expensive to regenerate per test).
 const data::GeneratedData& TinyData() {
@@ -370,7 +374,8 @@ TEST_P(EvalForwardTest, LastPositionsMatchTrainingForwardBitwise) {
       {data::EvalInstance{0, {3, 5, 7}, 0}}, config.max_len, 1)[0]);
   batches.push_back(data::MakeEvalBatches(
       {data::EvalInstance{0, {9}, 0}}, config.max_len, 1)[0]);
-  // A padded row inside a prefix is zeroed, as EmbedInputs zeroes it.
+  // A padded row inside a prefix is zeroed, as the training forward zeroes
+  // it.
   data::Batch holed = batches[0];
   for (std::size_t b = 0; b < holed.batch_size; ++b) {
     if (holed.last_position[b] >= 2) holed.input_mask[holed.Flat(b, 1)] = 0.0;
@@ -496,6 +501,177 @@ TEST(EvalStateTest, EvalInsideTrainingStepsTrainsAsTheOracle) {
                           &want.epochs[e].valid_ndcg20, sizeof(double)),
               0)
         << "epoch " << e;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// SequenceInput: the eval builders against the training forward
+// ---------------------------------------------------------------------------
+
+// The packed prefixes and the one-row step read the same rule as the
+// training forward: every row they build is bitwise the matching row of
+// Forward(batch, v, false). Covers contexts of every length (1 and past the
+// window included), a batch of one, holes inside prefixes and a training
+// batch, at 1, 2 and 4 threads.
+TEST(SequenceInputTest, EvalRowsMatchTrainingForwardBitwise) {
+  const data::Dataset& ds = TinyData().dataset;
+  const SasRecConfig config = TinyModelConfig();
+  Rng rng(23);
+  SequenceInput input(config.max_len, config.hidden_dim, /*dropout=*/0.3,
+                      &rng, "pos");
+  const Matrix v = rng.GaussianMatrix(ds.num_items, config.hidden_dim, 1.0);
+
+  std::vector<data::Batch> batches;
+  batches.push_back(data::MakeEvalBatches(
+      MixedLengthInstances(config.max_len, ds.num_items), config.max_len,
+      64)[0]);
+  batches.push_back(data::MakeEvalBatches(
+      {data::EvalInstance{0, {3, 5, 7}, 0}}, config.max_len, 1)[0]);
+  batches.push_back(data::MakeEvalBatches(
+      {data::EvalInstance{0, {9}, 0}}, config.max_len, 1)[0]);
+  data::Batch holed = batches[0];
+  for (std::size_t b = 0; b < holed.batch_size; ++b) {
+    if (holed.last_position[b] >= 2) holed.input_mask[holed.Flat(b, 1)] = 0.0;
+  }
+  batches.push_back(holed);
+  const data::Split split = data::LeaveOneOutSplit(ds);
+  batches.push_back(
+      data::MakeTrainBatches(split.train, config.max_len, 32, &rng)[0]);
+
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ScopedThreads scoped(threads);
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+      const data::Batch& batch = batches[i];
+      const Matrix full = input.Forward(batch, v, /*train=*/false);
+      std::vector<std::size_t> starts;
+      Matrix packed;
+      input.PackPrefixesInto(batch, v, &starts, &packed);
+      ASSERT_EQ(starts.size(), batch.batch_size + 1);
+      ASSERT_EQ(packed.rows(), starts.back());
+      Matrix step;
+      for (std::size_t b = 0; b < batch.batch_size; ++b) {
+        ASSERT_EQ(starts[b + 1] - starts[b], batch.last_position[b] + 1);
+        for (std::size_t t = 0; t <= batch.last_position[b]; ++t) {
+          const std::size_t flat = batch.Flat(b, t);
+          EXPECT_EQ(std::memcmp(packed.RowPtr(starts[b] + t),
+                                full.RowPtr(flat),
+                                config.hidden_dim * sizeof(double)),
+                    0)
+              << "batch " << i << " row " << b << " position " << t;
+          if (batch.input_mask[flat] == 0.0) continue;  // no step row
+          input.StepRowInto(v, batch.items[flat], t, &step);
+          EXPECT_EQ(std::memcmp(step.data(), full.RowPtr(flat),
+                                config.hidden_dim * sizeof(double)),
+                    0)
+              << "batch " << i << " row " << b << " position " << t;
+        }
+      }
+    }
+  }
+}
+
+// BERT4Rec feeds its learned [mask] vector as one extra row of the input
+// table. Through a bidirectional encoder, the gradient Backward leaves on
+// that row (and on the item rows and the position table) matches central
+// differences.
+TEST(SequenceInputTest, MaskRowGradientPassesGradCheck) {
+  constexpr std::size_t kItems = 6;
+  constexpr std::size_t kMaskRow = kItems;  // the extra table row
+  constexpr std::size_t kDim = 8;
+  Rng rng(29);
+  SequenceInput input(/*max_len=*/4, kDim, /*dropout=*/0.2, &rng, "pos");
+  nn::TransformerEncoder encoder(kDim, /*num_blocks=*/1, /*num_heads=*/2,
+                                 /*ffn_hidden=*/16, /*dropout_rate=*/0.2,
+                                 &rng, "enc", /*causal=*/false);
+  nn::Parameter table("table", rng.GaussianMatrix(kItems + 1, kDim, 0.5));
+  data::Batch batch;
+  batch.batch_size = 2;
+  batch.seq_len = 4;
+  batch.items = {1, 3, kMaskRow, 0, kMaskRow, 2, 5, kMaskRow};
+  batch.input_mask = {1, 1, 1, 0, 1, 1, 1, 1};
+  batch.last_position = {2, 3};
+  const Matrix w = rng.GaussianMatrix(8, kDim, 1.0);
+  auto loss = [&]() {
+    const Matrix x = input.Forward(batch, table.value, /*train=*/false);
+    return WeightedSum(encoder.Forward(x, 2, 4, /*train=*/false), w);
+  };
+  std::vector<nn::Parameter*> positions;
+  input.CollectParameters(&positions);
+  ASSERT_EQ(positions.size(), 1u);
+  positions[0]->ZeroGrad();
+  loss();
+  Matrix dtable(kItems + 1, kDim);
+  input.Backward(encoder.Backward(w), &dtable);
+  double mask_norm = 0.0;
+  for (std::size_t c = 0; c < kDim; ++c) {
+    mask_norm += std::fabs(dtable(kMaskRow, c));
+  }
+  EXPECT_GT(mask_norm, 0.0);
+  EXPECT_LT(MaxParamGradError(&table, dtable, loss), 1e-4);
+  EXPECT_LT(MaxParamGradError(positions[0], positions[0]->grad, loss), 1e-4);
+}
+
+// ---------------------------------------------------------------------------
+// FDSA ranks through the packed last-position forward of both streams: a
+// sequence's user row depends on that sequence alone.
+// ---------------------------------------------------------------------------
+
+TEST(FdsaScoreFactorsTest, UsersInvariantToBatchOrderCompositionAndPadding) {
+  const data::Dataset& ds = TinyData().dataset;
+  const SasRecConfig config = TinyModelConfig();
+  auto rec = MakeFdsa(ds, config);
+  TrainConfig tc = TinyTrainConfig();
+  tc.epochs = 1;
+  rec->Fit(data::LeaveOneOutSplit(ds), tc);
+
+  const std::vector<data::EvalInstance> instances =
+      MixedLengthInstances(config.max_len, ds.num_items);
+  const std::size_t n = instances.size();
+  auto users_of = [&](const std::vector<data::EvalInstance>& insts,
+                      std::size_t seq_len) {
+    const data::Batch batch =
+        data::MakeEvalBatches(insts, seq_len, insts.size())[0];
+    Matrix users;
+    Matrix items;
+    EXPECT_TRUE(rec->ScoreFactors(batch, &users, &items));
+    EXPECT_EQ(users.rows(), insts.size());
+    EXPECT_EQ(items.rows(), ds.num_items);
+    return users;
+  };
+  auto same_row = [](const Matrix& a, std::size_t ra, const Matrix& b,
+                     std::size_t rb) {
+    return std::memcmp(a.RowPtr(ra), b.RowPtr(rb),
+                       a.cols() * sizeof(double)) == 0;
+  };
+  for (const std::size_t threads : {1u, 4u}) {
+    ScopedThreads scoped(threads);
+    const Matrix all = users_of(instances, config.max_len);
+    // Order: the batch reversed.
+    const std::vector<data::EvalInstance> reversed(instances.rbegin(),
+                                                   instances.rend());
+    const Matrix rev = users_of(reversed, config.max_len);
+    // Composition: every sequence alone, and every other one together.
+    std::vector<data::EvalInstance> odd;
+    for (std::size_t i = 1; i < n; i += 2) odd.push_back(instances[i]);
+    const Matrix odd_users = users_of(odd, config.max_len);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(same_row(rev, n - 1 - i, all, i)) << "reversed " << i;
+      EXPECT_TRUE(same_row(users_of({instances[i]}, config.max_len), 0, all,
+                           i))
+          << "alone " << i;
+      if (i % 2 == 1) {
+        EXPECT_TRUE(same_row(odd_users, i / 2, all, i)) << "odd " << i;
+      }
+    }
+    // Padding: contexts of at most 3 items in windows of 4 and of max_len.
+    const std::vector<data::EvalInstance> short_ones(instances.begin(),
+                                                     instances.begin() + 3);
+    const Matrix tight = users_of(short_ones, 4);
+    const Matrix padded = users_of(short_ones, config.max_len);
+    for (std::size_t i = 0; i < short_ones.size(); ++i) {
+      EXPECT_TRUE(same_row(tight, i, all, i)) << "window 4, " << i;
+      EXPECT_TRUE(same_row(padded, i, all, i)) << "window max_len, " << i;
+    }
   }
 }
 
