@@ -149,7 +149,6 @@ DegradeBenchResult RunDegradeHarness(
         ++served;
         if (req.deadline_ns != 0 && completion_ns > req.deadline_ns) {
           ++missed;  // served, but late
-          hist.RecordDeadlineMiss();
         }
         WR_CHECK_LT(ref_cursor, refs.size());
         ndcg_sum[rung] += eval::NdcgVsReference(
@@ -186,10 +185,6 @@ DegradeBenchResult RunDegradeHarness(
     const serve::ServeStats& stats = service.stats();
     point.shed_overflow = stats.queue_sheds;
     point.shed_deadline = stats.deadline_sheds;
-    for (std::size_t s = 0; s < point.shed_overflow + point.shed_deadline;
-         ++s) {
-      hist.RecordShed();
-    }
     point.availability =
         point.offered == 0
             ? 1.0

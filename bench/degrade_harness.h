@@ -17,10 +17,10 @@ namespace bench {
 
 // Overload / chaos sweep configuration (bench_degrade, check-degrade).
 //
-// Unlike the latency harness (bench/serving_harness.h), which times real
-// batches, this harness runs ENTIRELY on the virtual clock: batch cost is a
-// model (base + per-request, scaled by the serving rung's cost factor, plus
-// injected latency spikes; the constants live in degrade_harness.cc and are
+// Unlike perfbench (perfbench/), which times real HandleBatch calls, this
+// harness runs ENTIRELY on the virtual clock: batch cost is a model (base +
+// per-request, scaled by the serving rung's cost factor, plus injected
+// latency spikes; the constants live in degrade_harness.cc and are
 // reported under "cost_model"), so availability, deadline misses, ladder
 // transitions, and per-rung quality are bitwise reproducible on any machine
 // at any thread count — chaos included, because the fault plane draws from

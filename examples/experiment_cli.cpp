@@ -7,9 +7,7 @@
 //   experiment_cli --data-prefix=/path/ds --model=whitenrec --groups=8
 //   experiment_cli --dataset=tools --model=whitenrec+ --cold
 //
-// Models: sasrec_id, sasrec_t, sasrec_tid, cl4srec, s3rec, unisrec,
-//         unisrec_tid, vqrec, fdsa, gru4rec, bert4rec, fpmc, caser, grcn,
-//         bm3, whitenrec, whitenrec+.
+// `--help` lists the 17 model names (the kModels table below).
 
 #include <cstdio>
 #include <cstdlib>
@@ -83,6 +81,90 @@ std::size_t ChoiceFlag(const std::map<std::string, std::string>& args,
                       core::ParseChoice(Get(args, key, choices[0]), choices));
 }
 
+// Every model the runner trains, by --model name; the first is the default.
+// FPMC, GRCN and BM3 take --hidden as their factor size, and only the two
+// WhitenRec models read --groups and --whitening.
+struct ModelArgs {
+  const data::Dataset& ds;
+  const seqrec::SasRecConfig& mc;
+  const WhitenRecConfig& wc;
+};
+using Model = std::unique_ptr<seqrec::TrainableRecommender>;
+
+struct ModelEntry {
+  const char* name;
+  Model (*make)(const ModelArgs&);
+};
+
+const ModelEntry kModels[] = {
+    {"whitenrec+",
+     [](const ModelArgs& a) -> Model {
+       return seqrec::MakeWhitenRecPlus(a.ds, a.mc, a.wc);
+     }},
+    {"whitenrec",
+     [](const ModelArgs& a) -> Model {
+       return seqrec::MakeWhitenRec(a.ds, a.mc, a.wc);
+     }},
+    {"sasrec_id",
+     [](const ModelArgs& a) -> Model {
+       return seqrec::MakeSasRecId(a.ds, a.mc);
+     }},
+    {"sasrec_t",
+     [](const ModelArgs& a) -> Model {
+       return seqrec::MakeSasRecText(a.ds, a.mc);
+     }},
+    {"sasrec_tid",
+     [](const ModelArgs& a) -> Model {
+       return seqrec::MakeSasRecTextId(a.ds, a.mc);
+     }},
+    {"cl4srec",
+     [](const ModelArgs& a) -> Model {
+       return seqrec::MakeCl4SRec(a.ds, a.mc);
+     }},
+    {"s3rec",
+     [](const ModelArgs& a) -> Model { return seqrec::MakeS3Rec(a.ds, a.mc); }},
+    {"unisrec",
+     [](const ModelArgs& a) -> Model {
+       return seqrec::MakeUniSRec(a.ds, a.mc, /*with_id=*/false);
+     }},
+    {"unisrec_tid",
+     [](const ModelArgs& a) -> Model {
+       return seqrec::MakeUniSRec(a.ds, a.mc, /*with_id=*/true);
+     }},
+    {"vqrec",
+     [](const ModelArgs& a) -> Model { return seqrec::MakeVqRec(a.ds, a.mc); }},
+    {"fdsa",
+     [](const ModelArgs& a) -> Model { return seqrec::MakeFdsa(a.ds, a.mc); }},
+    {"gru4rec",
+     [](const ModelArgs& a) -> Model {
+       return seqrec::MakeGru4Rec(a.ds, a.mc);
+     }},
+    {"bert4rec",
+     [](const ModelArgs& a) -> Model {
+       return seqrec::MakeBert4Rec(a.ds, a.mc);
+     }},
+    {"fpmc",
+     [](const ModelArgs& a) -> Model {
+       return seqrec::MakeFpmc(a.ds, a.mc.hidden_dim);
+     }},
+    {"caser",
+     [](const ModelArgs& a) -> Model { return seqrec::MakeCaser(a.ds, a.mc); }},
+    {"grcn",
+     [](const ModelArgs& a) -> Model {
+       return seqrec::MakeGrcn(a.ds, a.mc.hidden_dim);
+     }},
+    {"bm3",
+     [](const ModelArgs& a) -> Model {
+       return seqrec::MakeBm3(a.ds, a.mc.hidden_dim);
+     }},
+};
+
+std::vector<std::string> ModelNames() {
+  std::vector<std::string> names;
+  for (const ModelEntry& entry : kModels) names.emplace_back(entry.name);
+  return names;
+}
+
 void PrintEval(const char* split_name, const seqrec::EvalResult& r) {
   std::printf("%s (%zu instances): R@20 %.4f  N@20 %.4f  R@50 %.4f  N@50 "
               "%.4f\n",
@@ -93,6 +175,7 @@ void PrintEval(const char* split_name, const seqrec::EvalResult& r) {
 
 int main(int argc, char** argv) {
   const auto args = ParseArgs(argc, argv);
+  const std::vector<std::string> model_names = ModelNames();
   if (args.count("help")) {
     std::printf(
         "usage: experiment_cli [--dataset=arts|toys|tools|food] "
@@ -101,9 +184,16 @@ int main(int argc, char** argv) {
         "[--groups=N]\n"
         "  [--whitening=zca|pca|cd|bn] [--lr=F] [--cold] [--seed=N]\n"
         "  [--threads=N] [--save-checkpoint=PATH] [--export-data=PREFIX]\n"
-        "  [--checkpoint-dir=DIR] [--checkpoint-every=N] [--resume]\n");
+        "  [--checkpoint-dir=DIR] [--checkpoint-every=N] [--resume]\n"
+        "models (default first):\n ");
+    for (const std::string& name : model_names) {
+      std::printf(" %s", name.c_str());
+    }
+    std::printf("\n");
     return 0;
   }
+  // Checked before any dataset is generated or loaded.
+  const ModelEntry& model = kModels[ChoiceFlag(args, "model", model_names)];
 
   // --- Threads -----------------------------------------------------------
   // Worker threads for the parallel kernels; 0 = hardware concurrency.
@@ -187,47 +277,8 @@ int main(int argc, char** argv) {
                  : wname == 3 ? WhiteningKind::kBatchNorm
                               : WhiteningKind::kZca;
 
-  const std::string model_name = Get(args, "model", "whitenrec+");
-  std::unique_ptr<seqrec::TrainableRecommender> rec;
-  if (model_name == "sasrec_id") {
-    rec = seqrec::MakeSasRecId(dataset, mc);
-  } else if (model_name == "sasrec_t") {
-    rec = seqrec::MakeSasRecText(dataset, mc);
-  } else if (model_name == "sasrec_tid") {
-    rec = seqrec::MakeSasRecTextId(dataset, mc);
-  } else if (model_name == "cl4srec") {
-    rec = seqrec::MakeCl4SRec(dataset, mc);
-  } else if (model_name == "s3rec") {
-    rec = seqrec::MakeS3Rec(dataset, mc);
-  } else if (model_name == "unisrec") {
-    rec = seqrec::MakeUniSRec(dataset, mc, false);
-  } else if (model_name == "unisrec_tid") {
-    rec = seqrec::MakeUniSRec(dataset, mc, true);
-  } else if (model_name == "vqrec") {
-    rec = seqrec::MakeVqRec(dataset, mc);
-  } else if (model_name == "whitenrec") {
-    rec = seqrec::MakeWhitenRec(dataset, mc, wc);
-  } else if (model_name == "whitenrec+") {
-    rec = seqrec::MakeWhitenRecPlus(dataset, mc, wc);
-  } else if (model_name == "fdsa") {
-    rec = seqrec::MakeFdsa(dataset, mc);
-  } else if (model_name == "gru4rec") {
-    rec = seqrec::MakeGru4Rec(dataset, mc);
-  } else if (model_name == "bert4rec") {
-    rec = seqrec::MakeBert4Rec(dataset, mc);
-  } else if (model_name == "fpmc") {
-    rec = seqrec::MakeFpmc(dataset, mc.hidden_dim);
-  } else if (model_name == "caser") {
-    rec = seqrec::MakeCaser(dataset, mc);
-  } else if (model_name == "grcn") {
-    rec = seqrec::MakeGrcn(dataset, mc.hidden_dim);
-  } else if (model_name == "bm3") {
-    rec = seqrec::MakeBm3(dataset, mc.hidden_dim);
-  } else {
-    std::fprintf(stderr, "unknown model: %s (try --help)\n",
-                 model_name.c_str());
-    return 2;
-  }
+  std::unique_ptr<seqrec::TrainableRecommender> rec =
+      model.make(ModelArgs{dataset, mc, wc});
   // Every model trains through the same loop (seqrec::TrainRecommender), so
   // --checkpoint-dir, --resume and --verbose apply to each of them.
   rec->Fit(split, tc);

@@ -15,9 +15,9 @@
 #      + SASRec-model (seqrec_test, the eval forward's differential tests)
 #      suites under AddressSanitizer/UBSan
 #   8. check-tsan   — parallel (x20) + determinism suites under ThreadSanitizer
-#   9. check-serve  — serving suite, randomized-traffic soak under TSan,
-#      and a bench_serving run whose sweep must pass CheckServingBench
-#      (out/BENCH_serving.json, read back by bench::WriteArtifact)
+#   9. check-serve  — serving suite, then the randomized-traffic soak and
+#      micro-batch determinism cases under TSan (serving latency is
+#      measured by perfbench, stage 3's benchmark, not gated here)
 #  10. check-ann    — retrieval suite (deterministic k-means + IVF), the same
 #      suite under TSan, and a small-catalog bench_ann run whose sweep must
 #      pass CheckAnnBench (out/BENCH_ann.json)

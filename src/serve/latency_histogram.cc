@@ -74,8 +74,6 @@ void LatencyHistogram::Merge(const LatencyHistogram& other) {
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-  deadline_misses_ += other.deadline_misses_;
-  sheds_ += other.sheds_;
 }
 
 std::uint64_t LatencyHistogram::min() const {

@@ -29,19 +29,8 @@ class LatencyHistogram {
   void Record(std::uint64_t value_ns);
   void Merge(const LatencyHistogram& other);
 
-  // Overload-resilience counters (DESIGN.md §13). They ride on the histogram
-  // so per-batch instances merge them with the same associativity guarantee
-  // as the buckets: a deadline miss is a request that was SERVED but
-  // completed after its deadline; a shed is a request that was never served
-  // (admission-queue overflow or dropped overdue). Neither contributes to
-  // the latency buckets — sheds have no completion time.
-  void RecordDeadlineMiss() { ++deadline_misses_; }
-  void RecordShed() { ++sheds_; }
-
   std::uint64_t count() const { return count_; }
   std::uint64_t sum() const { return sum_; }
-  std::uint64_t deadline_misses() const { return deadline_misses_; }
-  std::uint64_t sheds() const { return sheds_; }
   std::uint64_t min() const;  // 0 when empty
   std::uint64_t max() const { return max_; }
   double Mean() const;        // 0 when empty
@@ -64,8 +53,6 @@ class LatencyHistogram {
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = 0;
   std::uint64_t max_ = 0;
-  std::uint64_t deadline_misses_ = 0;
-  std::uint64_t sheds_ = 0;
 };
 
 }  // namespace serve

@@ -32,8 +32,9 @@ struct ServeConfig {
   std::size_t max_cached_sessions = 4096;
   // Requests coalesced into one fused scoring pass, at most.
   std::size_t max_batch = 256;
-  // Micro-batcher flush window on the virtual arrival clock. 0 disables
-  // coalescing (every request is its own batch).
+  // Read by nothing in the library: the service has no batcher of its own.
+  // HandleBatch serves the batch its caller cut, in max_batch slices, and
+  // ServeQueued pops at most max_batch. Kept only because perfbench sets it.
   std::uint64_t batch_window_ns = 1000000;  // 1 ms
   // Item-ingest path: refit the whitening transform and rebuild the item
   // table after this many ingested items.

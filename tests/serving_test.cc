@@ -26,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include "bench/degrade_harness.h"
-#include "bench/serving_harness.h"
 #include "bench/traffic.h"
 #include "core/env.h"
 #include "core/parallel.h"
@@ -288,8 +287,8 @@ TEST(IncrementalForward, TruncationShiftMatchesBatchedWindow) {
 // Satellite 2: micro-batch determinism.
 // ---------------------------------------------------------------------------
 
-// Cuts a trace into micro-batches exactly like the harness batcher: same
-// virtual window index, capped at max_batch.
+// Cuts a trace into caller-side micro-batches: requests that share a
+// virtual arrival window, capped at max_batch (window 0 = one per batch).
 std::vector<std::vector<ServeRequest>> CutBatches(
     const std::vector<TraceRequest>& trace, std::uint64_t window_ns,
     std::size_t max_batch) {
@@ -648,87 +647,6 @@ TEST(Ingest, RequiresTextFeatureEncoder) {
       Fixture().data.dataset.text_embeddings, WhiteningKind::kZca, 1e-5);
   EXPECT_FALSE(armed.ok());
   EXPECT_FALSE(service.IngestItem(std::vector<double>(4, 0.0)).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Serving harness (bench/serving_harness.h) + BENCH_serving.json.
-// ---------------------------------------------------------------------------
-
-TEST(Harness, SweepPassesTheServingChecks) {
-  seqrec::SasRecModel* model = Fixture().model();
-  bench::HarnessConfig config;
-  config.traffic.num_sessions = 12;
-  config.traffic.num_requests = 120;
-  config.batch_windows_ns = {0, 500000};
-  config.thread_counts = {1, 2};
-  const bench::ServingBenchResult result = bench::RunServingHarness(
-      model, Fixture().data.dataset.sequences, config);
-  ASSERT_EQ(result.points.size(), 4u);
-  for (const bench::SweepPoint& point : result.points) {
-    EXPECT_GT(point.qps, 0.0);
-    EXPECT_GT(point.num_batches, 0u);
-  }
-  // Coalescing windows can only grow the mean batch size.
-  EXPECT_GE(result.points[1].mean_batch_size, result.points[0].mean_batch_size);
-
-  const Status checked = bench::CheckServingBench(result);
-  EXPECT_TRUE(checked.ok()) << checked.message();
-}
-
-bench::ServingBenchResult ValidServingResult() {
-  bench::ServingBenchResult result;
-  result.catalog_items = 10;
-  result.hidden_dim = 4;
-  bench::SweepPoint point;
-  point.threads = 1;
-  point.qps = 1.0;
-  point.p50_ns = 100;
-  point.p99_ns = 200;
-  point.p999_ns = 300;
-  result.points = {point, point};
-  return result;
-}
-
-// One case per rule CheckServingBench enforces.
-TEST(Harness, CheckRejectsEachBrokenRule) {
-  ASSERT_TRUE(bench::CheckServingBench(ValidServingResult()).ok());
-  struct Case {
-    const char* rule;
-    void (*mutate)(bench::ServingBenchResult*);
-  };
-  const Case cases[] = {
-      {"non-empty sweep",
-       [](bench::ServingBenchResult* r) { r->points.clear(); }},
-      {"p50 <= p99",
-       [](bench::ServingBenchResult* r) { r->points[1].p50_ns = 250; }},
-      {"p99 <= p999",
-       [](bench::ServingBenchResult* r) { r->points[1].p99_ns = 350; }},
-  };
-  for (const Case& c : cases) {
-    bench::ServingBenchResult result = ValidServingResult();
-    c.mutate(&result);
-    EXPECT_FALSE(bench::CheckServingBench(result).ok()) << c.rule;
-  }
-}
-
-// The key paths and JSON kinds readers of BENCH_serving.json depend on; the
-// writer must emit exactly these.
-TEST(Harness, JsonKeepsTheServingSchema) {
-  const std::set<std::string> want = PathSet(
-      "$:object $.bench:string $.catalog_items:number "
-      "$.hidden_dim:number $.sweep:array $.sweep[]:object "
-      "$.sweep[].batch_window_ns:number $.sweep[].cache_hit_rate:number "
-      "$.sweep[].mean_batch_size:number $.sweep[].mean_ns:number "
-      "$.sweep[].num_batches:number $.sweep[].p50_ns:number "
-      "$.sweep[].p999_ns:number $.sweep[].p99_ns:number "
-      "$.sweep[].qps:number $.sweep[].service_seconds:number "
-      "$.sweep[].threads:number $.top_k:number $.traffic:object "
-      "$.traffic.mean_interarrival_ns:number "
-      "$.traffic.num_requests:number $.traffic.num_sessions:number "
-      "$.traffic.seed:number $.traffic.zipf_exponent:number");
-  const std::string json = bench::ServingBenchJson(ValidServingResult());
-  EXPECT_EQ(JsonPaths(json), want);
-  EXPECT_NE(json.find("\"bench\": \"serving\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -1659,7 +1577,7 @@ TEST(Soak, ChaosSoakServesCorrectlyOrShedsTyped) {
   }
 }
 
-TEST(LatencyHistogram, OverflowBucketAndResilienceCounters) {
+TEST(LatencyHistogram, OverflowBucketStaysInTable) {
   // The largest possible value must land inside the table (an off-by-one
   // here was once an out-of-bounds write) and round-trip through quantiles.
   const std::uint64_t huge = std::numeric_limits<std::uint64_t>::max();
@@ -1674,20 +1592,6 @@ TEST(LatencyHistogram, OverflowBucketAndResilienceCounters) {
   EXPECT_EQ(hist.max(), huge);
   EXPECT_EQ(hist.Quantile(0.5), 1u);
   EXPECT_EQ(hist.Quantile(1.0), LatencyHistogram::BucketLowerBound(index));
-
-  // Deadline-miss / shed counters ride the histogram and merge with it.
-  LatencyHistogram a;
-  a.RecordDeadlineMiss();
-  a.RecordDeadlineMiss();
-  a.RecordShed();
-  LatencyHistogram b;
-  b.RecordShed();
-  b.Record(5);
-  a.Merge(b);
-  EXPECT_EQ(a.deadline_misses(), 2u);
-  EXPECT_EQ(a.sheds(), 2u);
-  EXPECT_EQ(a.count(), 1u);  // sheds never contribute a latency sample
-  EXPECT_EQ(a.sum(), 5u);
 }
 
 TEST(DegradeHarness, SweepPassesTheDegradeChecks) {
