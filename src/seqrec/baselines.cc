@@ -94,8 +94,7 @@ std::unique_ptr<SasRecRecommender> MakeUniSRec(const data::Dataset& dataset,
                                                bool with_id) {
   linalg::Rng rng(config.seed);
   auto moe = std::make_unique<MoEPwEncoder>(dataset.text_embeddings,
-                                            config.hidden_dim,
-                                            /*num_experts=*/4, &rng);
+                                            config.hidden_dim, &rng);
   auto enc = WithOptionalId(std::move(moe), with_id, dataset, config, &rng);
   return std::make_unique<SasRecRecommender>(
       with_id ? "UniSRec(T+ID)" : "UniSRec(T)", std::move(enc), config);

@@ -125,6 +125,16 @@ eval::MetricAccumulator RankInstances(
   return acc;
 }
 
+EvalResult ResultFromAccumulator(const eval::MetricAccumulator& acc) {
+  EvalResult r;
+  r.recall20 = acc.RecallAt(20);
+  r.ndcg20 = acc.NdcgAt(20);
+  r.recall50 = acc.RecallAt(50);
+  r.ndcg50 = acc.NdcgAt(50);
+  r.count = acc.count();
+  return r;
+}
+
 // Snapshot / restore of parameter values for best-epoch restoration.
 std::vector<Matrix> SnapshotParams(const std::vector<nn::Parameter*>& params) {
   std::vector<Matrix> out;
@@ -479,16 +489,9 @@ EvalResult EvaluateRanking(
     Recommender* recommender, const std::vector<data::EvalInstance>& instances,
     const std::vector<std::vector<std::size_t>>& train_sequences,
     std::size_t max_len, std::size_t batch_size) {
-  eval::MetricAccumulator acc =
-      RankInstances(recommender, instances, train_sequences, max_len,
-                    batch_size, {20, 50});
-  EvalResult r;
-  r.recall20 = acc.RecallAt(20);
-  r.ndcg20 = acc.NdcgAt(20);
-  r.recall50 = acc.RecallAt(50);
-  r.ndcg50 = acc.NdcgAt(50);
-  r.count = acc.count();
-  return r;
+  return ResultFromAccumulator(RankInstances(recommender, instances,
+                                             train_sequences, max_len,
+                                             batch_size, {20, 50}));
 }
 
 double ValidationNdcg20(
@@ -499,20 +502,6 @@ double ValidationNdcg20(
       recommender, instances, train_sequences, max_len, batch_size, {20});
   return acc.NdcgAt(20);
 }
-
-namespace {
-
-EvalResult ResultFromAccumulator(const eval::MetricAccumulator& acc) {
-  EvalResult r;
-  r.recall20 = acc.RecallAt(20);
-  r.ndcg20 = acc.NdcgAt(20);
-  r.recall50 = acc.RecallAt(50);
-  r.ndcg50 = acc.NdcgAt(50);
-  r.count = acc.count();
-  return r;
-}
-
-}  // namespace
 
 EvalResult EvaluateRankingSampled(
     Recommender* recommender, const std::vector<data::EvalInstance>& instances,

@@ -41,8 +41,8 @@ Matrix ParametricWhitening::Forward(const Matrix& x) {
   return linalg::MatMul(cached_centered_, weight_.value);
 }
 
-Matrix ParametricWhitening::ForwardEval(const Matrix& x) const {
-  return linalg::MatMul(Centered(x), weight_.value);
+void ParametricWhitening::ForwardEvalInto(const Matrix& x, Matrix* y) const {
+  *y = linalg::MatMul(Centered(x), weight_.value);
 }
 
 Matrix ParametricWhitening::Backward(const Matrix& dy) {
@@ -63,128 +63,57 @@ void ParametricWhitening::CollectParameters(std::vector<nn::Parameter*>* out) {
 }
 
 MoEPwEncoder::MoEPwEncoder(Matrix features, std::size_t out_dim,
-                           std::size_t num_experts, linalg::Rng* rng,
-                           std::string name)
-    : features_(std::move(features)), out_dim_(out_dim), name_(name) {
-  const std::vector<double> mean = linalg::ColumnMean(features_);
-  gate_ = std::make_unique<nn::Linear>(features_.cols(), num_experts, rng,
-                                       name + ".gate");
-  for (std::size_t e = 0; e < num_experts; ++e) {
-    experts_.push_back(std::make_unique<ParametricWhitening>(
-        features_.cols(), out_dim, mean, rng,
-        name + ".pw" + std::to_string(e)));
-  }
-}
+                           linalg::Rng* rng, std::string name)
+    : features_(std::move(features)),
+      mixture_(features_.cols(), out_dim, rng, name,
+               [&, mean = linalg::ColumnMean(features_)](std::size_t e) {
+                 return std::make_unique<ParametricWhitening>(
+                     features_.cols(), out_dim, mean, rng,
+                     name + ".pw" + std::to_string(e));
+               }),
+      name_(name) {}
 
 Matrix MoEPwEncoder::Forward(bool train) {
-  Matrix probs;
-  if (train) {
-    probs = gate_->Forward(features_);
-  } else {
-    gate_->ForwardEvalInto(features_, &probs);
-  }
-  nn::RowSoftmaxInPlace(&probs);
-  if (train) cached_expert_out_.clear();
-  Matrix out(features_.rows(), out_dim_);
-  for (std::size_t e = 0; e < experts_.size(); ++e) {
-    Matrix eo = train ? experts_[e]->Forward(features_)
-                      : experts_[e]->ForwardEval(features_);
-    for (std::size_t r = 0; r < out.rows(); ++r) {
-      const double g = probs(r, e);
-      double* orow = out.RowPtr(r);
-      const double* erow = eo.RowPtr(r);
-      for (std::size_t c = 0; c < out_dim_; ++c) orow[c] += g * erow[c];
-    }
-    if (train) cached_expert_out_.push_back(std::move(eo));
-  }
-  if (train) cached_gate_probs_ = std::move(probs);
-  return out;
+  return train ? mixture_.Forward(features_) : mixture_.ForwardEval(features_);
 }
 
 void MoEPwEncoder::Backward(const Matrix& dv) {
-  const std::size_t n = features_.rows();
-  Matrix dgate(n, experts_.size());
-  for (std::size_t e = 0; e < experts_.size(); ++e) {
-    Matrix dexp(n, out_dim_);
-    const Matrix& eo = cached_expert_out_[e];
-    for (std::size_t r = 0; r < n; ++r) {
-      const double g = cached_gate_probs_(r, e);
-      const double* dvrow = dv.RowPtr(r);
-      const double* erow = eo.RowPtr(r);
-      double* drow = dexp.RowPtr(r);
-      double dg = 0.0;
-      for (std::size_t c = 0; c < out_dim_; ++c) {
-        drow[c] = g * dvrow[c];
-        // Row-wise dot (sum of a Hadamard product), not a matmul: a GEMM
-        // here would compute the full n*n product for its diagonal.
-        // whitenrec-lint: allow(hand-rolled-gemm)
-        dg += dvrow[c] * erow[c];
-      }
-      dgate(r, e) = dg;
-    }
-    experts_[e]->Backward(dexp);
-  }
-  Matrix dlogits(n, experts_.size());
-  for (std::size_t r = 0; r < n; ++r) {
-    nn::SoftmaxBackwardRow(cached_gate_probs_.RowPtr(r), dgate.RowPtr(r),
-                           experts_.size(), dlogits.RowPtr(r));
-  }
-  gate_->Backward(dlogits);
+  mixture_.Backward(dv);  // gradient w.r.t. frozen features is discarded
 }
 
 void MoEPwEncoder::CollectParameters(std::vector<nn::Parameter*>* out) {
-  gate_->CollectParameters(out);
-  for (auto& e : experts_) e->CollectParameters(out);
+  mixture_.CollectParameters(out);
 }
 
 PwEnsembleEncoder::PwEnsembleEncoder(Matrix features, std::size_t out_dim,
                                      HeadKind head, linalg::Rng* rng,
                                      std::string name)
     : features_(std::move(features)),
-      out_dim_(out_dim),
       pw_full_(features_.cols(), features_.cols(),
                linalg::ColumnMean(features_), rng, name + ".pw_full"),
       pw_relaxed_(features_.cols(), features_.cols(),
                   linalg::ColumnMean(features_), rng, name + ".pw_relaxed"),
-      head_(features_.cols(), out_dim, head, rng, 4, name + ".head"),
+      ensemble_(features_.cols(), out_dim, EnsembleKind::kSum, head, rng,
+                name),
       name_(name) {}
 
 Matrix PwEnsembleEncoder::Forward(bool train) {
-  const std::size_t n = features_.rows();
-  const Matrix z1 = train ? pw_full_.Forward(features_)
-                          : pw_full_.ForwardEval(features_);
-  const Matrix z2 = train ? pw_relaxed_.Forward(features_)
-                          : pw_relaxed_.ForwardEval(features_);
-  Matrix stacked(2 * n, features_.cols());
-  for (std::size_t r = 0; r < n; ++r) {
-    stacked.SetRow(r, z1.Row(r));
-    stacked.SetRow(n + r, z2.Row(r));
+  Matrix z1;
+  Matrix z2;
+  if (train) {
+    z1 = pw_full_.Forward(features_);
+    z2 = pw_relaxed_.Forward(features_);
+  } else {
+    pw_full_.ForwardEvalInto(features_, &z1);
+    pw_relaxed_.ForwardEvalInto(features_, &z2);
   }
-  const Matrix h = train ? head_.Forward(stacked) : head_.ForwardEval(stacked);
-  Matrix v(n, out_dim_);
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* top = h.RowPtr(r);
-    const double* bot = h.RowPtr(n + r);
-    double* vrow = v.RowPtr(r);
-    for (std::size_t c = 0; c < out_dim_; ++c) vrow[c] = top[c] + bot[c];
-  }
-  return v;
+  return ensemble_.Forward(z1, z2, train);
 }
 
 void PwEnsembleEncoder::Backward(const Matrix& dv) {
-  const std::size_t n = features_.rows();
-  Matrix dh(2 * n, out_dim_);
-  for (std::size_t r = 0; r < n; ++r) {
-    dh.SetRow(r, dv.Row(r));
-    dh.SetRow(n + r, dv.Row(r));
-  }
-  const Matrix dstacked = head_.Backward(dh);
-  Matrix dz1(n, features_.cols());
-  Matrix dz2(n, features_.cols());
-  for (std::size_t r = 0; r < n; ++r) {
-    dz1.SetRow(r, dstacked.Row(r));
-    dz2.SetRow(r, dstacked.Row(n + r));
-  }
+  Matrix dz1;
+  Matrix dz2;
+  ensemble_.Backward(dv, &dz1, &dz2);
   pw_full_.Backward(dz1);
   pw_relaxed_.Backward(dz2);
 }
@@ -192,7 +121,7 @@ void PwEnsembleEncoder::Backward(const Matrix& dv) {
 void PwEnsembleEncoder::CollectParameters(std::vector<nn::Parameter*>* out) {
   pw_full_.CollectParameters(out);
   pw_relaxed_.CollectParameters(out);
-  head_.CollectParameters(out);
+  ensemble_.CollectParameters(out);
 }
 
 }  // namespace whitenrec

@@ -27,8 +27,8 @@ class ParametricWhitening : public nn::Layer {
 
   linalg::Matrix Forward(const linalg::Matrix& x);
   linalg::Matrix Backward(const linalg::Matrix& dy);
-  // Forward's arithmetic without its cache.
-  linalg::Matrix ForwardEval(const linalg::Matrix& x) const;
+  // Forward's arithmetic without its cache; *y is reshaped.
+  void ForwardEvalInto(const linalg::Matrix& x, linalg::Matrix* y) const;
   void CollectParameters(std::vector<nn::Parameter*>* out) override;
 
   std::size_t out_dim() const { return weight_.value.cols(); }
@@ -41,18 +41,17 @@ class ParametricWhitening : public nn::Layer {
   linalg::Matrix cached_centered_;
 };
 
-// UniSRec's item encoder: a Mixture-of-Experts adaptor whose experts are PW
+// UniSRec's item encoder: a GatedMixture adaptor whose experts are PW
 // layers over the frozen text features, softmax-gated per item. (UniSRec's
 // pre-training stage is removed, as in the paper's fair-comparison setup.)
 // Like every encoder here, Forward(false) fills no backward cache.
 class MoEPwEncoder : public ItemEncoder {
  public:
-  MoEPwEncoder(linalg::Matrix features, std::size_t out_dim,
-               std::size_t num_experts, linalg::Rng* rng,
+  MoEPwEncoder(linalg::Matrix features, std::size_t out_dim, linalg::Rng* rng,
                std::string name = "unisrec");
 
   std::size_t num_items() const override { return features_.rows(); }
-  std::size_t output_dim() const override { return out_dim_; }
+  std::size_t output_dim() const override { return mixture_.out_dim(); }
   linalg::Matrix Forward(bool train) override;
   void Backward(const linalg::Matrix& dv) override;
   void CollectParameters(std::vector<nn::Parameter*>* out) override;
@@ -60,17 +59,13 @@ class MoEPwEncoder : public ItemEncoder {
 
  private:
   linalg::Matrix features_;  // frozen
-  std::size_t out_dim_;
-  std::unique_ptr<nn::Linear> gate_;
-  std::vector<std::unique_ptr<ParametricWhitening>> experts_;
-  linalg::Matrix cached_gate_probs_;
-  std::vector<linalg::Matrix> cached_expert_out_;
+  GatedMixture<ParametricWhitening> mixture_;
   std::string name_;
 };
 
 // Table VI "PW" row: the WhitenRec+ architecture with both precomputed
-// whitening branches replaced by learnable PW layers feeding the shared
-// projection head (outputs summed, as in Eq. 6).
+// whitening branches replaced by learnable PW layers feeding a kSum
+// BranchEnsemble (Eq. 6).
 class PwEnsembleEncoder : public ItemEncoder {
  public:
   PwEnsembleEncoder(linalg::Matrix features, std::size_t out_dim,
@@ -78,7 +73,7 @@ class PwEnsembleEncoder : public ItemEncoder {
                     std::string name = "whitenrec+pw");
 
   std::size_t num_items() const override { return features_.rows(); }
-  std::size_t output_dim() const override { return out_dim_; }
+  std::size_t output_dim() const override { return ensemble_.out_dim(); }
   linalg::Matrix Forward(bool train) override;
   void Backward(const linalg::Matrix& dv) override;
   void CollectParameters(std::vector<nn::Parameter*>* out) override;
@@ -86,10 +81,9 @@ class PwEnsembleEncoder : public ItemEncoder {
 
  private:
   linalg::Matrix features_;
-  std::size_t out_dim_;
   ParametricWhitening pw_full_;
   ParametricWhitening pw_relaxed_;
-  ProjectionHead head_;
+  BranchEnsemble ensemble_;
   std::string name_;
 };
 

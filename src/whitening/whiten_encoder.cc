@@ -1,5 +1,6 @@
 #include "whitening/whiten_encoder.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/tensor.h"
@@ -41,31 +42,28 @@ std::size_t NumHiddenLayers(HeadKind kind) {
   return 0;
 }
 
-// out += diag(probs[:, e]) * expert_out: expert e's gated share of the MoE
-// head output, shared by the training and eval forwards.
-void AddGatedExpert(const Matrix& probs, std::size_t e,
-                    const Matrix& expert_out, Matrix* out) {
-  for (std::size_t r = 0; r < out->rows(); ++r) {
-    const double g = probs(r, e);
-    double* orow = out->RowPtr(r);
-    const double* erow = expert_out.RowPtr(r);
-    for (std::size_t c = 0; c < out->cols(); ++c) orow[c] += g * erow[c];
-  }
+// [top; bottom]: the layout of the two branches in one shared-head pass.
+Matrix StackRows(const Matrix& top, const Matrix& bottom) {
+  WR_CHECK_EQ(top.cols(), bottom.cols());
+  Matrix stacked(top.rows() + bottom.rows(), top.cols());
+  std::copy(top.data(), top.data() + top.size(), stacked.data());
+  std::copy(bottom.data(), bottom.data() + bottom.size(),
+            stacked.data() + top.size());
+  return stacked;
 }
 
 }  // namespace
 
 ProjectionHead::ProjectionHead(std::size_t in_dim, std::size_t out_dim,
                                HeadKind kind, linalg::Rng* rng,
-                               std::size_t num_experts, std::string name)
-    : in_dim_(in_dim), out_dim_(out_dim), kind_(kind) {
+                               std::string name)
+    : in_dim_(in_dim), out_dim_(out_dim) {
   if (kind == HeadKind::kMoe) {
-    gate_ = std::make_unique<nn::Linear>(in_dim, num_experts, rng,
-                                         name + ".gate");
-    for (std::size_t e = 0; e < num_experts; ++e) {
-      experts_.push_back(std::make_unique<nn::Linear>(
-          in_dim, out_dim, rng, name + ".expert" + std::to_string(e)));
-    }
+    moe_ = std::make_unique<GatedMixture<nn::Linear>>(
+        in_dim, out_dim, rng, name, [&](std::size_t e) {
+          return std::make_unique<nn::Linear>(
+              in_dim, out_dim, rng, name + ".expert" + std::to_string(e));
+        });
     return;
   }
   const std::size_t hidden = NumHiddenLayers(kind);
@@ -83,110 +81,51 @@ ProjectionHead::ProjectionHead(std::size_t in_dim, std::size_t out_dim,
 
 Matrix ProjectionHead::Forward(const Matrix& x) {
   WR_CHECK_EQ(x.cols(), in_dim_);
-  if (kind_ != HeadKind::kMoe) {
-    Matrix h = x;
-    for (std::size_t i = 0; i < linears_.size(); ++i) {
-      h = linears_[i]->Forward(h);
-      if (i < relus_.size()) h = relus_[i].Forward(h);
-    }
-    return h;
+  if (moe_) return moe_->Forward(x);
+  Matrix h = x;
+  for (std::size_t i = 0; i < linears_.size(); ++i) {
+    h = linears_[i]->Forward(h);
+    if (i < relus_.size()) h = relus_[i].Forward(h);
   }
-  // MoE: softmax-gated sum of linear experts.
-  cached_gate_probs_ = gate_->Forward(x);
-  nn::RowSoftmaxInPlace(&cached_gate_probs_);
-  cached_expert_out_.clear();
-  Matrix out(x.rows(), out_dim_);
-  for (std::size_t e = 0; e < experts_.size(); ++e) {
-    // Each expert Linear caches only its last forward; since all experts see
-    // the same input x, per-expert caching remains valid for backward.
-    cached_expert_out_.push_back(experts_[e]->Forward(x));
-    AddGatedExpert(cached_gate_probs_, e, cached_expert_out_.back(), &out);
-  }
-  return out;
+  return h;
 }
 
 Matrix ProjectionHead::ForwardEval(const Matrix& x) const {
   WR_CHECK_EQ(x.cols(), in_dim_);
-  if (kind_ != HeadKind::kMoe) {
-    // Ping-pong between two buffers; the last layer writes the result.
-    Matrix out;
-    Matrix hidden[2];
-    const Matrix* h = &x;
-    for (std::size_t i = 0; i < linears_.size(); ++i) {
-      Matrix* next = i + 1 == linears_.size() ? &out : &hidden[i % 2];
-      linears_[i]->ForwardEvalInto(*h, next);
-      if (i < relus_.size()) nn::ReluInPlace(next);
-      h = next;
-    }
-    return out;
-  }
-  Matrix probs;
-  gate_->ForwardEvalInto(x, &probs);
-  nn::RowSoftmaxInPlace(&probs);
-  Matrix out(x.rows(), out_dim_);
-  Matrix expert_out;
-  for (std::size_t e = 0; e < experts_.size(); ++e) {
-    experts_[e]->ForwardEvalInto(x, &expert_out);
-    AddGatedExpert(probs, e, expert_out, &out);
+  if (moe_) return moe_->ForwardEval(x);
+  // Ping-pong between two buffers; the last layer writes the result.
+  Matrix out;
+  Matrix hidden[2];
+  const Matrix* h = &x;
+  for (std::size_t i = 0; i < linears_.size(); ++i) {
+    Matrix* next = i + 1 == linears_.size() ? &out : &hidden[i % 2];
+    linears_[i]->ForwardEvalInto(*h, next);
+    if (i < relus_.size()) nn::ReluInPlace(next);
+    h = next;
   }
   return out;
 }
 
 Matrix ProjectionHead::Backward(const Matrix& dy) {
-  if (kind_ != HeadKind::kMoe) {
-    Matrix d = dy;
-    for (std::size_t i = linears_.size(); i-- > 0;) {
-      if (i < relus_.size()) d = relus_[i].Backward(d);
-      d = linears_[i]->Backward(d);
-    }
-    return d;
+  if (moe_) return moe_->Backward(dy);
+  Matrix d = dy;
+  for (std::size_t i = linears_.size(); i-- > 0;) {
+    if (i < relus_.size()) d = relus_[i].Backward(d);
+    d = linears_[i]->Backward(d);
   }
-  const std::size_t n = dy.rows();
-  const std::size_t num_experts = experts_.size();
-  Matrix dx(n, in_dim_);
-  Matrix dgate(n, num_experts);
-  for (std::size_t e = 0; e < num_experts; ++e) {
-    // dExpertOut_e = g_e * dy  (row-scaled); dg_e = <dy_row, expert_out_row>.
-    Matrix dexp(n, out_dim_);
-    const Matrix& eo = cached_expert_out_[e];
-    for (std::size_t r = 0; r < n; ++r) {
-      const double g = cached_gate_probs_(r, e);
-      const double* dyrow = dy.RowPtr(r);
-      const double* erow = eo.RowPtr(r);
-      double* drow = dexp.RowPtr(r);
-      double dg = 0.0;
-      for (std::size_t c = 0; c < out_dim_; ++c) {
-        drow[c] = g * dyrow[c];
-        // Row-wise dot (sum of a Hadamard product), not a matmul: a GEMM
-        // here would compute the full n*n product for its diagonal.
-        // whitenrec-lint: allow(hand-rolled-gemm)
-        dg += dyrow[c] * erow[c];
-      }
-      dgate(r, e) = dg;
-    }
-    dx += experts_[e]->Backward(dexp);
-  }
-  // Softmax backward on gate probabilities per row.
-  Matrix dlogits(n, num_experts);
-  for (std::size_t r = 0; r < n; ++r) {
-    nn::SoftmaxBackwardRow(cached_gate_probs_.RowPtr(r), dgate.RowPtr(r),
-                           num_experts, dlogits.RowPtr(r));
-  }
-  dx += gate_->Backward(dlogits);
-  return dx;
+  return d;
 }
 
 void ProjectionHead::CollectParameters(std::vector<nn::Parameter*>* out) {
   for (auto& l : linears_) l->CollectParameters(out);
-  if (gate_) gate_->CollectParameters(out);
-  for (auto& e : experts_) e->CollectParameters(out);
+  if (moe_) moe_->CollectParameters(out);
 }
 
 TextFeatureEncoder::TextFeatureEncoder(Matrix features, std::size_t out_dim,
                                        HeadKind head, linalg::Rng* rng,
                                        std::string name)
     : features_(std::move(features)),
-      head_(features_.cols(), out_dim, head, rng, 4, name + ".head"),
+      head_(features_.cols(), out_dim, head, rng, name + ".head"),
       name_(std::move(name)) {}
 
 Matrix TextFeatureEncoder::Forward(bool train) {
@@ -214,59 +153,39 @@ Status TextFeatureEncoder::ReplaceFeatures(Matrix features) {
   return Status::OK();
 }
 
-WhitenRecPlusEncoder::WhitenRecPlusEncoder(Matrix z_full, Matrix z_relaxed,
-                                           std::size_t out_dim,
-                                           EnsembleKind ensemble,
-                                           HeadKind head, linalg::Rng* rng,
-                                           std::string name)
-    : z_full_(std::move(z_full)),
-      z_relaxed_(std::move(z_relaxed)),
-      out_dim_(out_dim),
-      ensemble_(ensemble),
-      head_(ensemble == EnsembleKind::kConcat ? z_full_.cols() * 2
-                                              : z_full_.cols(),
-            out_dim, head, rng, 4, name + ".head"),
-      name_(std::move(name)) {
-  WR_CHECK_EQ(z_full_.rows(), z_relaxed_.rows());
-  WR_CHECK_EQ(z_full_.cols(), z_relaxed_.cols());
-  if (ensemble == EnsembleKind::kAttn) {
+BranchEnsemble::BranchEnsemble(std::size_t branch_dim, std::size_t out_dim,
+                               EnsembleKind kind, HeadKind head,
+                               linalg::Rng* rng, const std::string& name)
+    : kind_(kind),
+      head_(kind == EnsembleKind::kConcat ? branch_dim * 2 : branch_dim,
+            out_dim, head, rng, name + ".head") {
+  if (kind == EnsembleKind::kAttn) {
     attn_scorer_ =
         std::make_unique<nn::Linear>(out_dim, 1, rng, name + ".scorer");
   }
 }
 
-Matrix WhitenRecPlusEncoder::StackedInput() const {
-  const std::size_t n = z_full_.rows();
-  Matrix stacked(2 * n, z_full_.cols());
-  for (std::size_t r = 0; r < n; ++r) {
-    stacked.SetRow(r, z_full_.Row(r));
-    stacked.SetRow(n + r, z_relaxed_.Row(r));
-  }
-  return stacked;
-}
-
-Matrix WhitenRecPlusEncoder::Forward(bool train) {
-  const std::size_t n = z_full_.rows();
-  if (ensemble_ == EnsembleKind::kConcat) {
-    Matrix concat(n, z_full_.cols() * 2);
-    concat.SetColSlice(0, z_full_);
-    concat.SetColSlice(z_full_.cols(), z_relaxed_);
+Matrix BranchEnsemble::Forward(const Matrix& z1, const Matrix& z2,
+                               bool train) {
+  WR_CHECK_EQ(z1.rows(), z2.rows());
+  const std::size_t n = z1.rows();
+  if (kind_ == EnsembleKind::kConcat) {
+    Matrix concat(n, z1.cols() + z2.cols());
+    concat.SetColSlice(0, z1);
+    concat.SetColSlice(z1.cols(), z2);
     return train ? head_.Forward(concat) : head_.ForwardEval(concat);
   }
   // Shared head over the row-stacked branches: one forward per step.
-  Matrix h = train ? head_.Forward(StackedInput())
-                   : head_.ForwardEval(StackedInput());
-  Matrix v(n, out_dim_);
-  if (ensemble_ == EnsembleKind::kSum) {
-    for (std::size_t r = 0; r < n; ++r) {
-      const double* top = h.RowPtr(r);
-      const double* bot = h.RowPtr(n + r);
-      double* vrow = v.RowPtr(r);
-      for (std::size_t c = 0; c < out_dim_; ++c) vrow[c] = top[c] + bot[c];
-    }
+  const Matrix stacked = StackRows(z1, z2);
+  Matrix h = train ? head_.Forward(stacked) : head_.ForwardEval(stacked);
+  if (kind_ == EnsembleKind::kSum) {
+    Matrix v = h.RowSlice(0, n);
+    v += h.RowSlice(n, 2 * n);
     return v;
   }
   // kAttn: per-item softmax attention over the two branch outputs.
+  const std::size_t d = out_dim();
+  Matrix v(n, d);
   Matrix scores;  // (2n, 1)
   if (train) {
     scores = attn_scorer_->Forward(h);
@@ -287,7 +206,7 @@ Matrix WhitenRecPlusEncoder::Forward(bool train) {
     const double* top = h.RowPtr(r);
     const double* bot = h.RowPtr(n + r);
     double* vrow = v.RowPtr(r);
-    for (std::size_t c = 0; c < out_dim_; ++c) {
+    for (std::size_t c = 0; c < d; ++c) {
       vrow[c] = a1 * top[c] + a2 * bot[c];
     }
   }
@@ -298,23 +217,23 @@ Matrix WhitenRecPlusEncoder::Forward(bool train) {
   return v;
 }
 
-void WhitenRecPlusEncoder::Backward(const Matrix& dv) {
-  const std::size_t n = z_full_.rows();
-  WR_CHECK_EQ(dv.rows(), n);
-  if (ensemble_ == EnsembleKind::kConcat) {
-    head_.Backward(dv);
-    return;
-  }
-  Matrix dh(2 * n, out_dim_);
-  if (ensemble_ == EnsembleKind::kSum) {
-    for (std::size_t r = 0; r < n; ++r) {
-      dh.SetRow(r, dv.Row(r));
-      dh.SetRow(n + r, dv.Row(r));
-    }
-    head_.Backward(dh);
-    return;
-  }
+void BranchEnsemble::Backward(const Matrix& dv, Matrix* dz1, Matrix* dz2) {
+  const std::size_t n = dv.rows();
+  const bool concat = kind_ == EnsembleKind::kConcat;
+  const Matrix dx =
+      concat ? head_.Backward(dv) : head_.Backward(StackedOutputGrad(dv));
+  if (dz1 == nullptr) return;
+  const std::size_t half = dx.cols() / 2;
+  *dz1 = concat ? dx.ColSlice(0, half) : dx.RowSlice(0, n);
+  *dz2 = concat ? dx.ColSlice(half, 2 * half) : dx.RowSlice(n, 2 * n);
+}
+
+Matrix BranchEnsemble::StackedOutputGrad(const Matrix& dv) {
+  if (kind_ == EnsembleKind::kSum) return StackRows(dv, dv);
   // kAttn backward: V_i = a1 H_top + a2 H_bot with (a1, a2) = softmax(s).
+  const std::size_t n = dv.rows();
+  const std::size_t d = out_dim();
+  Matrix dh(2 * n, d);
   Matrix dscores(2 * n, 1);
   for (std::size_t r = 0; r < n; ++r) {
     const double a1 = cached_alpha_(r, 0);
@@ -326,7 +245,7 @@ void WhitenRecPlusEncoder::Backward(const Matrix& dv) {
     double* dbot = dh.RowPtr(n + r);
     double da1 = 0.0;
     double da2 = 0.0;
-    for (std::size_t c = 0; c < out_dim_; ++c) {
+    for (std::size_t c = 0; c < d; ++c) {
       dtop[c] = a1 * dvrow[c];
       dbot[c] = a2 * dvrow[c];
       da1 += dvrow[c] * top[c];
@@ -338,13 +257,39 @@ void WhitenRecPlusEncoder::Backward(const Matrix& dv) {
     dscores(n + r, 0) = a2 * (da2 - inner);
   }
   dh += attn_scorer_->Backward(dscores);
-  head_.Backward(dh);
+  return dh;
+}
+
+void BranchEnsemble::CollectParameters(std::vector<nn::Parameter*>* out) {
+  head_.CollectParameters(out);
+  if (attn_scorer_) attn_scorer_->CollectParameters(out);
+}
+
+WhitenRecPlusEncoder::WhitenRecPlusEncoder(Matrix z_full, Matrix z_relaxed,
+                                           std::size_t out_dim,
+                                           EnsembleKind ensemble,
+                                           HeadKind head, linalg::Rng* rng,
+                                           std::string name)
+    : z_full_(std::move(z_full)),
+      z_relaxed_(std::move(z_relaxed)),
+      ensemble_(z_full_.cols(), out_dim, ensemble, head, rng, name),
+      name_(std::move(name)) {
+  WR_CHECK_EQ(z_full_.rows(), z_relaxed_.rows());
+  WR_CHECK_EQ(z_full_.cols(), z_relaxed_.cols());
+}
+
+Matrix WhitenRecPlusEncoder::Forward(bool train) {
+  return ensemble_.Forward(z_full_, z_relaxed_, train);
+}
+
+void WhitenRecPlusEncoder::Backward(const Matrix& dv) {
+  WR_CHECK_EQ(dv.rows(), z_full_.rows());
+  ensemble_.Backward(dv);  // the frozen branches take no gradient
 }
 
 void WhitenRecPlusEncoder::CollectParameters(
     std::vector<nn::Parameter*>* out) {
-  head_.CollectParameters(out);
-  if (attn_scorer_) attn_scorer_->CollectParameters(out);
+  ensemble_.CollectParameters(out);
 }
 
 Result<std::unique_ptr<ItemEncoder>> MakeWhitenRecEncoder(

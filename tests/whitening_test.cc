@@ -406,6 +406,41 @@ bool SameBits(const Matrix& a, const Matrix& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+// An encoder's Forward(false) between a step's Forward(true) and Backward
+// leaves every gradient bitwise where an uninterrupted step on `twin` (built
+// from the same seed) puts it. The eval forward runs under shifted
+// parameters, so a cache it wrote would hold activations the training
+// forward never produced.
+void ExpectEvalForwardWritesNoCache(ItemEncoder* enc, ItemEncoder* twin,
+                                    const Matrix& dv) {
+  std::vector<nn::Parameter*> params;
+  enc->CollectParameters(&params);
+  std::vector<nn::Parameter*> twin_params;
+  twin->CollectParameters(&twin_params);
+  ASSERT_EQ(params.size(), twin_params.size());
+  for (nn::Parameter* p : params) p->ZeroGrad();
+  for (nn::Parameter* p : twin_params) p->ZeroGrad();
+
+  enc->Forward(true);
+  std::vector<Matrix> saved;
+  for (nn::Parameter* p : params) {
+    saved.push_back(p->value);
+    for (std::size_t i = 0; i < p->value.size(); ++i) {
+      p->value.data()[i] += 0.25;
+    }
+  }
+  EXPECT_EQ(enc->Forward(false).rows(), enc->num_items());
+  for (std::size_t i = 0; i < params.size(); ++i) params[i]->value = saved[i];
+  enc->Backward(dv);
+
+  twin->Forward(true);
+  twin->Backward(dv);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_TRUE(SameBits(params[i]->grad, twin_params[i]->grad))
+        << params[i]->name;
+  }
+}
+
 // The eval forward is the training forward's arithmetic without its caches:
 // bitwise equal outputs, and a ForwardEval between a step's Forward and
 // Backward leaves the gradients bitwise where an uninterrupted step puts
@@ -523,6 +558,31 @@ TEST_P(EnsembleKindTest, GradCheckParameters) {
     EXPECT_LT(MaxParamGradError(p, p->grad, loss), 2e-4) << p->name;
 }
 
+TEST_P(EnsembleKindTest, EvalForwardWritesNoCache) {
+  Rng data_rng(59);
+  const Matrix z1 = data_rng.GaussianMatrix(7, 5, 1.0);
+  const Matrix z2 = data_rng.GaussianMatrix(7, 5, 1.0);
+  const Matrix dv = data_rng.GaussianMatrix(7, 3, 1.0);
+  Rng rng_a(60);
+  Rng rng_b(60);
+  WhitenRecPlusEncoder enc(z1, z2, 3, GetParam(), HeadKind::kMlp1, &rng_a);
+  WhitenRecPlusEncoder twin(z1, z2, 3, GetParam(), HeadKind::kMlp1, &rng_b);
+  ExpectEvalForwardWritesNoCache(&enc, &twin, dv);
+}
+
+// Checkpoints match tensors by name, so every parameter, the kAttn scorer
+// included, carries the encoder's name as its prefix.
+TEST_P(EnsembleKindTest, ParameterNamesCarryTheEncoderName) {
+  Rng rng(66);
+  const Matrix z = rng.GaussianMatrix(4, 3, 1.0);
+  WhitenRecPlusEncoder enc(z, z, 2, GetParam(), HeadKind::kMlp1, &rng, "plus");
+  std::vector<nn::Parameter*> params;
+  enc.CollectParameters(&params);
+  for (nn::Parameter* p : params) {
+    EXPECT_EQ(p->name.rfind("plus.", 0), 0u) << p->name;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEnsembles, EnsembleKindTest,
                          ::testing::Values(EnsembleKind::kSum,
                                            EnsembleKind::kConcat,
@@ -561,7 +621,7 @@ TEST(WhitenRecFactoryTest, InvalidGroupsPropagateError) {
 TEST(MoEPwEncoderTest, ForwardShapeAndGradFlow) {
   Rng rng(57);
   const Matrix features = rng.GaussianMatrix(15, 6, 1.0);
-  MoEPwEncoder enc(features, 4, 3, &rng);
+  MoEPwEncoder enc(features, 4, &rng);
   const Matrix v = enc.Forward(true);
   EXPECT_EQ(v.rows(), 15u);
   EXPECT_EQ(v.cols(), 4u);
@@ -577,8 +637,37 @@ TEST(MoEPwEncoderTest, ForwardShapeAndGradFlow) {
 TEST(MoEPwEncoderTest, EvalForwardMatchesTrainForwardBitwise) {
   Rng rng(57);
   const Matrix features = rng.GaussianMatrix(15, 6, 1.0);
-  MoEPwEncoder enc(features, 4, 3, &rng);
+  MoEPwEncoder enc(features, 4, &rng);
   EXPECT_TRUE(SameBits(enc.Forward(false), enc.Forward(true)));
+}
+
+TEST(MoEPwEncoderTest, GradCheck) {
+  Rng rng(61);
+  const Matrix features = rng.GaussianMatrix(5, 4, 1.0);
+  MoEPwEncoder enc(features, 3, &rng);
+  const Matrix w = rng.GaussianMatrix(5, 3, 1.0);
+  enc.Forward(true);
+  std::vector<nn::Parameter*> params;
+  enc.CollectParameters(&params);
+  // The gate's W and b, then beta and W of every PW expert.
+  ASSERT_EQ(params.size(),
+            2u + 2u * GatedMixture<ParametricWhitening>::kNumExperts);
+  for (nn::Parameter* p : params) p->ZeroGrad();
+  enc.Backward(w);
+  auto loss = [&]() { return WeightedSum(enc.Forward(true), w); };
+  for (nn::Parameter* p : params)
+    EXPECT_LT(MaxParamGradError(p, p->grad, loss), 2e-4) << p->name;
+}
+
+TEST(MoEPwEncoderTest, EvalForwardWritesNoCache) {
+  Rng data_rng(62);
+  const Matrix features = data_rng.GaussianMatrix(9, 5, 1.0);
+  const Matrix dv = data_rng.GaussianMatrix(9, 3, 1.0);
+  Rng rng_a(63);
+  Rng rng_b(63);
+  MoEPwEncoder enc(features, 3, &rng_a);
+  MoEPwEncoder twin(features, 3, &rng_b);
+  ExpectEvalForwardWritesNoCache(&enc, &twin, dv);
 }
 
 TEST(PwEnsembleEncoderTest, EvalForwardMatchesTrainForwardBitwise) {
@@ -601,6 +690,17 @@ TEST(PwEnsembleEncoderTest, GradCheck) {
   auto loss = [&]() { return WeightedSum(enc.Forward(true), w); };
   for (nn::Parameter* p : params)
     EXPECT_LT(MaxParamGradError(p, p->grad, loss), 2e-4) << p->name;
+}
+
+TEST(PwEnsembleEncoderTest, EvalForwardWritesNoCache) {
+  Rng data_rng(64);
+  const Matrix features = data_rng.GaussianMatrix(7, 4, 1.0);
+  const Matrix dv = data_rng.GaussianMatrix(7, 3, 1.0);
+  Rng rng_a(65);
+  Rng rng_b(65);
+  PwEnsembleEncoder enc(features, 3, HeadKind::kMlp1, &rng_a);
+  PwEnsembleEncoder twin(features, 3, HeadKind::kMlp1, &rng_b);
+  ExpectEvalForwardWritesNoCache(&enc, &twin, dv);
 }
 
 TEST(NamesTest, HumanReadableNames) {
